@@ -23,7 +23,7 @@ import numpy as np
 
 from .module import Module
 
-__all__ = ["CheckpointError", "save_tensors", "load_tensors", "save_model", "load_model"]
+__all__ = ["CheckpointError", "save_tensors", "load_tensors"]
 
 MAGIC = b"CVCK"
 VERSION = 1
@@ -87,10 +87,6 @@ def model_state(model: Module) -> dict[str, np.ndarray]:
     return state
 
 
-def save_model(path: str, model: Module) -> None:
-    save_tensors(path, model_state(model))
-
-
 def apply_model_state(model: Module, loaded: Mapping[str, np.ndarray], source: str = "state") -> None:
     """Strictly copy a name->array mapping into a model's params and buffers."""
     expected = model_state(model)
@@ -110,7 +106,3 @@ def apply_model_state(model: Module, loaded: Mapping[str, np.ndarray], source: s
         if arr.shape != buf.shape:
             raise CheckpointError(f"{source}: {name} has shape {arr.shape}, expected {buf.shape}")
         buf[...] = arr.astype(buf.dtype)
-
-
-def load_model(path: str, model: Module) -> None:
-    apply_model_state(model, load_tensors(path), source=str(path))

@@ -10,12 +10,12 @@ stays inside the unit interval and ``dt = softplus(raw)`` stays positive.
 The state transition uses exact zero-order-hold discretization; the input
 injection uses the Euler/simplified form ``dt * B``.
 
-The scan itself is evaluated with a block algorithm: within-block scans are
-vectorized across blocks (the Python loop runs ``block`` steps regardless of
-sequence length), then per-block affine carries ``h -> a*h + b`` are composed
-sequentially.  ``block=1`` and ``block=L`` reproduce the plain sequential
-scan bitwise.  The backward pass is itself a (reversed) first-order scan, so
-it reuses the same kernel.
+The scan runs time-major: propagators and inputs are built as C-contiguous
+(L, N, D, S) arrays, so one in-place kernel, ``_scan``, updates a contiguous
+(N, D, S) slice per step for the forward, the reversed adjoint and
+``first_order_scan``, and the ``S`` reductions run along the last axis.  The
+forward runs in chunks of ``block`` steps; under ``no_grad`` one chunk buffer
+is reused, so the state trajectory is never materialized.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import functional as F
 from .module import Module, ModuleList, init_linear
 from .scan import flatten_spatial, scan_orders, unflatten_spatial
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, is_grad_enabled
 
 __all__ = [
     "sequential_scan",
@@ -62,63 +62,43 @@ def sequential_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def first_order_scan(a: np.ndarray, b: np.ndarray, block: int = DEFAULT_SCAN_BLOCK) -> np.ndarray:
-    """Blocked evaluation of ``h_t = a_t * h_{t-1} + b_t`` with ``h_{-1} = 0``.
+def _scan(a: np.ndarray, h: np.ndarray, prev: np.ndarray) -> None:
+    """In place along axis 0: ``h[t] = a[t] * h[t-1] + h[t]``, with ``h[-1] = prev``.
 
-    The sequence is split into blocks of ``block`` steps.  Pass one computes,
-    for every block in parallel, the zero-state local scan and the running
-    decay product; pass two threads the block carries through sequentially
-    (each block acts on its carry as the affine map ``h -> prod * h + last``),
-    and the carry entering each block is broadcast back onto the local scans.
+    One multiply into a reused temporary and one in-place add per step: the
+    same two roundings as ``sequential_scan``, so the two agree bitwise.
+    """
+    tmp = np.empty_like(prev)
+    for t in range(len(h)):
+        np.multiply(a[t], prev, out=tmp)
+        h[t] += tmp
+        prev = h[t]
+
+
+def _time_major(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+def _time_last(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
+def first_order_scan(a: np.ndarray, b: np.ndarray, block: int = DEFAULT_SCAN_BLOCK) -> np.ndarray:
+    """``h_t = a_t * h_{t-1} + b_t`` with ``h_{-1} = 0``; last axis is time.
+
+    Moves time to the front, runs ``_scan`` and moves it back, so the result
+    equals ``sequential_scan`` bitwise.  ``block`` must be >= 1; the result
+    does not depend on it.
     """
     if a.shape != b.shape:
         raise ValueError(f"scan inputs must share a shape, got {a.shape} vs {b.shape}")
-    length = a.shape[-1]
-    if length == 0:
+    if a.shape[-1] == 0:
         return b.copy()
     if block < 1:
         raise ValueError(f"scan block size must be >= 1, got {block}")
-    block = min(block, length)
-    n_blocks = -(-length // block)
-    padded = n_blocks * block
-    if padded != length:
-        pad = padded - length
-        a = np.concatenate([a, np.ones(a.shape[:-1] + (pad,), dtype=a.dtype)], axis=-1)
-        b = np.concatenate([b, np.zeros(b.shape[:-1] + (pad,), dtype=b.dtype)], axis=-1)
-    lead = a.shape[:-1]
-    ab = a.reshape(lead + (n_blocks, block))
-    bb = b.reshape(lead + (n_blocks, block))
-
-    local = np.empty_like(bb)
-    decay = np.empty_like(ab)
-    acc = np.zeros(lead + (n_blocks,), dtype=b.dtype)
-    prod = np.ones(lead + (n_blocks,), dtype=a.dtype)
-    for i in range(block):
-        acc = ab[..., i] * acc + bb[..., i]
-        prod = prod * ab[..., i]
-        local[..., i] = acc
-        decay[..., i] = prod
-
-    if n_blocks == 1:
-        h = local
-    else:
-        carry_in = np.empty(lead + (n_blocks,), dtype=b.dtype)
-        carry = np.zeros(lead, dtype=b.dtype)
-        for k in range(n_blocks):
-            carry_in[..., k] = carry
-            carry = decay[..., k, -1] * carry + local[..., k, -1]
-        h = local + decay * carry_in[..., None]
-
-    h = h.reshape(lead + (padded,))
-    return np.ascontiguousarray(h[..., :length]) if padded != length else h
-
-
-def _reverse_scan(a: np.ndarray, g: np.ndarray, block: int) -> np.ndarray:
-    """Adjoint of the first-order scan: ``lam_t = g_t + a_{t+1} * lam_{t+1}``."""
-    af = np.flip(a, -1)
-    a_shift = np.ones_like(af)
-    a_shift[..., 1:] = af[..., :-1]
-    return np.flip(first_order_scan(a_shift, np.flip(g, -1), block), -1)
+    h = np.moveaxis(b, -1, 0).copy()
+    _scan(np.moveaxis(a, -1, 0), h, np.zeros(h.shape[1:], dtype=h.dtype))
+    return _time_last(h)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +118,10 @@ def selective_scan(
     """Input-dependent state-space recurrence; single autograd op.
 
     Shapes: ``u``/``delta`` (N, D, L); ``A`` (D, S); ``B``/``C`` (N, S, L);
-    ``D`` (D,).  Returns (N, D, L).  The forward saves only the state
-    trajectory ``h``; everything else is recomputed in the backward, which is
-    a reversed scan through the same kernel.
+    ``D`` (D,).  Returns (N, D, L).  The forward runs in chunks of ``block``
+    steps; when a backward can follow it keeps the state trajectory ``h``
+    (L, N, D, S), otherwise it reuses one chunk buffer.  The backward closure
+    holds only ``h`` and the inputs and recomputes everything else.
     """
     n, d, length = u.shape
     s = A.shape[1]
@@ -151,31 +132,55 @@ def selective_scan(
             "selective_scan: inconsistent operand shapes "
             f"u={u.shape} A={A.shape} B={B.shape} C={C.shape} D={D.shape}"
         )
+    if block < 1:
+        raise ValueError(f"scan block size must be >= 1, got {block}")
+    operands = (u, delta, A, B, C, D)
+    dtype = np.result_type(*(t.data for t in operands))
+    keep = is_grad_enabled() and any(t.requires_grad for t in operands)
+    ut, dt, bt, ct = (_time_major(x.data) for x in (u, delta, B, C))
 
-    dt_a = delta.data[:, :, None, :] * A.data[None, :, :, None]  # (N,D,S,L)
-    abar = np.exp(dt_a)
-    bbar = (delta.data * u.data)[:, :, None, :] * B.data[:, None, :, :]
-    h = first_order_scan(abar, bbar, block)
-    y = np.einsum("nsl,ndsl->ndl", C.data, h, optimize=True) + D.data[None, :, None] * u.data
-    del abar, bbar, dt_a  # recomputed on demand in backward
+    chunk = max(1, min(block, length))
+    h = np.empty((length if keep else chunk, n, d, s), dtype)
+    abar = np.empty((chunk, n, d, s), dtype)
+    yt = np.empty((length, n, d, 1), dtype)
+    prev = np.zeros((n, d, s), dtype)
+    for t0 in range(0, length, chunk):
+        t1 = min(t0 + chunk, length)
+        hc = h[t0:t1] if keep else h[: t1 - t0]
+        ac = abar[: t1 - t0]
+        np.multiply(dt[t0:t1, :, :, None], A.data, out=ac)
+        np.exp(ac, out=ac)
+        np.multiply((dt[t0:t1] * ut[t0:t1])[..., None], bt[t0:t1, :, None, :], out=hc)
+        _scan(ac, hc, prev)
+        np.matmul(hc, ct[t0:t1, :, :, None], out=yt[t0:t1])
+        prev = hc[-1].copy()  # the reused chunk buffer is overwritten next
+    y = D.data[:, None] * u.data
+    y += yt[..., 0].transpose(1, 2, 0)
 
     def backward(g):
-        abar_b = np.exp(delta.data[:, :, None, :] * A.data[None, :, :, None])
-        lam = _reverse_scan(abar_b, g[:, :, None, :] * C.data[:, None, :, :], block)
-        h_prev = np.zeros_like(h)
-        h_prev[..., 1:] = h[..., :-1]
-        d_dta = lam * h_prev * abar_b  # gradient wrt the product delta*A
-        dA = np.einsum("ndsl,ndl->ds", d_dta, delta.data, optimize=True)
-        ddelta = np.einsum("ndsl,ds->ndl", d_dta, A.data, optimize=True)
-        lam_b = np.einsum("ndsl,nsl->ndl", lam, B.data, optimize=True)
-        ddelta += lam_b * u.data
-        du = lam_b * delta.data + g * D.data[None, :, None]
-        dB = np.einsum("ndsl,ndl->nsl", lam, delta.data * u.data, optimize=True)
-        dC = np.einsum("ndl,ndsl->nsl", g, h, optimize=True)
-        dD = np.einsum("ndl,ndl->d", g, u.data, optimize=True)
-        return du, ddelta, dA, dB, dC, dD
+        ut, dt, bt, ct, gt = (_time_major(x) for x in (u.data, delta.data, B.data, C.data, g))
+        abar = np.multiply(dt[..., None], A.data)
+        np.exp(abar, out=abar)
+        # adjoint, in reverse: lam[t] = g[t] * C[t] + abar[t+1] * lam[t+1]
+        lam = np.multiply(gt[..., None], ct[:, :, None, :])
+        if length:
+            _scan(abar[:0:-1], lam[-2::-1], lam[-1])
+        lam_b = np.matmul(lam, bt[..., None])[..., 0]
+        dB = np.matmul((dt * ut)[:, :, None, :], lam)[:, :, 0]
+        dC = np.matmul(gt[:, :, None, :], h)[:, :, 0]
+        # gradient wrt the product delta*A: lam[t] * h[t-1] * abar[t], with h[-1] = 0
+        d_dta = abar
+        d_dta[:1] = 0
+        d_dta[1:] *= h[:-1]
+        d_dta *= lam
+        dA = np.einsum("tnds,tnd->ds", d_dta, dt)
+        ddelta = np.einsum("tnds,ds->tnd", d_dta, A.data)
+        ddelta += lam_b * ut
+        du = lam_b * dt + gt * D.data
+        dD = np.einsum("ndl,ndl->d", g, u.data)
+        return _time_last(du), _time_last(ddelta), dA, _time_last(dB), _time_last(dC), dD
 
-    return Tensor.from_op(y, (u, delta, A, B, C, D), backward)
+    return Tensor.from_op(y, operands, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvmhunet
 from cvmhunet.blocks import BlockPair, CVSSBlock, CVSSConfig
 from cvmhunet.cli import main
 from cvmhunet.losses import LossConfig, ce_loss
@@ -195,7 +197,7 @@ def test_06_scan_kernel_equivalence():
     verdict(
         6,
         worst < 1e-5 and scalar_dev < 1e-12 and elapsed < 60.0,
-        f"blocked==sequential on 100 instances (max dev {worst:.1e}); "
+        f"first_order_scan==sequential on 100 instances (max dev {worst:.1e}); "
         f"scalar trace dev {scalar_dev:.1e}; {elapsed:.1f}s",
     )
 
@@ -300,8 +302,10 @@ def test_09_desk_scale_training(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
 
+    # the children import the same package as this process, from any working directory
     env = {
         **os.environ,
+        "PYTHONPATH": str(Path(cvmhunet.__file__).resolve().parent.parent),
         "CVMH_THREADS": "1",
         "OMP_NUM_THREADS": "1",
         "OPENBLAS_NUM_THREADS": "1",

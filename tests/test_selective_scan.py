@@ -1,4 +1,4 @@
-"""Selective-scan recurrence: hand traces, blocked-vs-sequential, gradients."""
+"""Selective-scan recurrence: hand traces, kernel-vs-sequential, gradients."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from cvmhunet.ssm import (
     selective_scan,
     sequential_scan,
 )
-from cvmhunet.tensor import Tensor
+from cvmhunet.tensor import Tensor, no_grad
 
 
 class TestHandTraces:
@@ -111,6 +111,84 @@ class TestBlockedEqualsSequential:
         b = rng.uniform(-1.0, 1.0, size=(length,))
         h = first_order_scan(a, b, 16)
         assert np.all(np.abs(h) <= 100.0 + 1e-9)
+
+
+def _scan_operands(rng, n, d, s, length):
+    """float32 ``selective_scan`` inputs with propagators in a realistic range."""
+    return [
+        rng.normal(size=(n, d, length)).astype(np.float32),
+        np.exp(rng.normal(size=(n, d, length)) * 0.5 - 2.0).astype(np.float32),
+        -np.exp(rng.normal(size=(d, s)) * 0.3).astype(np.float32),
+        rng.normal(size=(n, s, length)).astype(np.float32),
+        rng.normal(size=(n, s, length)).astype(np.float32),
+        rng.normal(size=(d,)).astype(np.float32),
+    ]
+
+
+def _sequential_reference(u, delta, a, b, c, dskip):
+    """float64 ``selective_scan`` output through ``sequential_scan``, last axis is time."""
+    u, delta, a, b, c, dskip = (v.astype(np.float64) for v in (u, delta, a, b, c, dskip))
+    abar = np.exp(delta[:, :, None, :] * a[None, :, :, None])
+    bbar = (delta * u)[:, :, None, :] * b[:, None, :, :]
+    h = sequential_scan(abar, bbar)
+    return np.einsum("nsl,ndsl->ndl", c, h) + dskip[None, :, None] * u
+
+
+class TestTimeMajorScan:
+    @pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 200])
+    def test_float32_matches_float64_sequential(self, length):
+        rng = np.random.default_rng(length)
+        ops = _scan_operands(rng, 2, 5, 4, length)
+        ref = _sequential_reference(*ops)
+        scale = max(1.0, float(np.abs(ref).max()))
+        for block in (1, 3, 5, 7, 10, 64, length + 5):  # most leave a short last chunk
+            y = selective_scan(*(Tensor(v) for v in ops), block=block).data
+            assert y.dtype == np.float32
+            err = float(np.abs(y - ref).max()) / scale
+            assert err <= 1e-5, f"L={length} block={block} rel err {err:.2e}"
+
+    @pytest.mark.parametrize("length", [1, 13, 64])
+    def test_no_grad_forward_bitwise_equals_grad_forward(self, length):
+        ops = _scan_operands(np.random.default_rng(40 + length), 2, 3, 4, length)
+        for block in (1, 7, length, length + 5):
+            tracked = [Tensor(v, requires_grad=True) for v in ops]
+            y_grad = selective_scan(*tracked, block=block)
+            assert y_grad.requires_grad
+            with no_grad():
+                y_plain = selective_scan(*(Tensor(v, requires_grad=True) for v in ops), block=block)
+            assert not y_plain.requires_grad
+            np.testing.assert_array_equal(y_plain.data, y_grad.data, err_msg=f"block={block}")
+
+    def test_repeated_calls_bitwise_equal(self):
+        ops = _scan_operands(np.random.default_rng(8), 2, 6, 4, 90)
+        w = np.random.default_rng(9).normal(size=(2, 6, 90)).astype(np.float32)
+        runs = []
+        for _ in range(2):
+            tracked = [Tensor(v.copy(), requires_grad=True) for v in ops]
+            y = selective_scan(*tracked, block=16)
+            (y * Tensor(w)).sum().backward()
+            runs.append([y.data] + [t.grad for t in tracked])
+        for first, second in zip(*runs):
+            np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("lead", [(2, 3), (2, 3, 4), (1, 2, 3, 2)])
+    def test_first_order_scan_leading_shapes(self, lead):
+        rng = np.random.default_rng(len(lead))
+        length = 19
+        a = rng.uniform(-1.0, 1.0, size=lead + (length,)).astype(np.float32)
+        b = rng.normal(size=lead + (length,)).astype(np.float32)
+        ref = sequential_scan(a, b)
+        for block in (1, 4, length):
+            got = first_order_scan(a, b, block)
+            assert got.shape == a.shape and got.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(got, ref)
+
+    def test_first_order_scan_leaves_inputs_untouched(self):
+        a = np.full(5, 0.5)
+        b = np.arange(5.0)
+        first_order_scan(a, b, 2)
+        np.testing.assert_array_equal(b, np.arange(5.0))
+        np.testing.assert_array_equal(a, np.full(5, 0.5))
 
 
 class TestSelectiveScanGradients:

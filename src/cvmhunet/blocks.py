@@ -108,8 +108,8 @@ class ChannelAttention(Module):
         return self.fc2(F.relu(self.fc1(v)))
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c = x.shape[0], x.shape[1]
-        scores = self._mlp(F.global_avg_pool(x)) + self._mlp(F.global_max_pool(x))
+        n, c, h, w = x.shape
+        scores = self._mlp(x.mean(axis=(2, 3))) + self._mlp(x.reshape(n, c, h * w).max(axis=2))
         return x * F.sigmoid(scores).reshape(n, c, 1, 1)
 
 

@@ -16,6 +16,7 @@ strict: unknown names, missing names, or shape mismatches raise
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Mapping
 
@@ -34,20 +35,18 @@ class CheckpointError(IOError):
 
 
 def save_tensors(path: str, tensors: Mapping[str, np.ndarray]) -> None:
-    parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
-    for name, arr in tensors.items():
-        encoded = name.encode("utf-8")
-        arr = np.ascontiguousarray(arr, dtype=np.float32)
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        parts.append(arr.astype("<f4").tobytes())
+    """Write ``tensors`` to ``path``, one entry at a time (no second copy of the payload)."""
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
+        for name, arr in tensors.items():
+            encoded = name.encode("utf-8")
+            arr = np.ascontiguousarray(arr, dtype="<f4")  # a 0-d array is stored as shape (1,)
+            fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
+            fh.write(arr.data)
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:
+    """Read a CVCK file; any malformed or truncated content raises ``CheckpointError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -64,17 +63,19 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
             name = blob[offset : offset + name_len].decode("utf-8")
             offset += name_len
             (rank,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
-            offset += 4 * rank
-            n = int(np.prod(dims)) if rank else 1
-            payload = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
+            dims = struct.unpack_from(f"<{rank}I", blob, offset + 1)
+            offset += 1 + 4 * rank
+            n = math.prod(dims)
+            if offset + 4 * n > len(blob):
+                raise CheckpointError(f"{path}: truncated checkpoint (entry {name!r} of shape {dims})")
+            out[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(dims).copy()
             offset += 4 * n
-            out[name] = payload.reshape(dims).copy()
         if offset != len(blob):
             raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after last entry")
     except struct.error as exc:
         raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: entry name is not UTF-8 ({exc})") from exc
     return out
 
 

@@ -21,8 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import functional as F
-from .blocks import CVSSBlock, CVSSConfig, CrossScanModule, EFFN
 from .checkpoint import CheckpointError, apply_model_state, load_tensors, model_state, save_tensors
 from .data import (
     AugmentConfig,
@@ -31,22 +29,19 @@ from .data import (
     TileSpec,
     augment_pair,
     emit_prediction,
+    load_image,
     load_pair,
     normalize_image,
-    read_ppm,
     save_cvtn,
-    load_cvtn,
     stitch_tiles,
     synth_generate,
     tile_image,
 )
-from .gradcheck import DEFAULT_TOL, check_gradients
+from .gradcheck import DEFAULT_TOL, gradcheck_suite
 from .losses import LossConfig, segmentation_loss
 from .metrics import ConfusionMatrix, compute_metrics
-from .mfms import GlobalFrequencyAttention, LocalPointwiseAttention, MFMSBlock
 from .network import CVMHUNet, NetworkConfig, flops_count, param_count, stage_plan
 from .optim import AdamW
-from .ssm import DirectionalSSM, selective_scan
 from .tensor import Tensor, no_grad
 
 EXIT_OK = 0
@@ -186,10 +181,7 @@ def _load_run_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[
     if not side.exists():
         raise CliError(f"{path}: missing sidecar {side.name} (not a training checkpoint?)", EXIT_IO)
     meta = _read_json(side)
-    try:
-        tensors = load_tensors(str(path))
-    except CheckpointError as e:
-        raise CliError(str(e), EXIT_IO) from e
+    tensors = load_tensors(str(path))
     model_part = {k[len("model.") :]: v for k, v in tensors.items() if k.startswith("model.")}
     optim_part = {k[len("optim.") :]: v for k, v in tensors.items() if k.startswith("optim.")}
     if not model_part:
@@ -201,10 +193,7 @@ def _model_from_checkpoint(path: Path) -> tuple[CVMHUNet, dict]:
     meta, model_part, _ = _load_run_checkpoint(path)
     cfg = _build_network_config(meta.get("model", {}))
     model = CVMHUNet(cfg, seed=int(meta.get("seed", 0)))
-    try:
-        apply_model_state(model, model_part, source=str(path))
-    except CheckpointError as e:
-        raise CliError(str(e), EXIT_IO) from e
+    apply_model_state(model, model_part, source=str(path))
     return model, meta
 
 
@@ -271,10 +260,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise CliError(str(e), EXIT_IO) from e
         start_step = int(meta.get("step", optimizer.step_count))
 
-    try:
-        tiles = _collect_tiles(manifest, tile)
-    except DataError as e:
-        raise CliError(str(e), EXIT_IO) from e
+    tiles = _collect_tiles(manifest, tile)
     if not tiles:
         raise CliError("dataset produced no tiles", EXIT_CONFIG)
 
@@ -381,10 +367,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     cm = ConfusionMatrix(num_classes, manifest.ignore_index)
     for img_path, lab_path in manifest.pairs:
-        try:
-            image, label = load_pair(img_path, lab_path, num_classes, manifest.ignore_index)
-        except DataError as e:
-            raise CliError(str(e), EXIT_IO) from e
+        image, label = load_pair(img_path, lab_path, num_classes, manifest.ignore_index)
         if args.oracle:
             safe = np.where(label < num_classes, label, 0)
             logits = np.eye(num_classes, dtype=np.float32)[safe].transpose(2, 0, 1)
@@ -406,21 +389,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model, _ = _model_from_checkpoint(Path(args.checkpoint))
     model.eval()
-    suffix = Path(args.image).suffix.lower()
-    try:
-        if suffix == ".ppm":
-            image = read_ppm(args.image).astype(np.float32).transpose(2, 0, 1) / 255.0
-        elif suffix == ".cvtn":
-            arr = load_cvtn(args.image)
-            if arr.ndim != 3 or arr.shape[0] != 3:
-                raise CliError(f"{args.image}: expected a (3, H, W) tensor", EXIT_CONFIG)
-            image = arr.astype(np.float32) / 255.0 if arr.dtype == np.uint8 else arr
-        else:
-            raise CliError(f"unsupported image format {suffix!r}", EXIT_CONFIG)
-    except DataError as e:
-        raise CliError(str(e), EXIT_IO) from e
-
-    logits = _predict_logits(model, image, AugmentConfig(), args.batch_size)
+    logits = _predict_logits(model, load_image(args.image), AugmentConfig(), args.batch_size)
     k = logits.shape[0]
     if args.manifest:
         palette = _load_manifest(args.manifest).palette
@@ -475,114 +444,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK if parity else EXIT_NUMERIC
 
 
-def _gradcheck_suite(seeds: int, tol: float) -> list[dict]:
-    """Finite-difference checks for every differentiable building block."""
-
-    def conv(rng):
-        x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.3, requires_grad=True)
-        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        return lambda: (F.conv2d(x, w, b, padding=1) ** 2).sum(), [x, w, b]
-
-    def depthwise(rng):
-        x = Tensor(rng.normal(size=(1, 3, 5, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 1, 3, 3)) * 0.3, requires_grad=True)
-        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        return lambda: (F.depthwise_conv2d(x, w, b, padding=1) ** 2).sum(), [x, w, b]
-
-    def scan(rng):
-        u = Tensor(rng.normal(size=(1, 3, 6)), requires_grad=True)
-        delta = Tensor(rng.uniform(0.05, 0.4, size=(1, 3, 6)), requires_grad=True)
-        a = Tensor(-rng.uniform(0.2, 1.0, size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
-        c = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
-        d = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        return lambda: (selective_scan(u, delta, a, b, c, d) ** 2).sum(), [u, delta, a, b, c, d]
-
-    def directional(rng):
-        m = DirectionalSSM(4, state_dim=3, scan_mode="cs2d", rng=rng).to_dtype(np.float64)
-        x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
-        return lambda: (m(x) ** 2).sum(), [x, *list(m.parameters())[:4]]
-
-    def cross_scan(rng):
-        m = CrossScanModule(CVSSConfig(dim=4, state_dim=3, scan_block=8), rng=rng).to_dtype(np.float64)
-        m.out_proj.weight.data += rng.normal(size=m.out_proj.weight.shape) * 0.2
-        x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
-        return lambda: (m(x) ** 2).sum(), [x]
-
-    def cvss_block(rng):
-        m = CVSSBlock(CVSSConfig(dim=4, state_dim=3, scan_block=8), rng=rng).to_dtype(np.float64)
-        for p in m.parameters():
-            if p.data.size and np.all(p.data == 0):
-                p.data = rng.normal(size=p.data.shape) * 0.2
-        x = Tensor(rng.normal(size=(1, 4, 4, 4)), requires_grad=True)
-        return lambda: (m(x) ** 2).sum(), [x]
-
-    def effn(rng):
-        m = EFFN(CVSSConfig(dim=4, state_dim=3), rng=rng).to_dtype(np.float64)
-        m.pw2.weight.data = rng.normal(size=m.pw2.weight.shape) * 0.3
-        x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
-        return lambda: (m(x) ** 2).sum(), [x]
-
-    def mfms_global(rng):
-        m = GlobalFrequencyAttention(8, rng=rng).to_dtype(np.float64)
-        for p in m.parameters():
-            p.data = rng.normal(size=p.data.shape) * 0.3
-        x = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
-        return lambda: (m(x) ** 2).sum(), [x, *m.parameters()]
-
-    def mfms_local(rng):
-        m = LocalPointwiseAttention(8, rng=rng).to_dtype(np.float64)
-        m.pw2.weight.data = rng.normal(size=m.pw2.weight.shape) * 0.3
-        x = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
-        return lambda: (m(x) ** 2).sum(), [x]
-
-    def mfms_fusion(rng):
-        m = MFMSBlock(8, rng=rng).to_dtype(np.float64)
-        f = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
-        g = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
-        return lambda: (m(f, g) ** 2).sum(), [f, g]
-
-    def tiny_network(rng):
-        cfg = NetworkConfig(
-            embed_dim=8, num_classes=3, input_size=(32, 32), state_dim=4, scan_block=16, freq_k=4
-        )
-        m = CVMHUNet(cfg, seed=int(rng.integers(0, 2**31))).to_dtype(np.float64)
-        x = Tensor(rng.normal(size=(1, 3, 32, 32)), requires_grad=True)
-        return lambda: (m(x) ** 2).mean(), [x]
-
-    suite = [
-        ("conv2d", conv),
-        ("depthwise_conv2d", depthwise),
-        ("selective_scan", scan),
-        ("directional_ssm", directional),
-        ("cross_scan_module", cross_scan),
-        ("cvss_block", cvss_block),
-        ("effn", effn),
-        ("mfms_global_attention", mfms_global),
-        ("mfms_local_attention", mfms_local),
-        ("mfms_fusion", mfms_fusion),
-        ("tiny_network", tiny_network),
-    ]
-
-    results = []
-    for name, builder in suite:
-        worst = 0.0
-        worst_seed = 0
-        for seed in range(seeds):
-            rng = np.random.default_rng(1000 + seed)
-            fn, wrt = builder(rng)
-            res = check_gradients(fn, wrt, max_coords_per_tensor=4, rng=np.random.default_rng(seed))
-            if res.rel_error > worst:
-                worst, worst_seed = res.rel_error, seed
-        results.append(
-            {"op": name, "max_rel_error": worst, "seeds": seeds, "worst_seed": worst_seed, "pass": worst < tol}
-        )
-    return results
-
-
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    results = _gradcheck_suite(args.seeds, args.tol)
+    results = gradcheck_suite(args.seeds, args.tol)
     ok = all(r["pass"] for r in results)
     print(json.dumps({"tolerance": args.tol, "results": results, "pass": ok}, indent=2))
     return EXIT_OK if ok else EXIT_NUMERIC

@@ -30,6 +30,7 @@ __all__ = [
     "DatasetManifest",
     "TileSpec",
     "AugmentConfig",
+    "load_image",
     "load_pair",
     "tile_image",
     "stitch_tiles",
@@ -243,8 +244,9 @@ class DatasetManifest:
         path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _load_image(path: Path) -> np.ndarray:
-    """Image file -> float32 (3, H, W) in [0, 1]."""
+def load_image(path: str | Path) -> np.ndarray:
+    """PPM or CVTN image file -> float32 (3, H, W); uint8 data is scaled to [0, 1]."""
+    path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ppm":
         return read_ppm(path).astype(np.float32).transpose(2, 0, 1) / 255.0
@@ -278,7 +280,7 @@ def load_pair(
     ignore_index: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(float32 (3,H,W) image in [0,1], int64 (H,W) label map)."""
-    image = _load_image(Path(image_path))
+    image = load_image(image_path)
     label = _load_label(Path(label_path))
     if image.shape[1:] != label.shape:
         raise DataError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .tensor import Tensor
+from .tensor import Tensor, logistic
 
 __all__ = [
     "linear",
@@ -25,9 +25,6 @@ __all__ = [
     "softplus",
     "sigmoid",
     "log_softmax",
-    "global_avg_pool",
-    "global_max_pool",
-    "global_min_pool",
     "permute_last",
 ]
 
@@ -312,8 +309,7 @@ def softplus(x: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     """``x * sigmoid(x)`` as a single fused op."""
-    s = 1.0 / (1.0 + np.exp(-x.data.astype(np.float64)))
-    s = s.astype(x.dtype, copy=False)
+    s = logistic(x.data)
     out = x.data * s
     return Tensor.from_op(out, (x,), lambda g: (g * (s + out * (1.0 - s)),))
 
@@ -342,44 +338,6 @@ def log_softmax(x: Tensor, axis: int = 1) -> Tensor:
         return (g - np.exp(out) * g.sum(axis=ax, keepdims=True),)
 
     return Tensor.from_op(out, (x,), backward)
-
-
-# ---------------------------------------------------------------------------
-# global pooling
-# ---------------------------------------------------------------------------
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """(N,C,H,W) -> (N,C) spatial mean."""
-    n, c, h, w = x.shape
-    scale = 1.0 / (h * w)
-    out = x.data.mean(axis=(2, 3))
-    return Tensor.from_op(
-        out, (x,), lambda g: (np.broadcast_to(g[:, :, None, None] * scale, x.shape).copy(),)
-    )
-
-
-def _global_extremum(x: Tensor, mode: str) -> Tensor:
-    """(N,C,H,W) -> (N,C); gradient goes to the first extremum in row-major order."""
-    n, c, h, w = x.shape
-    flat = x.data.reshape(n * c, h * w)
-    idx = flat.argmax(axis=1) if mode == "max" else flat.argmin(axis=1)
-    out = flat[np.arange(n * c), idx].reshape(n, c)
-
-    def backward(g):
-        dflat = np.zeros_like(flat)
-        dflat[np.arange(n * c), idx] = g.reshape(-1)
-        return (dflat.reshape(x.shape),)
-
-    return Tensor.from_op(np.ascontiguousarray(out), (x,), backward)
-
-
-def global_max_pool(x: Tensor) -> Tensor:
-    return _global_extremum(x, "max")
-
-
-def global_min_pool(x: Tensor) -> Tensor:
-    return _global_extremum(x, "min")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ probed instead of every entry, which keeps whole-network checks fast while
 still catching wiring mistakes (a wrong backward is wrong almost everywhere).
 
 The reported number is ``max|ga - gfd| / max(max|gfd|, 1e-8)`` aggregated
-over every probed coordinate of every checked tensor.
+over every probed coordinate of every checked tensor.  ``gradcheck_suite``
+runs the check over every block of the network at several seeds.
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import functional as F
+from .blocks import CVSSBlock, CVSSConfig, CrossScanModule, EFFN
+from .mfms import GlobalFrequencyAttention, LocalPointwiseAttention, MFMSBlock
+from .network import CVMHUNet, NetworkConfig
+from .ssm import DirectionalSSM, selective_scan
 from .tensor import Tensor, no_grad
 
-__all__ = ["check_gradients", "GradCheckResult"]
+__all__ = ["check_gradients", "GradCheckResult", "gradcheck_suite"]
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -91,3 +97,109 @@ def check_gradients(
 
     rel = max_diff / max(max_fd, 1e-8)
     return GradCheckResult(rel, max_diff, n_coords)
+
+
+def gradcheck_suite(seeds: int, tol: float) -> list[dict]:
+    """``cvmh gradcheck``: worst finite-difference error of every block over ``seeds`` seeds."""
+
+    def conv(rng):
+        x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.3, requires_grad=True)
+        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        return lambda: (F.conv2d(x, w, b, padding=1) ** 2).sum(), [x, w, b]
+
+    def depthwise(rng):
+        x = Tensor(rng.normal(size=(1, 3, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 1, 3, 3)) * 0.3, requires_grad=True)
+        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        return lambda: (F.depthwise_conv2d(x, w, b, padding=1) ** 2).sum(), [x, w, b]
+
+    def scan(rng):
+        u = Tensor(rng.normal(size=(1, 3, 6)), requires_grad=True)
+        delta = Tensor(rng.uniform(0.05, 0.4, size=(1, 3, 6)), requires_grad=True)
+        a = Tensor(-rng.uniform(0.2, 1.0, size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
+        c = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
+        d = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        return lambda: (selective_scan(u, delta, a, b, c, d) ** 2).sum(), [u, delta, a, b, c, d]
+
+    def directional(rng):
+        m = DirectionalSSM(4, state_dim=3, scan_mode="cs2d", rng=rng).to_dtype(np.float64)
+        x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
+        return lambda: (m(x) ** 2).sum(), [x, *list(m.parameters())[:4]]
+
+    def cross_scan(rng):
+        m = CrossScanModule(CVSSConfig(dim=4, state_dim=3, scan_block=8), rng=rng).to_dtype(np.float64)
+        m.out_proj.weight.data += rng.normal(size=m.out_proj.weight.shape) * 0.2
+        x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
+        return lambda: (m(x) ** 2).sum(), [x]
+
+    def cvss_block(rng):
+        m = CVSSBlock(CVSSConfig(dim=4, state_dim=3, scan_block=8), rng=rng).to_dtype(np.float64)
+        for p in m.parameters():
+            if p.data.size and np.all(p.data == 0):
+                p.data = rng.normal(size=p.data.shape) * 0.2
+        x = Tensor(rng.normal(size=(1, 4, 4, 4)), requires_grad=True)
+        return lambda: (m(x) ** 2).sum(), [x]
+
+    def effn(rng):
+        m = EFFN(CVSSConfig(dim=4, state_dim=3), rng=rng).to_dtype(np.float64)
+        m.pw2.weight.data = rng.normal(size=m.pw2.weight.shape) * 0.3
+        x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
+        return lambda: (m(x) ** 2).sum(), [x]
+
+    def mfms_global(rng):
+        m = GlobalFrequencyAttention(8, rng=rng).to_dtype(np.float64)
+        for p in m.parameters():
+            p.data = rng.normal(size=p.data.shape) * 0.3
+        x = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
+        return lambda: (m(x) ** 2).sum(), [x, *m.parameters()]
+
+    def mfms_local(rng):
+        m = LocalPointwiseAttention(8, rng=rng).to_dtype(np.float64)
+        m.pw2.weight.data = rng.normal(size=m.pw2.weight.shape) * 0.3
+        x = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
+        return lambda: (m(x) ** 2).sum(), [x]
+
+    def mfms_fusion(rng):
+        m = MFMSBlock(8, rng=rng).to_dtype(np.float64)
+        f = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
+        g = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
+        return lambda: (m(f, g) ** 2).sum(), [f, g]
+
+    def tiny_network(rng):
+        cfg = NetworkConfig(
+            embed_dim=8, num_classes=3, input_size=(32, 32), state_dim=4, scan_block=16, freq_k=4
+        )
+        m = CVMHUNet(cfg, seed=int(rng.integers(0, 2**31))).to_dtype(np.float64)
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)), requires_grad=True)
+        return lambda: (m(x) ** 2).mean(), [x]
+
+    suite = [
+        ("conv2d", conv),
+        ("depthwise_conv2d", depthwise),
+        ("selective_scan", scan),
+        ("directional_ssm", directional),
+        ("cross_scan_module", cross_scan),
+        ("cvss_block", cvss_block),
+        ("effn", effn),
+        ("mfms_global_attention", mfms_global),
+        ("mfms_local_attention", mfms_local),
+        ("mfms_fusion", mfms_fusion),
+        ("tiny_network", tiny_network),
+    ]
+
+    results = []
+    for name, builder in suite:
+        worst = 0.0
+        worst_seed = 0
+        for seed in range(seeds):
+            rng = np.random.default_rng(1000 + seed)
+            fn, wrt = builder(rng)
+            res = check_gradients(fn, wrt, max_coords_per_tensor=4, rng=np.random.default_rng(seed))
+            if res.rel_error > worst:
+                worst, worst_seed = res.rel_error, seed
+        results.append(
+            {"op": name, "max_rel_error": worst, "seeds": seeds, "worst_seed": worst_seed, "pass": worst < tol}
+        )
+    return results

@@ -1,9 +1,8 @@
 """Confusion-matrix segmentation metrics.
 
 A ``ConfusionMatrix`` accumulates pixel counts (rows = ground truth,
-columns = prediction) and merges by addition, so tiles or batches can be
-counted independently and combined in any order. Scores derive from the
-final matrix:
+columns = prediction) over any number of ``update`` calls, one per image,
+tile or batch. Scores derive from the final matrix:
 
     OA      trace / total pixels
     IoU_k   TP / (TP + FP + FN)
@@ -48,15 +47,6 @@ class ConfusionMatrix:
             raise ValueError(f"predicted labels outside [0, {k})")
         flat = t.astype(np.int64) * k + p.astype(np.int64)
         self.counts += np.bincount(flat, minlength=k * k).reshape(k, k)
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes or other.ignore_index != self.ignore_index:
-            raise ValueError("can only merge confusion matrices with identical layout")
-        out = ConfusionMatrix(self.num_classes, self.ignore_index)
-        out.counts = self.counts + other.counts
-        return out
-
-    __add__ = merge
 
     @property
     def total(self) -> int:

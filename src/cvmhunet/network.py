@@ -22,7 +22,6 @@ elementwise arithmetic are excluded.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -126,13 +125,6 @@ class NetworkConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return NetworkConfig(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "NetworkConfig":
-        return NetworkConfig.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

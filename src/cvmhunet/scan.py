@@ -29,7 +29,6 @@ __all__ = [
     "scan_orders",
     "flatten_spatial",
     "unflatten_spatial",
-    "scan_table_csv",
 ]
 
 SCAN_MODES = ("ss2d", "cs2d")
@@ -117,13 +116,3 @@ def unflatten_spatial(y: Tensor, order: ScanOrder) -> Tensor:
     if length != order.height * order.width:
         raise ValueError(f"sequence length {length} != {order.height}x{order.width} grid")
     return permute_last(y, order.inv, order.perm).reshape(n, c, order.height, order.width)
-
-
-def scan_table_csv(height: int, width: int, mode: str) -> str:
-    """Scan tables as CSV (columns: direction, step, row, col, flat_index)."""
-    lines = ["direction,step,row,col,flat_index"]
-    for order in scan_orders(height, width, mode):
-        for step, flat in enumerate(order.perm):
-            r, c = divmod(int(flat), width)
-            lines.append(f"{order.name},{step},{r},{c},{int(flat)}")
-    return "\n".join(lines) + "\n"

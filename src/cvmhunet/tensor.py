@@ -22,6 +22,7 @@ __all__ = [
     "cat",
     "no_grad",
     "is_grad_enabled",
+    "logistic",
 ]
 
 _GRAD_ENABLED = True
@@ -42,6 +43,14 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Stable ``1 / (1 + exp(-x))`` in the dtype of ``x``: one ``exp`` of ``-|x|``, never overflowing."""
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0)  # 1 where x >= 0 (e <= 1 there), else e: no data-dependent branch
+    out /= 1.0 + e
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -225,20 +234,13 @@ class Tensor:
         return Tensor.from_op(data, (self,), lambda g: (g * (1.0 - data * data),))
 
     def sigmoid(self) -> "Tensor":
-        # Stable logistic: exp of the negative magnitude only.
-        x = self.data
-        data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        data = data.astype(x.dtype, copy=False)
+        data = logistic(self.data)
         return Tensor.from_op(data, (self,), lambda g: (g * data * (1.0 - data),))
 
     def softplus(self) -> "Tensor":
         x = self.data
         data = np.logaddexp(np.zeros((), dtype=x.dtype), x)
-        return Tensor.from_op(
-            data,
-            (self,),
-            lambda g: (g / (1.0 + np.exp(-x)),),
-        )
+        return Tensor.from_op(data, (self,), lambda g: (g * logistic(x),))
 
     # -- reductions -------------------------------------------------------------
 

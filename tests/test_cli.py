@@ -211,6 +211,37 @@ class TestEvalPredict:
         assert logits.shape == (4, 32, 32)
         assert np.array_equal(np.argmax(logits, axis=0), classes)
 
+    def predict(self, trained, image, *extra):
+        return main(["predict", "--checkpoint", str(trained / "run" / "best.cvck"),
+                     "--image", str(image), "--out", str(trained / "pred.ppm"), *extra])
+
+    @pytest.mark.parametrize("kind", ["unsupported_suffix", "one_channel_cvtn"])
+    def test_predict_unreadable_image_exits_4(self, trained, capsys, kind):
+        if kind == "unsupported_suffix":
+            image = trained / "img.png"
+            image.write_bytes((trained / "data" / "img_0000.ppm").read_bytes())
+        else:
+            image = trained / "img.cvtn"
+            save_cvtn(image, np.zeros((1, 32, 32), dtype=np.uint8))
+        assert self.predict(trained, image) == 4
+        assert str(image) in capsys.readouterr().err
+
+    def test_predict_uint8_cvtn_matches_ppm(self, trained, capsys):
+        ppm = trained / "data" / "img_0000.ppm"
+        cvtn = trained / "img_0000.cvtn"
+        save_cvtn(cvtn, np.ascontiguousarray(read_ppm(ppm).transpose(2, 0, 1)))
+        assert self.predict(trained, ppm, "--logits-out", str(trained / "ppm.cvtn")) == 0
+        assert self.predict(trained, cvtn, "--logits-out", str(trained / "cvtn.cvtn")) == 0
+        capsys.readouterr()
+        assert (trained / "ppm.cvtn").read_bytes() == (trained / "cvtn.cvtn").read_bytes()
+
+    def test_eval_corrupted_checkpoint_exits_4(self, trained, capsys):
+        ckpt = trained / "run" / "last.cvck"  # its sidecar last.json stays valid
+        ckpt.write_bytes(ckpt.read_bytes()[:-2])
+        code = main(["eval", "--checkpoint", str(ckpt), "--manifest", str(trained / "data" / "manifest.json")])
+        assert code == 4
+        assert "truncated" in capsys.readouterr().err
+
     def test_predict_missing_checkpoint_exits_4(self, dataset, capsys):
         code = main(
             [

@@ -1,7 +1,10 @@
 """Neural-net ops against naive loop oracles and hand-computed values."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import cvmhunet.functional as F
 from cvmhunet.tensor import Tensor
@@ -173,6 +176,26 @@ class TestActivations:
         s = 1 / (1 + np.exp(-x.data))
         np.testing.assert_allclose(F.silu(x).data, x.data * s, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["silu", "softplus", "sigmoid"])
+    def test_float32_extremes_finite_and_correct(self, name):
+        values = np.array([-1000.0, -500.0, 0.0, 500.0, 1000.0])
+        s = expit(values)  # float64 reference
+        want = {
+            "silu": (values * s, s * (1.0 + values * (1.0 - s))),
+            "softplus": (np.logaddexp(0.0, values), s),
+            "sigmoid": (s, s * (1.0 - s)),
+        }[name]
+        x = Tensor(values.astype(np.float32), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow in exp fails the test
+            with np.errstate(all="warn", under="ignore"):  # flushing exp(-1000) to 0 is intended
+                y = getattr(F, name)(x)
+                y.sum().backward()
+        assert y.dtype == np.float32 and x.grad.dtype == np.float32
+        assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))
+        np.testing.assert_allclose(y.data, want[0], rtol=1e-6, atol=1e-30)
+        np.testing.assert_allclose(x.grad, want[1], rtol=1e-6, atol=1e-30)
+
     def test_gelu_reference_values(self):
         # x * Phi(x) with the standard normal CDF (values from CDF tables)
         x = t(np.array([0.0, 1.0, -1.0, 2.0]))
@@ -191,18 +214,20 @@ class TestActivations:
 
 
 class TestPools:
+    """Global pooling of (N,C,H,W) maps the way ChannelAttention does it: ``Tensor.mean/max/min``."""
+
     def test_avg_pool(self):
         x = t(np.arange(8, dtype=np.float64).reshape(1, 2, 2, 2))
-        np.testing.assert_allclose(F.global_avg_pool(x).data, [[1.5, 5.5]])
+        np.testing.assert_allclose(x.mean(axis=(2, 3)).data, [[1.5, 5.5]])
 
     def test_max_min_pool_values_and_ties(self):
         x = np.zeros((1, 1, 2, 2))
         x[0, 0] = [[3.0, 3.0], [1.0, 0.0]]
         tx = t(x, rg=True)
-        out = F.global_max_pool(tx)
+        out = tx.reshape(1, 1, 4).max(axis=2)
         np.testing.assert_allclose(out.data, [[3.0]])
         out.sum().backward()
         np.testing.assert_array_equal(tx.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
         tx2 = t(x, rg=True)
-        F.global_min_pool(tx2).sum().backward()
+        tx2.reshape(1, 1, 4).min(axis=2).sum().backward()
         np.testing.assert_array_equal(tx2.grad[0, 0], [[0.0, 0.0], [0.0, 1.0]])

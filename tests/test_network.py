@@ -69,7 +69,7 @@ class TestNetworkConfig:
 
     def test_json_round_trip(self):
         cfg = NetworkConfig(embed_dim=16, num_classes=7, scan_mode="ss2d", mfms_enabled=False)
-        again = NetworkConfig.from_json(cfg.to_json())
+        again = NetworkConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
     def test_json_lists_become_tuples(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvmhunet.scan import SCAN_MODES, flatten_spatial, scan_orders, scan_table_csv, unflatten_spatial
+from cvmhunet.scan import SCAN_MODES, flatten_spatial, scan_orders, unflatten_spatial
 from cvmhunet.tensor import Tensor
 
 # Hand-derived 3x3 traversals (flat row-major indices in visit order).
@@ -104,13 +104,6 @@ class TestValidationAndDump:
         (order,) = [o for o in scan_orders(4, 4, "ss2d") if o.name == "horizontal"]
         with pytest.raises(ValueError, match="4x4"):
             flatten_spatial(Tensor(np.zeros((1, 1, 3, 3))), order)
-
-    def test_csv_dump_schema(self):
-        csv = scan_table_csv(2, 2, "cs2d")
-        lines = csv.strip().split("\n")
-        assert lines[0] == "direction,step,row,col,flat_index"
-        assert len(lines) == 1 + 4 * 4
-        assert lines[1] == "horizontal,0,0,0,0"
 
     def test_cache_returns_same_object(self):
         assert scan_orders(6, 6, "cs2d") is scan_orders(6, 6, "cs2d")

@@ -40,6 +40,16 @@ class TestForwardValues:
         assert np.all(np.isfinite(s.data))
         np.testing.assert_allclose(s.data, [0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equals_branchwise_form(self, dtype):
+        # reference: the stable logistic written per branch, each with its own exp(-|x|)
+        x = (np.random.default_rng(3).normal(size=4096) * 30).astype(dtype)
+        x[:6] = [-1000.0, -500.0, -0.0, 0.0, 500.0, 1000.0]
+        want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        got = Tensor(x).sigmoid().data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
     def test_softplus_is_stable_at_extremes(self):
         x = t([-500.0, 500.0])
         s = x.softplus()

@@ -328,15 +328,6 @@ class TestConfusionMatrix:
         assert cm.total == 2
         assert cm.counts[0, 0] == 1 and cm.counts[1, 1] == 1
 
-    def test_merge_is_addition_and_commutes(self):
-        a, b = ConfusionMatrix(2), ConfusionMatrix(2)
-        a.update(np.array([0, 1]), np.array([0, 0]))
-        b.update(np.array([1, 1]), np.array([1, 0]))
-        left = (a + b).counts
-        right = (b + a).counts
-        assert np.array_equal(left, right)
-        assert left.sum() == 4
-
     def test_update_validation(self):
         cm = ConfusionMatrix(2)
         with pytest.raises(ValueError, match="mismatch"):
@@ -345,10 +336,6 @@ class TestConfusionMatrix:
             cm.update(np.array([2]), np.array([0]))
         with pytest.raises(ValueError, match="outside"):
             cm.update(np.array([0]), np.array([5]))
-
-    def test_merge_layout_mismatch(self):
-        with pytest.raises(ValueError):
-            ConfusionMatrix(2).merge(ConfusionMatrix(3))
 
 
 class TestMetrics:

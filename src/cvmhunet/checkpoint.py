@@ -76,6 +76,8 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: entry name is not UTF-8 ({exc})") from exc
+    except ValueError as exc:  # an empty entry whose other dims overflow numpy's size limit
+        raise CheckpointError(f"{path}: impossible tensor shape ({exc})") from exc
     return out
 
 

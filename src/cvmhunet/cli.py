@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -155,10 +154,9 @@ def _save_run_checkpoint(
     model: CVMHUNet,
     state: dict[str, np.ndarray] | None,
     optimizer: AdamW | None,
-    step: int,
-    loss_cfg: LossConfig,
-    seed: int,
+    meta: dict,
 ) -> None:
+    """Model (and optimizer) tensors to ``path``; ``meta`` plus the model config to its sidecar."""
     tensors = {}
     for k, v in (state or model_state(model)).items():
         tensors[f"model.{k}"] = v
@@ -166,12 +164,7 @@ def _save_run_checkpoint(
         for k, v in optimizer.state_tensors().items():
             tensors[f"optim.{k}"] = v
     save_tensors(str(path), tensors)
-    meta = {
-        "step": step,
-        "seed": seed,
-        "model": model.config.to_dict(),
-        "loss": asdict(loss_cfg),
-    }
+    meta = {**meta, "model": model.config.to_dict()}
     _sidecar(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -244,7 +237,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         lr=float(train["lr"]),
         weight_decay=float(train["weight_decay"]),
     )
-    start_step = 0
+    rng = np.random.default_rng(seed)
+    best_total, best_step, start_step = np.inf, 0, 0
     if getattr(args, "resume", None):
         meta, model_part, optim_part = _load_run_checkpoint(Path(args.resume))
         if meta.get("model") != net_cfg.to_dict():
@@ -258,19 +252,24 @@ def cmd_train(args: argparse.Namespace) -> int:
                 optimizer.load_state_tensors(optim_part)
         except (CheckpointError, ValueError) as e:
             raise CliError(str(e), EXIT_IO) from e
-        start_step = int(meta.get("step", optimizer.step_count))
+        # continue the step count, the batch stream and the best-so-far where the saved run stopped
+        try:
+            start_step = int(meta.get("step", optimizer.step_count))
+            if "rng_state" in meta:
+                rng.bit_generator.state = meta["rng_state"]
+            best_total = float(meta.get("best_total", np.inf))
+            best_step = int(meta.get("best_step", start_step))
+        except (KeyError, TypeError, ValueError) as e:
+            raise CliError(f"{args.resume}: malformed resume state in its sidecar: {e!r}", EXIT_IO) from e
 
     tiles = _collect_tiles(manifest, tile)
     if not tiles:
         raise CliError("dataset produced no tiles", EXIT_CONFIG)
 
-    rng = np.random.default_rng(seed)
     model.train()
     csv_path = out_dir / "loss.csv"
     mode = "a" if start_step > 0 and csv_path.exists() else "w"
-    best_total = np.inf
     best_state: dict[str, np.ndarray] | None = None
-    best_step = start_step
 
     with open(csv_path, mode) as csv_file:
         if mode == "w":
@@ -307,11 +306,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             if args.log_every and step % args.log_every == 0:
                 print(f"step {step}: total {total_v:.4f} (ce {float(ce.data):.4f}, dice {float(dice.data):.4f})")
 
+    run_meta = {"seed": seed, "loss": asdict(loss_cfg)}
+    resume = {"rng_state": rng.bit_generator.state, "best_total": best_total, "best_step": best_step}
     _save_run_checkpoint(
-        out_dir / "last.cvck", model, None, optimizer, start_step + steps, loss_cfg, seed
+        out_dir / "last.cvck", model, None, optimizer, {**run_meta, **resume, "step": start_step + steps}
     )
-    if best_state is not None:
-        _save_run_checkpoint(out_dir / "best.cvck", model, best_state, None, best_step, loss_cfg, seed)
+    if best_state is not None:  # else no step of this run beat the restored best: keep best.cvck
+        _save_run_checkpoint(out_dir / "best.cvck", model, best_state, None, {**run_meta, "step": best_step})
     print(
         json.dumps(
             {
@@ -413,27 +414,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Parameter/FLOP counts of both scan modes, which must agree; timing lives in ``perfbench/``."""
     doc = _read_json(args.config)["model"] if args.config else {}
     report = {}
-    modes = [args.scan] if args.scan else ["ss2d", "cs2d"]
-    input_size = tuple(args.input_size) if args.input_size else None
     for mode in ("ss2d", "cs2d"):
         cfg = _build_network_config({**doc, "scan_mode": mode})
-        size = input_size or cfg.input_size
-        entry = {
-            "params": param_count(cfg),
-            "flops": flops_count(cfg, size),
-            "input_size": list(size),
-        }
-        if mode in modes and not args.no_forward:
-            model = CVMHUNet(cfg, seed=0)
-            model.eval()
-            x = Tensor(np.random.default_rng(0).normal(size=(1, 3, *size)).astype(np.float32))
-            with no_grad():
-                t0 = time.perf_counter()
-                model(x)
-                entry["forward_seconds"] = round(time.perf_counter() - t0, 4)
-        report[mode] = entry
+        size = tuple(args.input_size) if args.input_size else cfg.input_size
+        report[mode] = {"params": param_count(cfg), "flops": flops_count(cfg, size), "input_size": list(size)}
 
     parity = (
         report["ss2d"]["params"] == report["cs2d"]["params"]
@@ -539,11 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--batch-size", dest="batch_size", type=int, default=4)
     predict.set_defaults(func=cmd_predict)
 
-    bench = sub.add_parser("bench", help="report parameter/FLOP counts and timing")
+    bench = sub.add_parser("bench", help="report parameter/FLOP counts of both scan modes")
     bench.add_argument("--config", help="JSON run config (model section)")
-    bench.add_argument("--scan", choices=["ss2d", "cs2d"], help="time only this mode")
     bench.add_argument("--input-size", dest="input_size", type=int, nargs=2, metavar=("H", "W"))
-    bench.add_argument("--no-forward", dest="no_forward", action="store_true")
     bench.set_defaults(func=cmd_bench)
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of every block")

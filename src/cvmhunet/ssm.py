@@ -10,12 +10,14 @@ stays inside the unit interval and ``dt = softplus(raw)`` stays positive.
 The state transition uses exact zero-order-hold discretization; the input
 injection uses the Euler/simplified form ``dt * B``.
 
-The scan runs time-major: propagators and inputs are built as C-contiguous
-(L, N, D, S) arrays, so one in-place kernel, ``_scan``, updates a contiguous
-(N, D, S) slice per step for the forward, the reversed adjoint and
-``first_order_scan``, and the ``S`` reductions run along the last axis.  The
-forward runs in chunks of ``block`` steps; under ``no_grad`` one chunk buffer
-is reused, so the state trajectory is never materialized.
+The scan runs time-major and channel-minor: propagators and states are
+built as C-contiguous (L, N, S, D) chunks of ``block`` steps, so every
+broadcast runs along the contiguous channel axis and one in-place kernel,
+``_scan``, updates a contiguous (N, S, D) slice per step for the forward,
+the reversed adjoint and ``first_order_scan``.  The chunk buffers are
+reused.  A forward that a backward can follow keeps only the state entering
+each chunk; the backward rebuilds each chunk's states from it (``block`` is
+the checkpoint interval), so the state trajectory is never materialized.
 """
 
 from __future__ import annotations
@@ -118,10 +120,13 @@ def selective_scan(
     """Input-dependent state-space recurrence; single autograd op.
 
     Shapes: ``u``/``delta`` (N, D, L); ``A`` (D, S); ``B``/``C`` (N, S, L);
-    ``D`` (D,).  Returns (N, D, L).  The forward runs in chunks of ``block``
-    steps; when a backward can follow it keeps the state trajectory ``h``
-    (L, N, D, S), otherwise it reuses one chunk buffer.  The backward closure
-    holds only ``h`` and the inputs and recomputes everything else.
+    ``D`` (D,).  Returns (N, D, L).  The scan runs in chunks of ``block``
+    steps over (L, N, S, D) buffers that are reused from chunk to chunk.
+    When a backward can follow, the forward keeps only the state entering
+    each chunk, a (ceil(L / block), N, S, D) array; the backward walks the
+    chunks in reverse, rebuilds each chunk's propagators and states from its
+    carry with the forward's own ops (so bitwise the same), and forms every
+    gradient chunk by chunk.  No (L, N, S, D) array is ever allocated.
     """
     n, d, length = u.shape
     s = A.shape[1]
@@ -137,48 +142,70 @@ def selective_scan(
     operands = (u, delta, A, B, C, D)
     dtype = np.result_type(*(t.data for t in operands))
     keep = is_grad_enabled() and any(t.requires_grad for t in operands)
-    ut, dt, bt, ct = (_time_major(x.data) for x in (u, delta, B, C))
-
     chunk = max(1, min(block, length))
-    h = np.empty((length if keep else chunk, n, d, s), dtype)
-    abar = np.empty((chunk, n, d, s), dtype)
-    yt = np.empty((length, n, d, 1), dtype)
-    prev = np.zeros((n, d, s), dtype)
-    for t0 in range(0, length, chunk):
-        t1 = min(t0 + chunk, length)
-        hc = h[t0:t1] if keep else h[: t1 - t0]
-        ac = abar[: t1 - t0]
-        np.multiply(dt[t0:t1, :, :, None], A.data, out=ac)
+    starts = range(0, length, chunk)
+    at = np.ascontiguousarray(A.data.T)  # (S, D): every broadcast runs along D
+
+    def chunk_states(k, dt, dtu, bt, abar, h):
+        """Propagators into ``abar[:m]`` and states into ``h[1 : m + 1]`` of chunk ``k``, from ``h[0]``."""
+        tc = slice(starts[k], min(starts[k] + chunk, length))
+        ac, hc = abar[: tc.stop - tc.start], h[1 : tc.stop - tc.start + 1]
+        np.multiply(dt[tc, :, None, :], at, out=ac)
         np.exp(ac, out=ac)
-        np.multiply((dt[t0:t1] * ut[t0:t1])[..., None], bt[t0:t1, :, None, :], out=hc)
-        _scan(ac, hc, prev)
-        np.matmul(hc, ct[t0:t1, :, :, None], out=yt[t0:t1])
-        prev = hc[-1].copy()  # the reused chunk buffer is overwritten next
+        np.multiply(dtu[tc, :, None, :], bt[tc, :, :, None], out=hc)
+        _scan(ac, hc, h[0])
+        return tc, ac, hc
+
+    ut, dt, bt, ct = (_time_major(x.data) for x in (u, delta, B, C))
+    dtu = dt * ut
+    abar = np.empty((chunk, n, s, d), dtype)
+    h = np.zeros((chunk + 1, n, s, d), dtype)  # h[0]: the state entering the chunk
+    carries = np.empty((len(starts) if keep else 0, n, s, d), dtype)
+    yt = np.empty((length, n, 1, d), dtype)
+    for k in range(len(starts)):
+        if keep:
+            carries[k] = h[0]
+        tc, _, hc = chunk_states(k, dt, dtu, bt, abar, h)
+        np.matmul(ct[tc, :, None, :], hc, out=yt[tc])
+        h[0] = hc[-1]
     y = D.data[:, None] * u.data
-    y += yt[..., 0].transpose(1, 2, 0)
+    y += yt[:, :, 0].transpose(1, 2, 0)
 
     def backward(g):
         ut, dt, bt, ct, gt = (_time_major(x) for x in (u.data, delta.data, B.data, C.data, g))
-        abar = np.multiply(dt[..., None], A.data)
-        np.exp(abar, out=abar)
-        # adjoint, in reverse: lam[t] = g[t] * C[t] + abar[t+1] * lam[t+1]
-        lam = np.multiply(gt[..., None], ct[:, :, None, :])
-        if length:
-            _scan(abar[:0:-1], lam[-2::-1], lam[-1])
-        lam_b = np.matmul(lam, bt[..., None])[..., 0]
-        dB = np.matmul((dt * ut)[:, :, None, :], lam)[:, :, 0]
-        dC = np.matmul(gt[:, :, None, :], h)[:, :, 0]
-        # gradient wrt the product delta*A: lam[t] * h[t-1] * abar[t], with h[-1] = 0
-        d_dta = abar
-        d_dta[:1] = 0
-        d_dta[1:] *= h[:-1]
-        d_dta *= lam
-        dA = np.einsum("tnds,tnd->ds", d_dta, dt)
-        ddelta = np.einsum("tnds,ds->tnd", d_dta, A.data)
+        dtu = dt * ut
+        abar = np.empty((chunk, n, s, d), dtype)
+        h = np.empty((chunk + 1, n, s, d), dtype)
+        lam = np.empty((chunk, n, s, d), dtype)
+        lam_next = np.zeros((n, s, d), dtype)  # abar[t1] * lam[t1] across the edge to the next chunk
+        lam_b = np.empty((length, n, 1, d), dtype)
+        ddelta = np.empty((length, n, d), dtype)
+        dB = np.empty((length, n, s, 1), dtype)
+        dC = np.empty((length, n, s, 1), dtype)
+        dA = np.zeros((s, d), dtype)
+        for k in reversed(range(len(starts))):
+            h[0] = carries[k]
+            tc, ac, hc = chunk_states(k, dt, dtu, bt, abar, h)
+            # adjoint, in reverse: lam[t] = g[t] * C[t] + abar[t+1] * lam[t+1]
+            lc = lam[: len(ac)]
+            np.multiply(gt[tc, :, None, :], ct[tc, :, :, None], out=lc)
+            lc[-1] += lam_next
+            _scan(ac[:0:-1], lc[-2::-1], lc[-1])
+            np.multiply(ac[0], lc[0], out=lam_next)
+            np.matmul(bt[tc, :, None, :], lc, out=lam_b[tc])
+            np.matmul(lc, dtu[tc, :, :, None], out=dB[tc])
+            np.matmul(hc, gt[tc, :, :, None], out=dC[tc])
+            # gradient wrt the product delta*A: abar[t] * h[t-1] * lam[t]
+            d_dta = ac
+            d_dta *= h[: len(ac)]
+            d_dta *= lc
+            np.einsum("tnsd,sd->tnd", d_dta, at, out=ddelta[tc])
+            dA += np.einsum("tnsd,tnd->sd", d_dta, dt[tc])
+        lam_b = lam_b[:, :, 0]
         ddelta += lam_b * ut
         du = lam_b * dt + gt * D.data
         dD = np.einsum("ndl,ndl->d", g, u.data)
-        return _time_last(du), _time_last(ddelta), dA, _time_last(dB), _time_last(dC), dD
+        return _time_last(du), _time_last(ddelta), dA.T.copy(), _time_last(dB[..., 0]), _time_last(dC[..., 0]), dD
 
     return Tensor.from_op(y, operands, backward)
 

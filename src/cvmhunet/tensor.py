@@ -239,7 +239,8 @@ class Tensor:
 
     def softplus(self) -> "Tensor":
         x = self.data
-        data = np.logaddexp(np.zeros((), dtype=x.dtype), x)
+        data = np.log1p(np.exp(-np.abs(x)))  # log(1 + e^x) = log1p(e^-|x|) + max(x, 0), never overflowing
+        data += np.maximum(x, 0)
         return Tensor.from_op(data, (self,), lambda g: (g * logistic(x),))
 
     # -- reductions -------------------------------------------------------------

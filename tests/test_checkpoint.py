@@ -68,6 +68,14 @@ class TestLoadRejects:
         with pytest.raises(CheckpointError, match="truncated"):
             load_tensors(str(tmp_path / "d.cvck"))
 
+    def test_empty_entry_with_overflowing_dims(self, tmp_path):
+        # zero elements, so nothing is truncated, but numpy cannot even describe the shape
+        dims = struct.pack("<B3I", 3, 0, 2**32 - 1, 2**32 - 1)
+        blob = b"CVCK" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x" + dims
+        (tmp_path / "z.cvck").write_bytes(blob)
+        with pytest.raises(CheckpointError, match="impossible tensor shape"):
+            load_tensors(str(tmp_path / "z.cvck"))
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         cut=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),

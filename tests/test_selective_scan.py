@@ -1,5 +1,7 @@
 """Selective-scan recurrence: hand traces, kernel-vs-sequential, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,22 +213,48 @@ class TestSelectiveScanGradients:
         assert res.rel_error < DEFAULT_TOL, res
 
     def test_gradient_independent_of_block_size(self):
+        # blocks 1 and L bracket the chunking; 7 leaves a short last chunk and L + 5 clamps.
+        # The states are rebuilt from each chunk's carry and the adjoint is chained across
+        # chunk edges, so every per-step gradient is bitwise the same; dA and dD sum over
+        # time in chunk order and only agree to rounding.
         rng = np.random.default_rng(9)
-        n, d, s, length = 1, 2, 3, 12
+        n, d, s, length = 2, 3, 4, 12
+        ops = [
+            rng.normal(size=(n, d, length)),
+            np.exp(rng.normal(size=(n, d, length)) * 0.3 - 1.5),
+            -np.exp(rng.normal(size=(d, s)) * 0.3),
+            rng.normal(size=(n, s, length)),
+            rng.normal(size=(n, s, length)),
+            rng.normal(size=(d,)),
+        ]
         w = rng.normal(size=(n, d, length))
         grads = []
-        for block in (1, 4, 12):
-            u = Tensor(rng.normal(size=(n, d, length)), requires_grad=True)
-            u.data = np.random.default_rng(5).normal(size=(n, d, length))
-            dt = Tensor(np.full((n, d, length), 0.2))
-            a = Tensor(np.full((d, s), -0.7))
-            b = Tensor(np.ones((n, s, length)))
-            c = Tensor(np.ones((n, s, length)))
-            dd = Tensor(np.zeros(d))
-            (selective_scan(u, dt, a, b, c, dd, block=block) * Tensor(w)).sum().backward()
-            grads.append(u.grad.copy())
-        np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
-        np.testing.assert_allclose(grads[0], grads[2], atol=1e-12)
+        for block in (1, 4, 7, length, length + 5):
+            tracked = [Tensor(v.copy(), requires_grad=True) for v in ops]
+            (selective_scan(*tracked, block=block) * Tensor(w)).sum().backward()
+            grads.append([t.grad for t in tracked])
+        for got in grads[1:]:
+            for name, want_g, got_g in zip(("u", "delta", "A", "B", "C", "D"), grads[0], got):
+                if name in ("A", "D"):
+                    np.testing.assert_allclose(got_g, want_g, rtol=1e-12, atol=1e-12, err_msg=name)
+                else:
+                    np.testing.assert_array_equal(got_g, want_g, err_msg=name)
+
+    def test_grad_forward_keeps_only_chunk_carries(self):
+        # 1024 steps in chunks of 64: the (L, N, S, D) state trajectory would be 4 MiB,
+        # the 16 chunk carries are 64 KiB and the output 256 KiB
+        ops = _scan_operands(np.random.default_rng(12), 1, 64, 16, 1024)
+        tracked = [Tensor(v, requires_grad=True) for v in ops]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = selective_scan(*tracked, block=64)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20, f"{held} bytes held between forward and backward"
+        y.sum().backward()
+        assert all(t.grad is not None and np.all(np.isfinite(t.grad)) for t in tracked)
 
     def test_shape_validation(self):
         u = Tensor(np.zeros((1, 2, 5)))

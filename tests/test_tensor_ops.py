@@ -56,6 +56,12 @@ class TestForwardValues:
         assert np.all(np.isfinite(s.data))
         np.testing.assert_allclose(s.data, [0.0, 500.0], atol=1e-12)
 
+    def test_softplus_float64_matches_logaddexp(self):
+        x = np.concatenate([np.linspace(-60.0, 60.0, 100_001), [-0.0, 0.0, 1e-300, -1e-300]])
+        got = t(x).softplus().data
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, np.logaddexp(0.0, x), rtol=5e-16, atol=0)
+
     def test_reductions(self):
         x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
         tx = t(x)

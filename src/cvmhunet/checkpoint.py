@@ -11,12 +11,14 @@ Layout (all integers little-endian):
 Model checkpoints store every parameter plus every persistent buffer
 (batch-norm running statistics) under their hierarchical names.  Loading is
 strict: unknown names, missing names, or shape mismatches raise
-``CheckpointError``.
+``CheckpointError``.  Per-direction scan entries of older checkpoints are
+stacked into the current parameters first.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 from typing import Mapping
 
@@ -90,8 +92,31 @@ def model_state(model: Module) -> dict[str, np.ndarray]:
     return state
 
 
+# checkpoints from before the scan directions shared stacked parameters
+# hold row k of ``<prefix><name>`` as ``<prefix>directions.k.<name>``
+_DIRECTION_KEY = re.compile(r"((?:.+\.)?)directions\.([0-3])\.([^.]+)")
+
+
+def _stack_directions(loaded: Mapping[str, np.ndarray], source: str) -> dict[str, np.ndarray]:
+    """Stack the four per-direction entries of a checkpoint in the old key layout."""
+    out: dict[str, np.ndarray] = {}
+    rows: dict[str, dict[int, np.ndarray]] = {}
+    for name, arr in loaded.items():
+        m = _DIRECTION_KEY.fullmatch(name)
+        if m:
+            rows.setdefault(m[1] + m[3], {})[int(m[2])] = arr
+        else:
+            out[name] = arr
+    for name, by_k in rows.items():
+        if len(by_k) != 4 or len({a.shape for a in by_k.values()}) != 1:
+            raise CheckpointError(f"{source}: {name} needs four same-shaped direction entries")
+        out[name] = np.stack([by_k[k] for k in range(4)])
+    return out
+
+
 def apply_model_state(model: Module, loaded: Mapping[str, np.ndarray], source: str = "state") -> None:
     """Strictly copy a name->array mapping into a model's params and buffers."""
+    loaded = _stack_directions(loaded, source)
     expected = model_state(model)
     missing = sorted(set(expected) - set(loaded))
     unknown = sorted(set(loaded) - set(expected))

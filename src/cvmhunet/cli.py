@@ -1,9 +1,9 @@
 """Command-line interface (``cvmh``).
 
-Subcommands: ``train``, ``eval``, ``predict``, ``bench``, ``gradcheck``,
-``inspect``, ``synth``. Configuration comes from a JSON file (``--config``)
-with individual flags winning over file values. Exit codes are a stable
-contract: 0 success, 2 configuration error, 3 numerical failure, 4 IO error.
+Subcommands: ``train``, ``eval``, ``predict``, ``gradcheck``, ``inspect``,
+``synth``. Configuration comes from a JSON file (``--config``) with
+individual flags winning over file values. Exit codes are a stable contract:
+0 success, 2 configuration error, 3 numerical failure, 4 IO error.
 
 Set ``CVMH_THREADS=1`` for bitwise-reproducible runs; the variable caps the
 BLAS thread pools and is honored because the package reads it before numpy
@@ -302,7 +302,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             if total_v < best_total:
                 best_total = total_v
                 best_step = step
-                best_state = {k: v.copy() for k, v in model_state(model).items()}
+                current = model_state(model)
+                if best_state is None:  # allocated once; later improvements overwrite it in place
+                    best_state = {k: np.empty_like(v) for k, v in current.items()}
+                for k, v in current.items():
+                    np.copyto(best_state[k], v)
             if args.log_every and step % args.log_every == 0:
                 print(f"step {step}: total {total_v:.4f} (ce {float(ce.data):.4f}, dice {float(dice.data):.4f})")
 
@@ -409,26 +413,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench / gradcheck / inspect / synth
+# gradcheck / inspect / synth
 # ---------------------------------------------------------------------------
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Parameter/FLOP counts of both scan modes, which must agree; timing lives in ``perfbench/``."""
-    doc = _read_json(args.config)["model"] if args.config else {}
-    report = {}
-    for mode in ("ss2d", "cs2d"):
-        cfg = _build_network_config({**doc, "scan_mode": mode})
-        size = tuple(args.input_size) if args.input_size else cfg.input_size
-        report[mode] = {"params": param_count(cfg), "flops": flops_count(cfg, size), "input_size": list(size)}
-
-    parity = (
-        report["ss2d"]["params"] == report["cs2d"]["params"]
-        and report["ss2d"]["flops"] == report["cs2d"]["flops"]
-    )
-    report["scan_mode_parity"] = parity
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK if parity else EXIT_NUMERIC
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
@@ -525,11 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--logits-out", dest="logits_out", help="optional CVTN logits dump")
     predict.add_argument("--batch-size", dest="batch_size", type=int, default=4)
     predict.set_defaults(func=cmd_predict)
-
-    bench = sub.add_parser("bench", help="report parameter/FLOP counts of both scan modes")
-    bench.add_argument("--config", help="JSON run config (model section)")
-    bench.add_argument("--input-size", dest="input_size", type=int, nargs=2, metavar=("H", "W"))
-    bench.set_defaults(func=cmd_bench)
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of every block")
     grad.add_argument("--seeds", type=int, default=2)

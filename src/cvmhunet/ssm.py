@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import functional as F
-from .module import Module, ModuleList, init_linear
+from .module import Module, init_linear
 from .scan import flatten_spatial, scan_orders, unflatten_spatial
 from .tensor import Parameter, Tensor, is_grad_enabled
 
@@ -35,7 +35,6 @@ __all__ = [
     "sequential_scan",
     "first_order_scan",
     "selective_scan",
-    "S6Direction",
     "DirectionalSSM",
     "default_dt_rank",
 ]
@@ -215,61 +214,16 @@ def selective_scan(
 # ---------------------------------------------------------------------------
 
 
-class S6Direction(Module):
-    """Projections + selective scan for a single traversal direction.
-
-    Per time step the input is projected to a low-rank timestep code plus the
-    input-dependent ``B`` and ``C`` vectors; the timestep code is expanded
-    back to one positive ``dt`` per channel through a softplus.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        state_dim: int = DEFAULT_STATE_DIM,
-        dt_rank: int | None = None,
-        scan_block: int = DEFAULT_SCAN_BLOCK,
-        rng: np.random.Generator | None = None,
-    ):
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.dim = dim
-        self.state_dim = state_dim
-        self.dt_rank = dt_rank if dt_rank is not None else default_dt_rank(dim)
-        self.scan_block = scan_block
-
-        self.x_proj_weight = Parameter(init_linear(rng, self.dt_rank + 2 * state_dim, dim))
-        dt_std = self.dt_rank**-0.5
-        self.dt_weight = Parameter(rng.uniform(-dt_std, dt_std, size=(dim, self.dt_rank)).astype(np.float32))
-        # bias chosen so softplus(bias) lands log-uniformly in [1e-3, 1e-1]
-        dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=dim))
-        self.dt_bias = Parameter(np.log(np.expm1(dt)).astype(np.float32), weight_decay_exempt=True)
-        a_row = np.log(np.arange(1, state_dim + 1, dtype=np.float64))
-        self.A_log = Parameter(
-            np.tile(a_row, (dim, 1)).astype(np.float32), weight_decay_exempt=True
-        )
-        self.D_skip = Parameter(np.ones(dim, dtype=np.float32), weight_decay_exempt=True)
-
-    def forward(self, seq: Tensor) -> Tensor:
-        """(N, dim, L) -> (N, dim, L) along an already-flattened scan order."""
-        n, d, length = seq.shape
-        if d != self.dim:
-            raise ValueError(f"sequence has {d} channels, module built for {self.dim}")
-        feats = seq.moveaxis(1, 2)  # (N, L, dim)
-        projected = F.linear(feats, self.x_proj_weight)
-        r, s = self.dt_rank, self.state_dim
-        dt_code = projected[:, :, :r]
-        b_seq = projected[:, :, r : r + s]
-        c_seq = projected[:, :, r + s :]
-        dt = F.softplus(F.linear(dt_code, self.dt_weight, self.dt_bias)).moveaxis(1, 2)
-        a = -(self.A_log.exp())
-        return selective_scan(
-            seq, dt, a, b_seq.moveaxis(1, 2), c_seq.moveaxis(1, 2), self.D_skip, block=self.scan_block
-        )
-
-
 class DirectionalSSM(Module):
-    """Four scan directions, each with its own recurrence; outputs are summed."""
+    """Selective scans along the four traversal directions of ``scan_orders``, summed.
+
+    Each parameter stacks the four directions on its first axis, row ``k``
+    for the ``k``-th order: ``x_proj_weight`` (4, r + 2S, D), ``dt_weight``
+    (4, D, r), ``dt_bias`` (4, D), ``A_log`` (4, D, S) and ``D_skip`` (4, D).
+    Per time step a direction projects its input to a low-rank timestep code
+    plus the input-dependent ``B`` and ``C`` vectors; the timestep code is
+    expanded back to one positive ``dt`` per channel through a softplus.
+    """
 
     def __init__(
         self,
@@ -282,18 +236,42 @@ class DirectionalSSM(Module):
     ):
         super().__init__()
         rng = rng or np.random.default_rng(0)
+        self.dim = dim
+        self.state_dim = state_dim
+        self.dt_rank = r = dt_rank if dt_rank is not None else default_dt_rank(dim)
         self.scan_mode = scan_mode
-        self.directions = ModuleList(
-            [S6Direction(dim, state_dim, dt_rank, scan_block, rng) for _ in range(4)]
-        )
+        self.scan_block = scan_block
+
+        dt_std = r**-0.5
+        x_proj, dt_weight, dt_bias = [], [], []
+        for _ in range(4):  # one direction's draws after another
+            x_proj.append(init_linear(rng, r + 2 * state_dim, dim))
+            dt_weight.append(rng.uniform(-dt_std, dt_std, size=(dim, r)).astype(np.float32))
+            # bias chosen so softplus(bias) lands log-uniformly in [1e-3, 1e-1]
+            dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=dim))
+            dt_bias.append(np.log(np.expm1(dt)).astype(np.float32))
+        self.x_proj_weight = Parameter(np.stack(x_proj))
+        self.dt_weight = Parameter(np.stack(dt_weight))
+        self.dt_bias = Parameter(np.stack(dt_bias), weight_decay_exempt=True)
+        a_row = np.log(np.arange(1, state_dim + 1, dtype=np.float64))
+        self.A_log = Parameter(np.tile(a_row, (4, dim, 1)).astype(np.float32), weight_decay_exempt=True)
+        self.D_skip = Parameter(np.ones((4, dim), dtype=np.float32), weight_decay_exempt=True)
 
     def forward(self, x: Tensor) -> Tensor:
         """(N, C, H, W) -> (N, C, H, W); sum of per-direction scan outputs."""
         n, c, h, w = x.shape
-        orders = scan_orders(h, w, self.scan_mode)
+        if c != self.dim:
+            raise ValueError(f"input has {c} channels, module built for {self.dim}")
+        r, s = self.dt_rank, self.state_dim
+        a = -(self.A_log.exp())
         total: Tensor | None = None
-        for order, s6 in zip(orders, self.directions):
-            yseq = s6(flatten_spatial(x, order))
+        for k, order in enumerate(scan_orders(h, w, self.scan_mode)):
+            seq = flatten_spatial(x, order)  # (N, C, L)
+            projected = F.linear(seq.moveaxis(1, 2), self.x_proj_weight[k])  # (N, L, r + 2S)
+            dt = F.softplus(F.linear(projected[:, :, :r], self.dt_weight[k], self.dt_bias[k])).moveaxis(1, 2)
+            b_seq = projected[:, :, r : r + s].moveaxis(1, 2)
+            c_seq = projected[:, :, r + s :].moveaxis(1, 2)
+            yseq = selective_scan(seq, dt, a[k], b_seq, c_seq, self.D_skip[k], block=self.scan_block)
             ymap = unflatten_spatial(yseq, order)
             total = ymap if total is None else total + ymap
         return total

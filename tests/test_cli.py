@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cvmhunet
+from cvmhunet.checkpoint import load_tensors, save_tensors
 from cvmhunet.cli import main
 from cvmhunet.data import (
     DatasetManifest,
@@ -40,6 +41,38 @@ def write_config(tmp_path, **extra):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def write_old_key_layout(src, dst):
+    """Copy a checkpoint into the layout of the per-direction scan modules: row k of each
+    stacked ``...ssm.<name>`` under ``...ssm.directions.{k}.<name>``, and the optimizer
+    moments in that module order (all five parameters of direction 0, then of 1, ...)."""
+    tensors = load_tensors(str(src))
+    names = [k for k in tensors if k.startswith("model.")]
+    n_params = sum(1 for k in tensors if k.startswith("optim.") and k.endswith(".m"))
+    out, moments = {}, []
+    i = 0
+    while i < len(names):
+        if names[i].endswith(".ssm.x_proj_weight"):  # the first of the module's five stacked parameters
+            for k in range(4):
+                for j in range(i, i + 5):
+                    prefix, _, leaf = names[j].rpartition(".")
+                    out[f"{prefix}.directions.{k}.{leaf}"] = tensors[names[j]][k]
+                    moments.append((j, k))
+            i += 5
+        else:
+            out[names[i]] = tensors[names[i]]
+            if i < n_params:
+                moments.append((i, None))
+            i += 1
+    if n_params:
+        out["optim.step"] = tensors["optim.step"]
+        for o, (j, k) in enumerate(moments):
+            for s in "mv":
+                arr = tensors[f"optim.p{j:04d}.{s}"]
+                out[f"optim.p{o:04d}.{s}"] = arr if k is None else arr[k]
+    save_tensors(str(dst), out)
+    dst.with_suffix(".json").write_bytes(src.with_suffix(".json").read_bytes())
 
 
 @pytest.fixture()
@@ -136,6 +169,32 @@ class TestTrain:
         assert code == 4
         assert "malformed resume state" in capsys.readouterr().err
 
+    def test_best_checkpoint_keeps_the_best_step(self, dataset, capsys):
+        # at this lr the loss improves over the first steps and then rises, so the best
+        # state is overwritten more than once and must not follow the later steps
+        cfg = write_config(dataset)
+        args = ["train", "--config", str(cfg), "--lr", "0.3"]
+        assert main([*args, "--out-dir", str(dataset / "a"), "--steps", "5"]) == 0
+        best_step = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["best_step"]
+        assert 1 < best_step < 5
+        assert main([*args, "--out-dir", str(dataset / "b"), "--steps", str(best_step)]) == 0
+        capsys.readouterr()
+        best = load_tensors(str(dataset / "a" / "best.cvck"))
+        last = load_tensors(str(dataset / "b" / "last.cvck"))
+        for name, arr in best.items():
+            np.testing.assert_array_equal(arr, last[name], err_msg=name)
+
+    def test_resume_from_old_key_layout_exits_4(self, dataset, capsys):
+        # the model state loads, but the optimizer moments are indexed by parameter order
+        cfg = write_config(dataset)
+        out = dataset / "r"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
+        write_old_key_layout(out / "last.cvck", out / "old.cvck")
+        code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
+                     "--resume", str(out / "old.cvck")])
+        assert code == 4
+        assert "optimizer state mismatch" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_input_aborts_with_exit_3(self, dataset, capsys):
         bad_dir = dataset / "bad"
@@ -206,6 +265,19 @@ class TestEvalPredict:
         assert 0.0 <= report["miou"] <= 1.0
         assert len(report["iou"]) == 4
         capsys.readouterr()
+
+    def test_old_key_layout_evaluates_the_same(self, trained, capsys):
+        run = trained / "run"
+        write_old_key_layout(run / "best.cvck", run / "old.cvck")
+        outputs = []
+        for ckpt in ("best.cvck", "old.cvck"):
+            logits = trained / f"{ckpt}.cvtn"
+            assert main(["eval", "--checkpoint", str(run / ckpt),
+                         "--manifest", str(trained / "data" / "manifest.json")]) == 0
+            assert main(["predict", "--checkpoint", str(run / ckpt), "--image", str(trained / "data" / "img_0000.ppm"),
+                         "--out", str(trained / "pred.ppm"), "--logits-out", str(logits)]) == 0
+            outputs.append((capsys.readouterr().out, logits.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_oracle_eval_is_perfect(self, dataset, capsys):
         code = main(
@@ -303,18 +375,6 @@ class TestEvalPredict:
 
 
 class TestReports:
-    def test_bench_parity_and_counts(self, tmp_path, capsys):
-        cfg = tmp_path / "m.json"
-        cfg.write_text(json.dumps({"model": TINY_MODEL}))
-        code = main(["bench", "--config", str(cfg)])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["scan_mode_parity"] is True
-        want = param_count(NetworkConfig.from_dict(TINY_MODEL))
-        assert report["cs2d"]["params"] == want
-        assert report["ss2d"]["params"] == want
-        assert "forward_seconds" not in report["cs2d"]
-
     def test_inspect_stage_plan(self, tmp_path, capsys):
         cfg = tmp_path / "m.json"
         cfg.write_text(json.dumps({"model": TINY_MODEL}))

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvmhunet import functional as F
+from cvmhunet.checkpoint import CheckpointError, apply_model_state, model_state
 from cvmhunet.gradcheck import DEFAULT_TOL, check_gradients
+from cvmhunet.module import init_linear
+from cvmhunet.scan import flatten_spatial, scan_orders, unflatten_spatial
 from cvmhunet.ssm import (
     DirectionalSSM,
-    S6Direction,
     default_dt_rank,
     first_order_scan,
     selective_scan,
@@ -266,6 +269,20 @@ class TestSelectiveScanGradients:
             selective_scan(u, dt, a, bc, bc, d)
 
 
+def _direction_reference(m, k, x, rows):
+    """Direction ``k`` of ``m`` as a module of its own computed it, from the raw rows ``rows``."""
+    x_proj, dt_weight, dt_bias, a_log, d_skip = (p[k] for p in rows)
+    r, s = m.dt_rank, m.state_dim
+    order = scan_orders(*x.shape[2:], m.scan_mode)[k]
+    seq = flatten_spatial(x, order)
+    projected = F.linear(seq.moveaxis(1, 2), x_proj)
+    dt = F.softplus(F.linear(projected[:, :, :r], dt_weight, dt_bias)).moveaxis(1, 2)
+    b_seq = projected[:, :, r : r + s].moveaxis(1, 2)
+    c_seq = projected[:, :, r + s :].moveaxis(1, 2)
+    y = selective_scan(seq, dt, -(a_log.exp()), b_seq, c_seq, d_skip, block=m.scan_block)
+    return unflatten_spatial(y, order)
+
+
 class TestS6Modules:
     def test_dt_rank_default(self):
         assert default_dt_rank(16) == 1
@@ -274,31 +291,46 @@ class TestS6Modules:
         assert default_dt_rank(1) == 1
 
     def test_initialization_contracts(self):
-        s6 = S6Direction(dim=8, state_dim=5, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(s6.A_log.data, np.tile(np.log(np.arange(1, 6)), (8, 1)), rtol=1e-6)
-        np.testing.assert_array_equal(s6.D_skip.data, np.ones(8))
-        dt0 = np.log1p(np.exp(s6.dt_bias.data.astype(np.float64)))
+        m = DirectionalSSM(8, state_dim=5, rng=np.random.default_rng(0))
+        r = default_dt_rank(8)
+        assert [p.shape for p in m.parameters()] == [(4, r + 10, 8), (4, 8, r), (4, 8), (4, 8, 5), (4, 8)]
+        for k in range(4):
+            np.testing.assert_allclose(m.A_log.data[k], np.tile(np.log(np.arange(1, 6)), (8, 1)), rtol=1e-6)
+        np.testing.assert_array_equal(m.D_skip.data, np.ones((4, 8)))
+        dt0 = np.log1p(np.exp(m.dt_bias.data.astype(np.float64)))
         assert np.all(dt0 >= 1e-3 - 1e-6) and np.all(dt0 <= 1e-1 + 1e-6)
-        assert s6.A_log.weight_decay_exempt and s6.D_skip.weight_decay_exempt and s6.dt_bias.weight_decay_exempt
-        assert not s6.x_proj_weight.weight_decay_exempt
+        assert m.A_log.weight_decay_exempt and m.D_skip.weight_decay_exempt and m.dt_bias.weight_decay_exempt
+        assert not m.x_proj_weight.weight_decay_exempt and not m.dt_weight.weight_decay_exempt
+
+    def test_rows_drawn_one_direction_after_another(self):
+        # row k holds the draws a separate module for direction k made, in the same RNG order
+        m = DirectionalSSM(6, state_dim=3, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        r = default_dt_rank(6)
+        for k in range(4):
+            np.testing.assert_array_equal(m.x_proj_weight.data[k], init_linear(rng, r + 6, 6))
+            dt_weight = rng.uniform(-(r**-0.5), r**-0.5, size=(6, r)).astype(np.float32)
+            np.testing.assert_array_equal(m.dt_weight.data[k], dt_weight)
+            dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=6))
+            np.testing.assert_array_equal(m.dt_bias.data[k], np.log(np.expm1(dt)).astype(np.float32))
 
     def test_forward_shape_and_block_invariance(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 8, 15)).astype(np.float64)
+        x = rng.normal(size=(2, 8, 3, 5)).astype(np.float64)
         out = []
         for block in (1, 15, 64):
-            s6 = S6Direction(dim=8, state_dim=4, scan_block=block, rng=np.random.default_rng(11))
-            s6.to_dtype(np.float64)
-            y = s6(Tensor(x))
-            assert y.shape == (2, 8, 15)
+            m = DirectionalSSM(8, state_dim=4, scan_block=block, rng=np.random.default_rng(11))
+            m.to_dtype(np.float64)
+            y = m(Tensor(x))
+            assert y.shape == (2, 8, 3, 5)
             out.append(y.data)
         np.testing.assert_allclose(out[0], out[1], atol=1e-12)
         np.testing.assert_allclose(out[0], out[2], atol=1e-12)
 
     def test_channel_mismatch_raises(self):
-        s6 = S6Direction(dim=8, rng=np.random.default_rng(0))
+        m = DirectionalSSM(8, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="channels"):
-            s6(Tensor(np.zeros((1, 4, 10))))
+            m(Tensor(np.zeros((1, 4, 2, 5))))
 
     def test_directional_ssm_shape_and_param_count(self):
         dim, s = 6, 4
@@ -306,23 +338,52 @@ class TestS6Modules:
         r = default_dt_rank(dim)
         per_dir = (r + 2 * s) * dim + dim * r + dim + dim * s + dim
         assert m.num_parameters() == 4 * per_dir
+        assert len(m.parameters()) == 5
         y = m(Tensor(np.random.default_rng(1).normal(size=(2, dim, 5, 4)).astype(np.float32)))
         assert y.shape == (2, dim, 5, 4)
         assert y.data.dtype == np.float32
 
     def test_directional_merge_is_sum(self):
-        # output must equal the plain sum of per-direction contributions,
-        # each mapped back through its own traversal order
-        from cvmhunet.scan import flatten_spatial, scan_orders, unflatten_spatial
+        # output and gradients equal, bitwise, the sum of four separately parameterized
+        # directions, each mapped back through its own traversal order
+        for mode in ("ss2d", "cs2d"):
+            rng = np.random.default_rng(5)
+            m = DirectionalSSM(3, state_dim=2, scan_mode=mode, scan_block=5, rng=rng)
+            for p in m.parameters():  # make every row differ
+                p.data = p.data + rng.normal(size=p.shape).astype(np.float32) * 0.1
+            x_data = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
+            w = Tensor(rng.normal(size=(1, 3, 4, 4)).astype(np.float32))
 
-        rng = np.random.default_rng(5)
-        m = DirectionalSSM(3, state_dim=2, scan_mode="ss2d", rng=rng)
-        x = Tensor(rng.normal(size=(1, 3, 4, 4)).astype(np.float32))
-        y = m(x)
-        total = np.zeros_like(x.data)
-        for order, s6 in zip(scan_orders(4, 4, "ss2d"), m.directions):
-            total = total + unflatten_spatial(s6(flatten_spatial(x, order)), order).data
-        np.testing.assert_allclose(y.data, total, rtol=1e-6, atol=1e-6)
+            rows = [[Tensor(p.data[k], requires_grad=True) for k in range(4)] for p in m.parameters()]
+            x_ref = Tensor(x_data, requires_grad=True)
+            total = _direction_reference(m, 0, x_ref, rows)
+            for k in range(1, 4):
+                total = total + _direction_reference(m, k, x_ref, rows)
+            (total * w).sum().backward()
+
+            x = Tensor(x_data, requires_grad=True)
+            y = m(x)
+            (y * w).sum().backward()
+            np.testing.assert_array_equal(y.data, total.data, err_msg=mode)
+            np.testing.assert_array_equal(x.grad, x_ref.grad, err_msg=mode)
+            for p, p_rows in zip(m.parameters(), rows):
+                np.testing.assert_array_equal(p.grad, np.stack([t.grad for t in p_rows]), err_msg=p.name)
+
+    def test_old_direction_keys_load(self):
+        # a state saved when each direction was its own module holds directions.{k}.<name>
+        rng = np.random.default_rng(7)
+        m = DirectionalSSM(6, state_dim=3, rng=rng)
+        for p in m.parameters():
+            p.data = rng.normal(size=p.shape).astype(np.float32)
+        old = {f"directions.{k}.{name}": arr[k].copy() for name, arr in model_state(m).items() for k in range(4)}
+        fresh = DirectionalSSM(6, state_dim=3, rng=np.random.default_rng(99))
+        apply_model_state(fresh, old)
+        x = Tensor(rng.normal(size=(2, 6, 3, 4)).astype(np.float32))
+        with no_grad():
+            np.testing.assert_array_equal(fresh(x).data, m(x).data)
+        del old["directions.3.A_log"]
+        with pytest.raises(CheckpointError, match="A_log"):
+            apply_model_state(fresh, old)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_directional_ssm_gradcheck(self, seed):

@@ -62,8 +62,10 @@ class CrossScanModule(Module):
     """Global pathway: gated multi-directional selective scan with residual.
 
     ``out = x + out_proj( norm(ssm(silu(dwconv(main(x̂))))) * silu(gate(x̂)) )``
-    with ``x̂ = layer_norm(x)``.  The output projection starts at zero, so the
-    module starts as the identity.
+    with ``x̂ = layer_norm(x)``.  Every step runs on the (N, C, H, W) map: the
+    three projections are ``linear`` over the channel axis, and the scan
+    takes its (N, C, L) sequences from the same layout.  The output
+    projection starts at zero, so the module starts as the identity.
     """
 
     def __init__(self, cfg: CVSSConfig, rng: np.random.Generator | None = None):
@@ -86,12 +88,10 @@ class CrossScanModule(Module):
         self.out_proj = Linear(d, cfg.dim, bias=False, rng=rng).zero_()
 
     def forward(self, x: Tensor) -> Tensor:
-        feats = self.norm(x).moveaxis(1, 3)  # (N,H,W,C)
-        main = self.main_proj(feats).moveaxis(3, 1)
-        main = self.ssm(F.silu(self.dwconv(main)))
-        gate = F.silu(self.gate_proj(feats).moveaxis(3, 1))
-        merged = self.out_norm(main) * gate
-        return x + self.out_proj(merged.moveaxis(1, 3)).moveaxis(3, 1)
+        feats = self.norm(x)
+        main = self.ssm(F.silu(self.dwconv(self.main_proj(feats))))
+        gate = F.silu(self.gate_proj(feats))
+        return x + self.out_proj(self.out_norm(main) * gate)
 
 
 class ChannelAttention(Module):

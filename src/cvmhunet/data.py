@@ -13,6 +13,7 @@ Formats kept deliberately simple:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,13 +169,16 @@ def load_cvtn(path: str | Path) -> np.ndarray:
     dtype = _CVTN_DTYPES.get(code)
     if dtype is None:
         raise DataError(f"{path}: unknown dtype code {code}")
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = math.prod(dims)  # exact: np.prod would wrap around on large dims
     need = count * dtype.itemsize
     if len(raw) - pos < need:
         raise DataError(f"{path}: truncated payload ({len(raw) - pos} of {need} bytes)")
     if len(raw) - pos > need:
         raise DataError(f"{path}: {len(raw) - pos - need} trailing bytes")
-    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(dims)
+    try:
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(dims)
+    except ValueError as e:  # e.g. an empty array whose other dims overflow numpy's size limit
+        raise DataError(f"{path}: shape {dims} is not a valid array shape ({e})") from e
     return arr.astype(np.float32) if code == 0 else arr.copy()
 
 
@@ -304,24 +308,16 @@ def load_pair(
 @dataclass(frozen=True)
 class TileSpec:
     size: int = 256
-    stride: int | None = None  # None -> stride == size (exact cover)
 
     def __post_init__(self):
         if self.size < 32 or self.size % 32 != 0:
             raise ValueError(f"tile size must be a positive multiple of 32, got {self.size}")
-        if self.stride is not None and not (1 <= self.stride <= self.size):
-            raise ValueError(f"stride must lie in [1, size], got {self.stride}")
-
-    @property
-    def step(self) -> int:
-        return self.stride if self.stride is not None else self.size
 
 
-def _grid(extent: int, spec: TileSpec) -> tuple[int, list[int]]:
-    """(padded extent, tile origins) covering ``extent`` pixels."""
-    steps = 1 + max(0, -(-(extent - spec.size) // spec.step)) if extent > spec.size else 1
-    padded = (steps - 1) * spec.step + spec.size
-    return padded, [i * spec.step for i in range(steps)]
+def _grid(extent: int, size: int) -> tuple[int, list[int]]:
+    """(padded extent, tile origins) of the non-overlapping tiles covering ``extent`` pixels."""
+    steps = max(1, -(-extent // size))
+    return steps * size, [i * size for i in range(steps)]
 
 
 def tile_image(
@@ -337,8 +333,8 @@ def tile_image(
     """
     c, h, w = image.shape
     pad_label = ignore_index if ignore_index is not None else 0
-    padded_h, ys = _grid(h, spec)
-    padded_w, xs = _grid(w, spec)
+    padded_h, ys = _grid(h, spec.size)
+    padded_w, xs = _grid(w, spec.size)
     img = np.zeros((c, padded_h, padded_w), dtype=image.dtype)
     img[:, :h, :w] = image
     lab = None
@@ -363,7 +359,11 @@ def stitch_tiles(
     origins: list[tuple[int, int]],
     out_shape: tuple[int, int],
 ) -> np.ndarray:
-    """Reassemble per-tile logit maps (K,t,t); overlaps are averaged."""
+    """Place per-tile logit maps (K,t,t) at their origins and crop to ``out_shape``.
+
+    Tiles must not overlap and must cover the requested extent, as the tiles
+    of ``tile_image`` do.
+    """
     if len(predictions) != len(origins) or not predictions:
         raise ValueError("need one origin per prediction tile")
     k, th, tw = predictions[0].shape
@@ -372,17 +372,18 @@ def stitch_tiles(
     # so the cover check below can see the gap
     canvas_h = max(h, max(y + th for y, _ in origins))
     canvas_w = max(w, max(x + tw for _, x in origins))
-    acc = np.zeros((k, canvas_h, canvas_w), dtype=np.float64)
-    hits = np.zeros((canvas_h, canvas_w), dtype=np.int64)
+    out = np.empty((k, canvas_h, canvas_w), dtype=predictions[0].dtype)
+    covered = np.zeros((canvas_h, canvas_w), dtype=bool)
     for p, (y, x) in zip(predictions, origins):
         if p.shape != (k, th, tw):
             raise ValueError(f"tile shape {p.shape} differs from {(k, th, tw)}")
-        acc[:, y : y + th, x : x + tw] += p
-        hits[y : y + th, x : x + tw] += 1
-    if (hits[:h, :w] == 0).any():
+        if covered[y : y + th, x : x + tw].any():
+            raise ValueError(f"tile at {(y, x)} overlaps an earlier tile")
+        out[:, y : y + th, x : x + tw] = p
+        covered[y : y + th, x : x + tw] = True
+    if not covered[:h, :w].all():
         raise ValueError("stitched tiles do not cover the requested extent")
-    out = acc[:, :h, :w] / hits[:h, :w]
-    return out.astype(predictions[0].dtype)
+    return np.ascontiguousarray(out[:, :h, :w])
 
 
 # ---------------------------------------------------------------------------

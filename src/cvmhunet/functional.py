@@ -1,6 +1,9 @@
 """Neural-network operators built on the autograd tensor.
 
-Feature maps are NCHW.  Convolutions gather sliding windows with numpy stride
+Feature maps are NCHW, and every dense map contracts the channel axis 1:
+``linear`` takes (N, Din, *rest) to (N, Dout, *rest), so it runs on feature
+maps and (N, D, L) scan sequences as they are, and a 1x1 ``conv2d`` is the
+same kernel.  Larger convolutions gather sliding windows with numpy stride
 tricks and contract them with ``tensordot`` (BLAS); backwards are analytic.
 Dtype follows the inputs, so every op runs in float64 when gradient checking.
 """
@@ -43,26 +46,37 @@ def _require(condition: bool, message: str) -> None:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``y = x @ weight.T + bias`` over the trailing feature axis."""
-    din = x.shape[-1]
+    """Dense map over the channel axis 1: (N, Din, *rest) -> (N, Dout, *rest), ``weight`` (Dout, Din)."""
+    _require(x.ndim >= 2, f"linear: input must be (N, Din, ...), got shape {x.shape}")
+    din = x.shape[1]
     dout, win = weight.shape
     _require(win == din, f"linear: input features {din} != weight in-features {win}")
-    x2 = x.data.reshape(-1, din)
-    out = x2 @ weight.data.T
+    return _channel_dense(x, weight, bias)
+
+
+def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
+    """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and 1x1 ``conv2d``.
+
+    ``weight`` is (O, I) or (O, I, 1, 1); each sample is one (O, I) @ (I, rest) GEMM.
+    """
+    n, din = x.shape[:2]
+    dout = weight.shape[0]
+    w2 = weight.data.reshape(dout, din)
+    x3 = x.data.reshape(n, din, -1)
+    out = np.matmul(w2, x3)
     if bias is not None:
-        out = out + bias.data
-    out = out.reshape(x.shape[:-1] + (dout,))
+        out += bias.data[:, None]
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        g2 = g.reshape(-1, dout)
-        dx = (g2 @ weight.data).reshape(x.shape)
-        dw = g2.T @ x2
+        g3 = g.reshape(n, dout, -1)
+        dx = np.matmul(w2.T, g3).reshape(x.shape)
+        dw = np.tensordot(g3, x3, axes=[(0, 2), (0, 2)]).reshape(weight.shape)
         if bias is None:
             return dx, dw
-        return dx, dw, g2.sum(axis=0)
+        return dx, dw, g3.sum(axis=(0, 2))
 
-    return Tensor.from_op(out, parents, backward)
+    return Tensor.from_op(out.reshape((n, dout) + x.shape[2:]), parents, backward)
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
@@ -84,7 +98,7 @@ def conv2d(
     _require(h + 2 * padding >= kh and w + 2 * padding >= kw,
              f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
     if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-        return _conv1x1(x, weight, bias)
+        return _channel_dense(x, weight, bias)
     sh = sw = stride
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
     win = _windows(xp, kh, kw, sh, sw)
@@ -107,27 +121,6 @@ def conv2d(
         if bias is None:
             return np.ascontiguousarray(dx), dw
         return np.ascontiguousarray(dx), dw, g.sum(axis=(0, 2, 3))
-
-    return Tensor.from_op(out, parents, backward)
-
-
-def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    n, cin, h, w = x.shape
-    cout = weight.shape[0]
-    w2 = weight.data.reshape(cout, cin)
-    out = np.tensordot(x.data, w2, axes=[(1,), (1,)])  # (N,H,W,O)
-    out = np.ascontiguousarray(np.moveaxis(out, 3, 1))
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g):
-        dx = np.tensordot(g, w2, axes=[(1,), (0,)])  # (N,H,W,C)
-        dx = np.ascontiguousarray(np.moveaxis(dx, 3, 1))
-        dw = np.tensordot(g, x.data, axes=[(0, 2, 3), (0, 2, 3)]).reshape(weight.shape)
-        if bias is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3))
 
     return Tensor.from_op(out, parents, backward)
 

@@ -35,10 +35,6 @@ class GradCheckResult:
         self.max_abs_diff = max_abs_diff
         self.n_coords = n_coords
 
-    @property
-    def ok(self) -> bool:
-        return self.rel_error < DEFAULT_TOL
-
     def __repr__(self) -> str:
         return f"GradCheckResult(rel_error={self.rel_error:.3e}, coords={self.n_coords})"
 

@@ -19,7 +19,7 @@ __all__ = [
 
 
 class Linear(Module):
-    """Dense layer over the trailing axis."""
+    """Dense layer over the channel axis 1: (N, Din, *rest) -> (N, Dout, *rest)."""
 
     def __init__(self, din: int, dout: int, bias: bool = True, rng: np.random.Generator | None = None):
         super().__init__()

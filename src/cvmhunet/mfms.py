@@ -119,7 +119,7 @@ def compress_frequencies(x: Tensor, cfg: FrequencyConfig) -> Tensor:
     """(N,C,H,W) -> (N,C,K): per-channel projection onto each basis map."""
     n, c, h, w = x.shape
     bases = Tensor(frequency_bases(h, w, cfg).astype(x.data.dtype))
-    return F.linear(x.reshape(n, c, h * w), bases)
+    return F.linear(x.reshape(n * c, h * w), bases).reshape(n, c, -1)
 
 
 def adaptive_kernel_size(channels: int, cfg: AdaptiveKernelConfig = AdaptiveKernelConfig()) -> int:

@@ -187,7 +187,7 @@ class PatchMerge(Module):
             [x[:, :, 0::2, 0::2], x[:, :, 1::2, 0::2], x[:, :, 0::2, 1::2], x[:, :, 1::2, 1::2]],
             axis=1,
         )
-        return self.reduce(self.norm(quads).moveaxis(1, 3)).moveaxis(3, 1)
+        return self.reduce(self.norm(quads))
 
 
 class PatchExpand(Module):
@@ -206,8 +206,8 @@ class PatchExpand(Module):
         if d != self.dim:
             raise ValueError(f"patch expand built for {self.dim} channels, got {d}")
         half = d // 2
-        y = self.project(x.moveaxis(1, 3))  # (N,H,W,2D)
-        y = y.reshape(n, h, w, 2, 2, half).transpose(0, 1, 3, 2, 4, 5)  # (N,H,2,W,2,half)
+        y = self.project(x)  # (N,2D,H,W); channel i*D + j*half + c goes to pixel (2h+i, 2w+j)
+        y = y.reshape(n, 2, 2, half, h, w).transpose(0, 4, 1, 5, 2, 3)  # (N,H,2,W,2,half)
         y = self.norm(y.reshape(n, 2 * h, 2 * w, half))
         return y.moveaxis(3, 1)
 

@@ -267,10 +267,9 @@ class DirectionalSSM(Module):
         total: Tensor | None = None
         for k, order in enumerate(scan_orders(h, w, self.scan_mode)):
             seq = flatten_spatial(x, order)  # (N, C, L)
-            projected = F.linear(seq.moveaxis(1, 2), self.x_proj_weight[k])  # (N, L, r + 2S)
-            dt = F.softplus(F.linear(projected[:, :, :r], self.dt_weight[k], self.dt_bias[k])).moveaxis(1, 2)
-            b_seq = projected[:, :, r : r + s].moveaxis(1, 2)
-            c_seq = projected[:, :, r + s :].moveaxis(1, 2)
+            projected = F.linear(seq, self.x_proj_weight[k])  # (N, r + 2S, L)
+            dt = F.softplus(F.linear(projected[:, :r], self.dt_weight[k], self.dt_bias[k]))  # (N, C, L)
+            b_seq, c_seq = projected[:, r : r + s], projected[:, r + s :]  # (N, S, L) each
             yseq = selective_scan(seq, dt, a[k], b_seq, c_seq, self.D_skip[k], block=self.scan_block)
             ymap = unflatten_spatial(yseq, order)
             total = ymap if total is None else total + ymap

@@ -140,12 +140,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ValueError(f"expected a scalar tensor, got shape {self.shape}")
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 

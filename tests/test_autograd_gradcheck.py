@@ -67,15 +67,18 @@ def test_extrema_and_cat(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_linear(seed):
     rng = np.random.default_rng(seed)
-    x = leaf(rng, (2, 3, 6))
+    x = leaf(rng, (2, 6, 3))
     w = leaf(rng, (4, 6))
     b = leaf(rng, (4,))
+    x_map = leaf(rng, (2, 6, 3, 2))  # (N, C, H, W): the channel axis is contracted
 
-    def f():
-        return weighted_sum(F.linear(x, w, b), np.random.default_rng(seed))
+    for inp in (x, x_map):
 
-    res = check_gradients(f, [x, w, b])
-    assert res.rel_error < DEFAULT_TOL, res
+        def f():
+            return weighted_sum(F.linear(inp, w, b), np.random.default_rng(seed))
+
+        res = check_gradients(f, [inp, w, b])
+        assert res.rel_error < DEFAULT_TOL, res
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -3,20 +3,25 @@
 ``workloads.install`` wraps functions and methods where the package looks
 them up (``cli.save_tensors``, ``cli.tile_image``, ``ssm.flatten_spatial``,
 ``functional.silu``, ``Tensor.moveaxis``, ...).  A refactor that renames or
-moves one of them fails here instead of only in a benchmark run.  The test
-only reads ``perfbench/``.
+moves one of them fails here instead of only in a benchmark run.  The tests
+only read ``perfbench/``.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from cvmhunet.network import CVMHUNet, NetworkConfig
+from cvmhunet.tensor import Tensor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
+from checks import mac_coverage  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 
@@ -32,3 +37,22 @@ def test_install_wraps_and_restore_puts_back(name):
     for owner, attr, original in patched:
         now = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert now is original, f"{owner}.{attr} not restored"
+
+
+def test_traced_forward_covers_the_analytic_macs():
+    # the gradcheck suite's whole-network config: every layer kind at a tiny size
+    cfg = NetworkConfig(embed_dim=8, num_classes=3, input_size=(32, 32), state_dim=4, scan_block=16, freq_k=4)
+    model = CVMHUNet(cfg, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 32, 32)).astype(np.float32))
+    t = Tracer(spans=True)
+    try:
+        workloads.install(t, workloads.WORKLOADS["wide_train"])
+        (model(x) ** 2).mean().backward()
+    finally:
+        t.restore()
+    ok, detail = mac_coverage(t.first_forward_macs("network.CVMHUNet"), cfg)
+    assert ok, detail
+    # dense layers contract the channel axis in place, so the one copy left per PatchExpand
+    # (five per forward) is all; run.py's per-layer report reads this span unconditionally
+    moves = t.summary().get("tensor.moveaxis", {"calls": 0})["calls"]
+    assert 1 <= moves <= 5, f"{moves} moveaxis calls in one forward"

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism, reports."""
 
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +287,21 @@ class TestEvalPredict:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["oa"] == 1.0 and report["miou"] == 1.0 and report["mf1"] == 1.0
+
+    def test_oracle_eval_of_unrepresentable_cvtn_exits_4(self, dataset, capsys):
+        bad = dataset / "bad"
+        bad.mkdir()
+        dims = (0, 2**32 - 1, 2**32 - 1)
+        (bad / "img.cvtn").write_bytes(b"CVTN" + struct.pack("<IB3IB", 1, 3, *dims, 0))
+        save_cvtn(bad / "lab.cvtn", np.zeros((32, 32), dtype=np.uint8))
+        (bad / "manifest.json").write_text(json.dumps({
+            "pairs": [{"image": "img.cvtn", "label": "lab.cvtn"}],
+            "num_classes": 2,
+            "palette": [[0, 0, 0], [255, 255, 255]],
+        }))
+        code = main(["eval", "--oracle", "--manifest", str(bad / "manifest.json")])
+        assert code == 4
+        assert "img.cvtn" in capsys.readouterr().err
 
     def test_class_count_mismatch_exits_2(self, trained, capsys):
         other = trained / "other"

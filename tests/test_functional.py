@@ -113,12 +113,31 @@ class TestConvOracles:
 
 class TestLinear:
     def test_matches_numpy(self):
+        # 2-D (N, Din), 3-D (N, Din, L) and 4-D (N, Din, H, W): axis 1 is contracted
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 3, 6))
         w = rng.normal(size=(4, 6))
         b = rng.normal(size=(4,))
-        got = F.linear(t(x), t(w), t(b))
-        np.testing.assert_allclose(got.data, x @ w.T + b, atol=1e-12)
+        for shape in ((5, 6), (2, 6, 3), (2, 6, 3, 4)):
+            x = rng.normal(size=shape)
+            got = F.linear(t(x), t(w), t(b))
+            want = np.einsum("oi,ni...->no...", w, x) + b.reshape((4,) + (1,) * (len(shape) - 2))
+            assert got.shape == (shape[0], 4) + shape[2:]
+            np.testing.assert_allclose(got.data, want, atol=1e-12)
+
+    def test_conv2d_1x1_is_linear_bitwise(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 6, 3, 4))
+        w = rng.normal(size=(4, 6))
+        b = rng.normal(size=(4,))
+        g = rng.normal(size=(2, 4, 3, 4))
+        results = []
+        for op, weight in ((F.linear, w), (F.conv2d, w.reshape(4, 6, 1, 1))):
+            tx, tw, tb = t(x, rg=True), t(weight, rg=True), t(b, rg=True)
+            y = op(tx, tw, tb)
+            (y * t(g)).sum().backward()
+            results.append((y.data, tx.grad, tw.grad.reshape(4, 6), tb.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
 
     def test_feature_mismatch_raises(self):
         with pytest.raises(ValueError, match="features"):

@@ -275,10 +275,10 @@ def _direction_reference(m, k, x, rows):
     r, s = m.dt_rank, m.state_dim
     order = scan_orders(*x.shape[2:], m.scan_mode)[k]
     seq = flatten_spatial(x, order)
-    projected = F.linear(seq.moveaxis(1, 2), x_proj)
-    dt = F.softplus(F.linear(projected[:, :, :r], dt_weight, dt_bias)).moveaxis(1, 2)
-    b_seq = projected[:, :, r : r + s].moveaxis(1, 2)
-    c_seq = projected[:, :, r + s :].moveaxis(1, 2)
+    projected = F.linear(seq, x_proj)
+    dt = F.softplus(F.linear(projected[:, :r], dt_weight, dt_bias))
+    b_seq = projected[:, r : r + s]
+    c_seq = projected[:, r + s :]
     y = selective_scan(seq, dt, -(a_log.exp()), b_seq, c_seq, d_skip, block=m.scan_block)
     return unflatten_spatial(y, order)
 

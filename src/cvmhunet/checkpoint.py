@@ -42,7 +42,9 @@ def save_tensors(path: str, tensors: Mapping[str, np.ndarray]) -> None:
         fh.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
         for name, arr in tensors.items():
             encoded = name.encode("utf-8")
-            arr = np.ascontiguousarray(arr, dtype="<f4")  # a 0-d array is stored as shape (1,)
+            arr = np.asarray(arr, dtype="<f4")
+            if not arr.flags["C_CONTIGUOUS"]:  # np.ascontiguousarray would store a 0-d array as shape (1,)
+                arr = np.ascontiguousarray(arr)
             fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
             fh.write(arr.data)
 

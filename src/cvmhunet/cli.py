@@ -284,6 +284,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             x = Tensor(np.stack(images))
             y = np.stack(labels)
 
+            model.zero_grad()  # before the forward: last step's grads need not sit under the activations
             total, ce, dice = segmentation_loss(model(x), y, loss_cfg)
             total_v = float(total.data)
             if not np.isfinite(total_v):
@@ -295,7 +296,6 @@ def cmd_train(args: argparse.Namespace) -> int:
                 return EXIT_NUMERIC
             csv_file.write(f"{step},{float(ce.data)!r},{float(dice.data)!r},{total_v!r}\n")
 
-            model.zero_grad()
             total.backward()
             optimizer.step()
 

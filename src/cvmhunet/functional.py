@@ -67,11 +67,12 @@ def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     if bias is not None:
         out += bias.data[:, None]
     parents = (x, weight) if bias is None else (x, weight, bias)
+    xshape, wshape = x.shape, weight.shape
 
     def backward(g):
         g3 = g.reshape(n, dout, -1)
-        dx = np.matmul(w2.T, g3).reshape(x.shape)
-        dw = np.tensordot(g3, x3, axes=[(0, 2), (0, 2)]).reshape(weight.shape)
+        dx = np.matmul(w2.T, g3).reshape(xshape)
+        dw = np.tensordot(g3, x3, axes=[(0, 2), (0, 2)]).reshape(wshape)
         if bias is None:
             return dx, dw
         return dx, dw, g3.sum(axis=(0, 2))
@@ -146,9 +147,10 @@ def depthwise_conv2d(
         out = out + bias.data[None, :, None, None]
     ho, wo = out.shape[2], out.shape[3]
     parents = (x, weight) if bias is None else (x, weight, bias)
+    wshape = weight.shape
 
     def backward(g):
-        dw = np.einsum("nchw,nchwij->cij", g, win, optimize=True).reshape(weight.shape)
+        dw = np.einsum("nchw,nchwij->cij", g, win, optimize=True).reshape(wshape)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
@@ -178,9 +180,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = out + bias.data[0]
     parents = (x, weight) if bias is None else (x, weight, bias)
+    wshape = weight.shape
 
     def backward(g):
-        dw = np.tensordot(g, win, axes=[(0, 1, 2), (0, 1, 2)]).reshape(weight.shape)
+        dw = np.tensordot(g, win, axes=[(0, 1, 2), (0, 1, 2)]).reshape(wshape)
         dxp = np.zeros_like(xp)
         for j in range(k):
             dxp[:, :, j : j + length] += g * kern[j]

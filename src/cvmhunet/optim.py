@@ -47,10 +47,22 @@ class AdamW:
             p.grad = None
 
     def step(self) -> None:
+        """One in-place update, ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
+
+        Temporaries go into two scratch buffers sized to the largest parameter
+        or grad, allocated per call so that nothing stays resident between
+        steps.  Each op runs in the dtype the expression with fresh
+        temporaries would use, so the result is bitwise the same: the moment
+        increments in the grad's dtype (a float64 grad of a float32
+        parameter stays float64 until it is added), the update in the
+        parameter's.
+        """
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
+        nbytes = max(x.nbytes for p in self.params for x in (p.data, p.grad) if x is not None)
+        scratch = np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8)
         for i, p in enumerate(self.params):
             if p.grad is None:
                 warnings.warn(
@@ -61,12 +73,22 @@ class AdamW:
             if not p.weight_decay_exempt and self.weight_decay != 0.0:
                 p.data *= 1.0 - self.lr * self.weight_decay
             m, v = self._m[i], self._v[i]
+            a, b = (_shaped_like(buf, g) for buf in scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= (self.lr * update).astype(p.data.dtype)
+            np.multiply(g, g, out=b)
+            b *= 1.0 - self.beta2
+            v += b
+            a, b = (_shaped_like(buf, m) for buf in scratch)
+            np.divide(m, bc1, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            a *= self.lr
+            p.data -= a
 
     # -- persistence (arrays suitable for the tensor checkpoint format) ----------
 
@@ -92,3 +114,8 @@ class AdamW:
                         f"optimizer moment {key} has shape {arr.shape}, parameter is {p.data.shape}"
                     )
                 attr[i] = arr.astype(p.data.dtype)
+
+
+def _shaped_like(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The first ``like.nbytes`` bytes of ``buf`` as an array of ``like``'s dtype and shape."""
+    return buf[: like.nbytes].view(like.dtype).reshape(like.shape)

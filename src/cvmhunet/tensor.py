@@ -1,9 +1,20 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap contiguous numpy arrays (row major, NCHW for feature maps) and
-record parent links while gradients are enabled.  ``backward()`` on a scalar
-replays the recorded graph once per node in reverse topological order and
-accumulates gradients into every reachable tensor that requires them.
+Tensors wrap contiguous numpy arrays (row major, NCHW for feature maps).
+While gradients are enabled, an op result that depends on a tensor requiring
+grad gets a graph node (``_Node``): its grad, its edges and its backward
+closure, but no data.  Edges point at the parents' nodes, or at the parent
+itself when it is a leaf (a parameter or an input with ``requires_grad``);
+a parent that needs no grad is recorded as ``None``.  So the graph keeps
+alive only what the closures capture, and each closure captures only the
+arrays and shapes its backward reads: an intermediate array that no
+backward reads is freed as soon as the forward drops its tensor.
+
+``backward()`` on a scalar orders the nodes topologically, then pops them
+in reverse order.  Each popped node passes its grad on to its parents and
+drops its grad, edges and closure, so what it saved is freed during the
+sweep, not when ``backward()`` returns.  Grads accumulate into every
+reachable leaf.
 
 float32 is the working precision; float64 is supported throughout so that
 finite-difference gradient checks can run at full accuracy.
@@ -66,10 +77,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class _Node:
+    """Graph role of one op result: its grad, its parents' nodes and its backward; no data."""
+
+    __slots__ = ("grad", "parents", "backward")
+
+    def __init__(self, parents: tuple, backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward = backward
+
+
 class Tensor:
     """Dense N-dimensional array with optional gradient-tape participation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -86,8 +108,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._node: _Node | None = None  # None for a leaf, which is its own graph node
 
     # -- construction helpers -------------------------------------------------
 
@@ -97,19 +118,30 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
     ) -> "Tensor":
-        """Wrap an op result, linking it into the graph when grads are on."""
+        """Wrap an op result, linking it into the graph when grads are on.
+
+        ``backward(g)`` returns one grad (or ``None``) per parent, in order.
+        """
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
+        out.requires_grad = False
+        out._node = None
+        if _GRAD_ENABLED:
+            edges = tuple((p._node or p) if p.requires_grad else None for p in parents)
+            if any(e is not None for e in edges):
+                out.requires_grad = True
+                out._node = _Node(edges, backward)
         return out
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], Sequence[np.ndarray | None]] | None:
+        """The backward closure of this op result (``None`` for a leaf or a result outside the graph)."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node.backward = fn
 
     @staticmethod
     def as_tensor(value, like: "Tensor | None" = None) -> "Tensor":
@@ -148,11 +180,8 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = Tensor.as_tensor(other, like=self)
         data = self.data + other.data
-        return Tensor.from_op(
-            data,
-            (self, other),
-            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
-        )
+        sa, sb = self.shape, other.shape
+        return Tensor.from_op(data, (self, other), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
     __radd__ = __add__
 
@@ -176,11 +205,8 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = Tensor.as_tensor(other, like=self)
         data = self.data - other.data
-        return Tensor.from_op(
-            data,
-            (self, other),
-            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)),
-        )
+        sa, sb = self.shape, other.shape
+        return Tensor.from_op(data, (self, other), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
     def __rsub__(self, other) -> "Tensor":
         return Tensor.as_tensor(other, like=self) - self
@@ -241,12 +267,13 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.shape
 
         def backward(g):
             if axis is None:
-                return (np.broadcast_to(g, self.shape).copy(),)
+                return (np.broadcast_to(g, shape).copy(),)
             gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, self.shape).copy(),)
+            return (np.broadcast_to(gg, shape).copy(),)
 
         return Tensor.from_op(np.asarray(data), (self,), backward)
 
@@ -265,13 +292,14 @@ class Tensor:
         data = np.moveaxis(vals.reshape(lead + (1,)), -1, ax)
         if not keepdims:
             data = data.squeeze(ax)
+        flat_shape, moved_shape, dtype = flat.shape, moved.shape, flat.dtype
 
         def backward(g):
             gg = g if keepdims else np.expand_dims(g, ax)
             gflat = np.moveaxis(gg, ax, -1).reshape(-1)
-            out = np.zeros_like(flat)
-            out[np.arange(flat.shape[0]), idx] = gflat
-            return (np.moveaxis(out.reshape(moved.shape), -1, ax),)
+            out = np.zeros(flat_shape, dtype)
+            out[np.arange(flat_shape[0]), idx] = gflat
+            return (np.moveaxis(out.reshape(moved_shape), -1, ax),)
 
         return Tensor.from_op(np.ascontiguousarray(data), (self,), backward)
 
@@ -305,9 +333,10 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         data = np.ascontiguousarray(self.data[key])
+        shape, dtype = self.shape, self.dtype
 
         def backward(g):
-            full = np.zeros_like(self.data)
+            full = np.zeros(shape, dtype)
             full[key] = g
             return (full,)
 
@@ -324,9 +353,13 @@ class Tensor:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that is not part of a gradient graph")
-        topo: list[Tensor] = []
+        seed = np.ones_like(self.data)
+        self.grad = seed if self.grad is None else self.grad + seed
+        if self._node is None:  # a leaf: nothing to pass on
+            return
+        topo: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -336,24 +369,21 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+            for parent in node.parents:
+                if type(parent) is _Node and id(parent) not in visited:
                     stack.append((parent, False))
 
-        seed = np.ones_like(self.data)
-        self.grad = seed if self.grad is None else self.grad + seed
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        self._node.grad = self.grad
+        while topo:  # popped in reverse topological order; a finished node keeps nothing
+            node = topo.pop()
+            grad, backward, parents = node.grad, node.backward, node.parents
+            node.grad, node.backward, node.parents = None, None, ()
+            if backward is None or grad is None:
                 continue
-            grads = node._backward(node.grad)
-            for parent, g in zip(node._parents, grads):
-                if g is None or not parent.requires_grad:
+            for parent, g in zip(parents, backward(grad)):
+                if parent is None or g is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-            if node is not self:
-                node.grad = None  # free intermediate buffers
-            node._backward = None
-            node._parents = ()
 
 
 class Parameter(Tensor):
@@ -380,7 +410,7 @@ def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     def backward(g):
         slicer = [slice(None)] * g.ndim
         outs = []
-        for i in range(len(ts)):
+        for i in range(len(sizes)):
             slicer[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
             outs.append(np.ascontiguousarray(g[tuple(slicer)]))
         return outs

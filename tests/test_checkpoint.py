@@ -33,7 +33,7 @@ class TestSave:
         want = (
             b"CVCK" + struct.pack("<II", 1, 3)
             + entry("w", (2, 3), [0, 2, 4, 1, 3, 5])
-            + entry("scalar", (1,), [2.5])  # a 0-d array is stored as shape (1,)
+            + entry("scalar", (), [2.5])  # rank 0: no dims, one value
             + entry("bé", (2,), [1.0, -1.0])
         )
         assert (tmp_path / "a.cvck").read_bytes() == want
@@ -46,6 +46,12 @@ class TestSave:
         assert list(back) == ["a", "empty"]
         for k, v in tensors.items():
             assert back[k].dtype == np.float32 and np.array_equal(back[k], v)
+
+    def test_round_trip_keeps_rank_zero(self, tmp_path):
+        save_tensors(str(tmp_path / "s.cvck"), {"s": np.array(-1.5), "one": np.array([2.0])})
+        back = load_tensors(str(tmp_path / "s.cvck"))
+        assert back["s"].shape == () and float(back["s"]) == -1.5
+        assert back["one"].shape == (1,)
 
 
 class TestLoadRejects:

@@ -1,5 +1,7 @@
 """Core tensor engine: forward values vs numpy, gradient plumbing semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,93 @@ class TestGradientSemantics:
         (y * np.arange(10, dtype=np.float64).reshape(2, 5)).sum().backward()
         np.testing.assert_array_equal(a.grad, [[0, 1], [5, 6]])
         np.testing.assert_array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
+
+
+class TestSavedMemory:
+    """The graph keeps only what backward reads, and the sweep frees it as it goes."""
+
+    N = 1 << 20  # float32 elements: 4 MB per array
+
+    def test_add_chain_keeps_no_intermediates(self):
+        x = Tensor(np.ones(self.N, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            h = x
+            for _ in range(8):
+                h = h + x  # add's backward reads only shapes
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * x.data.nbytes, f"{held / x.data.nbytes:.1f} arrays held after the forward"
+        h.sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full(self.N, 9.0, dtype=np.float32))
+
+    def test_backward_frees_activations_as_it_goes(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=self.N).astype(np.float32))
+        ws = [Parameter(rng.normal(size=self.N).astype(np.float32)) for _ in range(8)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            h = x
+            for w in ws:
+                h = h * w
+            loss = h.sum()
+            activations = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # eight parameter grads arrive while the activations they were computed from go
+        assert activations >= 8 * x.data.nbytes
+        assert peak < 1.5 * activations, f"backward peak {peak / activations:.2f}x the activations"
+        prod = np.prod([w.data for w in ws], axis=0)
+        np.testing.assert_allclose(ws[0].grad, x.data * prod / ws[0].data, rtol=1e-5)
+
+
+class TestGraphHooks:
+    """What a profiler outside the package relies on: a settable closure and a wrappable ``from_op``."""
+
+    def test_replaced_backward_is_called(self):
+        x = t([1.0, 2.0])
+        y = x * 3.0
+        original, calls = y._backward, []
+
+        def wrapped(g):
+            calls.append(g.shape)
+            return original(g)
+
+        y._backward = wrapped
+        assert y._backward is wrapped
+        y.sum().backward()
+        assert calls == [(2,)]
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_from_op_can_be_wrapped_by_name(self):
+        original, made = Tensor.__dict__["from_op"], []
+
+        def counting(data, parents, backward):
+            made.append(data.shape)
+            return original.__func__(data, parents, backward)
+
+        Tensor.from_op = staticmethod(counting)
+        try:
+            x = t([1.0, 2.0])
+            loss = (x * x + x).sum()
+        finally:
+            Tensor.from_op = original
+        assert made == [(2,), (2,), ()]
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 5.0])
+
+    def test_leaves_and_grad_free_results_have_no_closure(self):
+        x = t([1.0])
+        assert x._backward is None
+        with no_grad():
+            assert (x * 2)._backward is None
+        assert (t([1.0], rg=False) * 2)._backward is None
 
 
 class TestDtypePolicy:

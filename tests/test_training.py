@@ -216,6 +216,38 @@ class TestAdamW:
             ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         assert abs(float(p.data[0]) - ref) < 1e-14
 
+    def test_in_place_step_equals_array_formula_bitwise(self):
+        # the update written with fresh temporaries, as numpy evaluates it op by op
+        lr, wd, b1, b2, eps = 0.003, 0.05, 0.9, 0.999, 1e-8
+        shapes = [(4, 5), (7,), (2, 3, 3)]
+        params = [Parameter(rng(i).normal(size=s).astype(np.float32), weight_decay_exempt=i == 1)
+                  for i, s in enumerate(shapes)]
+        grad_dtypes = [np.float32, np.float32, np.float64]  # a float64 grad reaches a float32 parameter
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros_like(p.data) for p in params]
+        ref_v = [np.zeros_like(p.data) for p in params]
+        opt = AdamW(params, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        for t in (1, 2, 3):
+            grads = [rng(10 * t + i).normal(size=s).astype(dt) for i, (s, dt) in enumerate(zip(shapes, grad_dtypes))]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for i, g in enumerate(grads):
+                if not params[i].weight_decay_exempt:
+                    ref_p[i] *= 1.0 - lr * wd
+                ref_m[i] *= b1
+                ref_m[i] += (1.0 - b1) * g
+                ref_v[i] *= b2
+                ref_v[i] += (1.0 - b2) * (g * g)
+                update = (ref_m[i] / bc1) / (np.sqrt(ref_v[i] / bc2) + eps)
+                ref_p[i] -= (lr * update).astype(ref_p[i].dtype)
+        for i, p in enumerate(params):
+            assert p.data.dtype == np.float32
+            np.testing.assert_array_equal(opt._m[i], ref_m[i])
+            np.testing.assert_array_equal(opt._v[i], ref_v[i])
+            np.testing.assert_array_equal(p.data, ref_p[i])
+
     def test_zero_lr_is_identity(self):
         p = make_param([3.0, -2.0])
         p.grad = np.array([1.0, 1.0])

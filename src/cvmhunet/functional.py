@@ -4,7 +4,9 @@ Feature maps are NCHW, and every dense map contracts the channel axis 1:
 ``linear`` takes (N, Din, *rest) to (N, Dout, *rest), so it runs on feature
 maps and (N, D, L) scan sequences as they are, and a 1x1 ``conv2d`` is the
 same kernel.  Larger convolutions gather sliding windows with numpy stride
-tricks and contract them with ``tensordot`` (BLAS); backwards are analytic.
+tricks and contract them with ``tensordot`` (BLAS); the depthwise one
+contracts contiguous tap slices of flat channel rows with a batched matmul.
+Backwards are analytic.
 Dtype follows the inputs, so every op runs in float64 when gradient checking.
 """
 
@@ -57,25 +59,33 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and 1x1 ``conv2d``.
 
-    ``weight`` is (O, I) or (O, I, 1, 1); each sample is one (O, I) @ (I, rest) GEMM.
+    ``weight`` is (O, I) or (O, I, 1, 1).  Each sample is one (O, I) @ (I, rest)
+    GEMM; an input with nothing after the channel axis, such as (N, I), is one
+    (N, I) @ (I, O) GEMM instead of N matrix-vector products.
     """
     n, din = x.shape[:2]
     dout = weight.shape[0]
     w2 = weight.data.reshape(dout, din)
-    x3 = x.data.reshape(n, din, -1)
-    out = np.matmul(w2, x3)
+    rows = x.data.size == n * din
+    xr = x.data.reshape(n, din) if rows else x.data.reshape(n, din, -1)
+    out = xr @ w2.T if rows else np.matmul(w2, xr)
     if bias is not None:
-        out += bias.data[:, None]
+        out += bias.data if rows else bias.data[:, None]
     parents = (x, weight) if bias is None else (x, weight, bias)
     xshape, wshape = x.shape, weight.shape
 
     def backward(g):
-        g3 = g.reshape(n, dout, -1)
-        dx = np.matmul(w2.T, g3).reshape(xshape)
-        dw = np.tensordot(g3, x3, axes=[(0, 2), (0, 2)]).reshape(wshape)
+        if rows:
+            g2 = g.reshape(n, dout)
+            dx, dw, db = g2 @ w2, g2.T @ xr, g2.sum(axis=0)
+        else:
+            g3 = g.reshape(n, dout, -1)
+            dx = np.matmul(w2.T, g3)
+            dw = np.tensordot(g3, xr, axes=[(0, 2), (0, 2)])
+            db = g3.sum(axis=(0, 2))
         if bias is None:
-            return dx, dw
-        return dx, dw, g3.sum(axis=(0, 2))
+            return dx.reshape(xshape), dw.reshape(wshape)
+        return dx.reshape(xshape), dw.reshape(wshape), db
 
     return Tensor.from_op(out.reshape((n, dout) + x.shape[2:]), parents, backward)
 
@@ -126,41 +136,94 @@ def conv2d(
     return Tensor.from_op(out, parents, backward)
 
 
+# Bytes of tap columns one channel block of ``depthwise_conv2d`` may copy:
+# the block's columns and output then stay in a 2 MB L2 for its matmul.
+TAP_BLOCK_BYTES = 1 << 19
+
+
+def _taps(rows: np.ndarray, start: int, wp: int, kh: int, kw: int, q: int) -> np.ndarray:
+    """Read-only (N, C, kh, kw, Q) view of (N, C, R) flat channel rows of row stride ``wp``:
+    tap (i, j) is the contiguous slice of ``q`` elements at ``start + i * wp + j``."""
+    s = rows.strides[-1]
+    base = rows[..., start:]
+    shape, strides = base.shape[:-1] + (kh, kw, q), base.strides[:-1] + (wp * s, s, s)
+    return np.lib.stride_tricks.as_strided(base, shape, strides, writeable=False)
+
+
+def _correlate_rows(rows: np.ndarray, k: np.ndarray, wp: int, start: int, out: np.ndarray) -> None:
+    """``out[n, c, q] = sum_ij k[c, i, j] * rows[n, c, start + q + i * wp + j]``.
+
+    ``rows`` is (N, C, R) flat channel rows of row stride ``wp`` and ``out``
+    (N, C, Q).  Channels go in blocks of ``TAP_BLOCK_BYTES``: a block's
+    kh * kw tap slices are copied into one column buffer, which a batched
+    (1, kh * kw) @ (kh * kw, Q) matmul contracts while it is in cache.
+    """
+    n, c = rows.shape[:2]
+    kh, kw = k.shape[1:]
+    q = out.shape[-1]
+    taps = _taps(rows, start, wp, kh, kw, q)
+    kt = k.reshape(c, 1, kh * kw)
+    block = max(1, min(c, TAP_BLOCK_BYTES // (kh * kw * q * out.itemsize)))
+    cols = np.empty((block, kh, kw, q), out.dtype)
+    for b in range(n):
+        for c0 in range(0, c, block):
+            c1 = min(c0 + block, c)
+            np.copyto(cols[: c1 - c0], taps[b, c0:c1])
+            np.matmul(kt[c0:c1], cols[: c1 - c0].reshape(c1 - c0, kh * kw, q), out=out[b, c0:c1, None])
+
+
 def depthwise_conv2d(
     x: Tensor,
     weight: Tensor,
     bias: Tensor | None = None,
-    stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """Per-channel 2D cross-correlation; weight is (C, 1, kh, kw)."""
+    """Per-channel 2D cross-correlation, stride 1; weight is (C, 1, kh, kw).
+
+    Each channel of the zero-padded input is one flat row of row stride
+    ``wp = w + 2 * padding``, so tap (i, j) is the contiguous slice of that
+    row at offset ``i * wp + j`` (``_correlate_rows``).  The output comes out
+    in rows of stride ``wp`` whose last ``kw - 1`` columns straddle a row edge
+    and are cropped.  The backward runs the same kernel with the taps mirrored
+    on ``g`` laid out in rows of stride ``wp``, which gathers into ``dx`` what
+    each tap scattered, and takes ``dw`` as one dot product per channel and tap.
+    """
     n, c, h, w = x.shape
     cw, one, kh, kw = weight.shape
     _require(cw == c and one == 1,
              f"depthwise_conv2d: weight {weight.shape} incompatible with {c} channels")
-    sh = sw = stride
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    win = _windows(xp, kh, kw, sh, sw)  # (N,C,H',W',kh,kw)
-    k2 = weight.data.reshape(c, kh, kw)
-    out = np.einsum("nchwij,cij->nchw", win, k2, optimize=True)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    _require(hp >= kh and wp >= kw,
+             f"depthwise_conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
+    ho, wo = hp - kh + 1, wp - kw + 1
+    m = ho * wp - kw + 1  # flat outputs whose taps all stay inside the padded row
+    xp = np.zeros((n, c, hp * wp), x.dtype)
+    xp.reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w] = x.data
+    k3 = weight.data.reshape(c, kh, kw)
+    dtype = np.result_type(xp, k3)
+    flat = np.empty((n, c, ho * wp), dtype)
+    _correlate_rows(xp, k3, wp, 0, flat[..., :m])
+    out = np.ascontiguousarray(flat.reshape(n, c, ho, wp)[..., :wo])
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
-    ho, wo = out.shape[2], out.shape[3]
+        out += bias.data[:, None, None]
     parents = (x, weight) if bias is None else (x, weight, bias)
     wshape = weight.shape
 
     def backward(g):
-        dw = np.einsum("nchw,nchwij->cij", g, win, optimize=True).reshape(wshape)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw] += (
-                    g * k2[None, :, i, j, None, None]
-                )
-        dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
+        # g in rows of stride wp, zero in the cropped columns, after `lead` zeros:
+        # dx at padded flat position P is sum_ij k[kh-1-i, kw-1-j] * gbuf[P + i*wp + j]
+        lead = (kh - 1) * wp + kw - 1
+        gbuf = np.zeros((n, c, lead + hp * wp), dtype)
+        gflat = gbuf[..., lead : lead + ho * wp]
+        gflat.reshape(n, c, ho, wp)[..., :wo] = g
+        dflat = np.empty((n, c, h * wp), dtype)
+        span = (h - 1) * wp + w  # padded flat positions of the unpadded input, from its first
+        _correlate_rows(gbuf, k3[:, ::-1, ::-1], wp, padding * wp + padding, dflat[..., :span])
+        dx = dflat.reshape(n, c, h, wp)[..., :w].astype(xp.dtype)
+        dw = np.vecdot(_taps(xp, 0, wp, kh, kw, m), gflat[:, :, None, None, :m]).sum(axis=0).reshape(wshape)
         if bias is None:
-            return np.ascontiguousarray(dx), dw
-        return np.ascontiguousarray(dx), dw, g.sum(axis=(0, 2, 3))
+            return dx, dw
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
     return Tensor.from_op(out, parents, backward)
 
@@ -311,12 +374,13 @@ def silu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, ``0.5 x (1 + erf(x / sqrt(2)))``."""
-    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = (x.data * phi).astype(x.dtype, copy=False)
+    """Exact Gaussian-error-linear unit, ``0.5 x (1 + erf(x / sqrt(2)))``, in the input's dtype."""
+    inv_sqrt2, inv_sqrt2pi = (x.dtype.type(v) for v in (_INV_SQRT2, _INV_SQRT2PI))
+    phi = 0.5 * (1.0 + erf(x.data * inv_sqrt2))
+    out = x.data * phi
 
     def backward(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
+        pdf = inv_sqrt2pi * np.exp(-0.5 * x.data * x.data)
         return (g * (phi + x.data * pdf),)
 
     return Tensor.from_op(out, (x,), backward)

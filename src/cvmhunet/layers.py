@@ -70,14 +70,12 @@ class DepthwiseConv2d(Module):
         self,
         channels: int,
         kernel: int = 3,
-        stride: int = 1,
         padding: int = 1,
         bias: bool = True,
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.stride = stride
         self.padding = padding
         bound = 1.0 / np.sqrt(kernel * kernel)
         self.weight = Parameter(
@@ -86,7 +84,7 @@ class DepthwiseConv2d(Module):
         self.bias = Parameter(np.zeros(channels, dtype=np.float32), weight_decay_exempt=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.depthwise_conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return F.depthwise_conv2d(x, self.weight, self.bias, padding=self.padding)
 
 
 class ChannelConv1d(Module):

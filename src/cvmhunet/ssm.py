@@ -11,13 +11,15 @@ The state transition uses exact zero-order-hold discretization; the input
 injection uses the Euler/simplified form ``dt * B``.
 
 The scan runs time-major and channel-minor: propagators and states are
-built as C-contiguous (L, N, S, D) chunks of ``block`` steps, so every
-broadcast runs along the contiguous channel axis and one in-place kernel,
-``_scan``, updates a contiguous (N, S, D) slice per step for the forward,
-the reversed adjoint and ``first_order_scan``.  The chunk buffers are
-reused.  A forward that a backward can follow keeps only the state entering
-each chunk; the backward rebuilds each chunk's states from it (``block`` is
-the checkpoint interval), so the state trajectory is never materialized.
+built as C-contiguous (steps, N, S, D) buffers, so every broadcast runs
+along the contiguous channel axis and one in-place kernel, ``_scan``,
+updates a contiguous (N, S, D) slice per step for the forward, the reversed
+adjoint and ``first_order_scan``.  Every pass runs over a tile of at most
+``TILE_BYTES``, so a tile's data stays in L2 from one pass to the next, and
+the tile buffers are reused.  A forward that a backward can follow keeps
+only the state entering each chunk of ``block`` steps; the backward rebuilds
+each chunk's states from it (``block`` is the checkpoint interval), so the
+state trajectory is never materialized.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ __all__ = [
 
 DEFAULT_STATE_DIM = 16
 DEFAULT_SCAN_BLOCK = 64
+# Bytes of (steps, N, S, D) data one tile of the scan may span: the tile's
+# propagators, states and adjoints then stay in a 2 MB L2 between passes.
+TILE_BYTES = 1 << 19
 
 
 def default_dt_rank(dim: int) -> int:
@@ -68,12 +73,16 @@ def _scan(a: np.ndarray, h: np.ndarray, prev: np.ndarray) -> None:
 
     One multiply into a reused temporary and one in-place add per step: the
     same two roundings as ``sequential_scan``, so the two agree bitwise.
+    The ufuncs write through positional ``out`` arguments into the step views,
+    with no index or store back into ``h`` (``h[t] += x`` would copy the
+    slice onto itself).
     """
     tmp = np.empty_like(prev)
-    for t in range(len(h)):
-        np.multiply(a[t], prev, out=tmp)
-        h[t] += tmp
-        prev = h[t]
+    mul, add = np.multiply, np.add
+    for a_t, h_t in zip(a, h):
+        mul(a_t, prev, tmp)
+        add(h_t, tmp, h_t)
+        prev = h_t
 
 
 def _time_major(x: np.ndarray) -> np.ndarray:
@@ -97,9 +106,10 @@ def first_order_scan(a: np.ndarray, b: np.ndarray, block: int = DEFAULT_SCAN_BLO
         return b.copy()
     if block < 1:
         raise ValueError(f"scan block size must be >= 1, got {block}")
-    h = np.moveaxis(b, -1, 0).copy()
-    _scan(np.moveaxis(a, -1, 0), h, np.zeros(h.shape[1:], dtype=h.dtype))
-    return _time_last(h)
+    # a trailing unit axis keeps every step an array view, also for 1-D input
+    h = np.moveaxis(b, -1, 0)[..., None].copy()
+    _scan(np.moveaxis(a, -1, 0)[..., None], h, np.zeros(h.shape[1:], dtype=h.dtype))
+    return _time_last(h[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +129,15 @@ def selective_scan(
     """Input-dependent state-space recurrence; single autograd op.
 
     Shapes: ``u``/``delta`` (N, D, L); ``A`` (D, S); ``B``/``C`` (N, S, L);
-    ``D`` (D,).  Returns (N, D, L).  The scan runs in chunks of ``block``
-    steps over (L, N, S, D) buffers that are reused from chunk to chunk.
-    When a backward can follow, the forward keeps only the state entering
-    each chunk, a (ceil(L / block), N, S, D) array; the backward walks the
-    chunks in reverse, rebuilds each chunk's propagators and states from its
-    carry with the forward's own ops (so bitwise the same), and forms every
-    gradient chunk by chunk.  No (L, N, S, D) array is ever allocated.
+    ``D`` (D,).  Returns (N, D, L).  Every pass over (steps, N, S, D) data
+    runs in tiles of at most ``TILE_BYTES``, so a tile's propagators, states
+    and adjoints stay in cache from one pass to the next.  When a backward
+    can follow, the forward keeps only the state entering each chunk of
+    ``block`` steps, a (ceil(L / block), N, S, D) array; the backward walks
+    the chunks in reverse, rebuilds each chunk's propagators and states from
+    its carry with the forward's own ops (so bitwise the same), and then
+    forms every gradient tile by tile, last tile first.  No (L, N, S, D)
+    array is ever allocated, and the result does not depend on ``block``.
     """
     n, d, length = u.shape
     s = A.shape[1]
@@ -141,32 +153,40 @@ def selective_scan(
     operands = (u, delta, A, B, C, D)
     dtype = np.result_type(*(t.data for t in operands))
     keep = is_grad_enabled() and any(t.requires_grad for t in operands)
-    chunk = max(1, min(block, length))
+    chunk = max(1, min(block, length)) if keep else max(1, length)
+    most = max(1, TILE_BYTES // (n * s * d * dtype.itemsize))
+    tile = math.ceil(chunk / math.ceil(chunk / most))  # the fewest tiles of at most `most` steps, evenly sized
     starts = range(0, length, chunk)
     at = np.ascontiguousarray(A.data.T)  # (S, D): every broadcast runs along D
 
-    def chunk_states(k, dt, dtu, bt, abar, h):
-        """Propagators into ``abar[:m]`` and states into ``h[1 : m + 1]`` of chunk ``k``, from ``h[0]``."""
-        tc = slice(starts[k], min(starts[k] + chunk, length))
-        ac, hc = abar[: tc.stop - tc.start], h[1 : tc.stop - tc.start + 1]
-        np.multiply(dt[tc, :, None, :], at, out=ac)
+    def tiles(k):
+        """Step slices of at most ``tile`` steps covering chunk ``k``."""
+        stop = min(starts[k] + chunk, length)
+        return [slice(t, min(t + tile, stop)) for t in range(starts[k], stop, tile)]
+
+    def tile_states(tc, dt, dtu, bt, abar, h):
+        """Propagators of steps ``tc`` into ``abar[:m]`` and their states into ``h[1 : m + 1]``, from ``h[0]``; returns the states."""
+        m = tc.stop - tc.start
+        ac, hc = abar[:m], h[1 : m + 1]
+        np.einsum("tnd,sd->tnsd", dt[tc], at, out=ac, casting="same_kind")
         np.exp(ac, out=ac)
-        np.multiply(dtu[tc, :, None, :], bt[tc, :, :, None], out=hc)
+        np.einsum("tns,tnd->tnsd", bt[tc], dtu[tc], out=hc, casting="same_kind")
         _scan(ac, hc, h[0])
-        return tc, ac, hc
+        return hc
 
     ut, dt, bt, ct = (_time_major(x.data) for x in (u, delta, B, C))
     dtu = dt * ut
-    abar = np.empty((chunk, n, s, d), dtype)
-    h = np.zeros((chunk + 1, n, s, d), dtype)  # h[0]: the state entering the chunk
+    abar = np.empty((tile, n, s, d), dtype)
+    h = np.zeros((tile + 1, n, s, d), dtype)  # h[0]: the state entering the tile
     carries = np.empty((len(starts) if keep else 0, n, s, d), dtype)
     yt = np.empty((length, n, 1, d), dtype)
     for k in range(len(starts)):
         if keep:
             carries[k] = h[0]
-        tc, _, hc = chunk_states(k, dt, dtu, bt, abar, h)
-        np.matmul(ct[tc, :, None, :], hc, out=yt[tc])
-        h[0] = hc[-1]
+        for tc in tiles(k):
+            hc = tile_states(tc, dt, dtu, bt, abar, h)
+            np.matmul(ct[tc, :, None, :], hc, out=yt[tc])
+            h[0] = hc[-1]
     y = D.data[:, None] * u.data
     y += yt[:, :, 0].transpose(1, 2, 0)
 
@@ -175,8 +195,8 @@ def selective_scan(
         dtu = dt * ut
         abar = np.empty((chunk, n, s, d), dtype)
         h = np.empty((chunk + 1, n, s, d), dtype)
-        lam = np.empty((chunk, n, s, d), dtype)
-        lam_next = np.zeros((n, s, d), dtype)  # abar[t1] * lam[t1] across the edge to the next chunk
+        lam = np.empty((tile, n, s, d), dtype)
+        lam_next = np.zeros((n, s, d), dtype)  # abar[t1] * lam[t1] across the edge to the next tile
         lam_b = np.empty((length, n, 1, d), dtype)
         ddelta = np.empty((length, n, d), dtype)
         dB = np.empty((length, n, s, 1), dtype)
@@ -184,22 +204,27 @@ def selective_scan(
         dA = np.zeros((s, d), dtype)
         for k in reversed(range(len(starts))):
             h[0] = carries[k]
-            tc, ac, hc = chunk_states(k, dt, dtu, bt, abar, h)
-            # adjoint, in reverse: lam[t] = g[t] * C[t] + abar[t+1] * lam[t+1]
-            lc = lam[: len(ac)]
-            np.multiply(gt[tc, :, None, :], ct[tc, :, :, None], out=lc)
-            lc[-1] += lam_next
-            _scan(ac[:0:-1], lc[-2::-1], lc[-1])
-            np.multiply(ac[0], lc[0], out=lam_next)
-            np.matmul(bt[tc, :, None, :], lc, out=lam_b[tc])
-            np.matmul(lc, dtu[tc, :, :, None], out=dB[tc])
-            np.matmul(hc, gt[tc, :, :, None], out=dC[tc])
-            # gradient wrt the product delta*A: abar[t] * h[t-1] * lam[t]
-            d_dta = ac
-            d_dta *= h[: len(ac)]
-            d_dta *= lc
-            np.einsum("tnsd,sd->tnd", d_dta, at, out=ddelta[tc])
-            dA += np.einsum("tnsd,tnd->sd", d_dta, dt[tc])
+            for tc in tiles(k):
+                o = tc.start - starts[k]
+                tile_states(tc, dt, dtu, bt, abar[o:], h[o:])
+            for tc in reversed(tiles(k)):
+                o, m = tc.start - starts[k], tc.stop - tc.start
+                ac, hc = abar[o : o + m], h[o + 1 : o + m + 1]
+                # adjoint, in reverse: lam[t] = g[t] * C[t] + abar[t+1] * lam[t+1]
+                lc = lam[:m]
+                np.einsum("tns,tnd->tnsd", ct[tc], gt[tc], out=lc, casting="same_kind")
+                lc[-1] += lam_next
+                _scan(ac[:0:-1], lc[-2::-1], lc[-1])
+                np.multiply(ac[0], lc[0], out=lam_next)
+                np.matmul(bt[tc, :, None, :], lc, out=lam_b[tc])
+                np.matmul(lc, dtu[tc, :, :, None], out=dB[tc])
+                np.matmul(hc, gt[tc, :, :, None], out=dC[tc])
+                # gradient wrt the product delta*A: abar[t] * h[t-1] * lam[t]
+                d_dta = ac
+                d_dta *= h[o : o + m]
+                d_dta *= lc
+                np.einsum("tnsd,sd->tnd", d_dta, at, out=ddelta[tc])
+                dA += np.einsum("tnsd,tnd->sd", d_dta, dt[tc])
         lam_b = lam_b[:, :, 0]
         ddelta += lam_b * ut
         du = lam_b * dt + gt * D.data

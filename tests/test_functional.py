@@ -37,22 +37,37 @@ def conv2d_naive(x, w, b, stride, padding):
     return out
 
 
-def depthwise_naive(x, w, b, stride, padding):
+def depthwise_naive(x, w, b, padding):
     n, c, h, ww = x.shape
     _, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (ww + 2 * padding - kw) // stride + 1
+    ho = h + 2 * padding - kh + 1
+    wo = ww + 2 * padding - kw + 1
     out = np.zeros((n, c, ho, wo), dtype=x.dtype)
     for ni in range(n):
         for ci in range(c):
             for yi in range(ho):
                 for xi in range(wo):
-                    patch = xp[ni, ci, yi * stride : yi * stride + kh, xi * stride : xi * stride + kw]
-                    out[ni, ci, yi, xi] = np.sum(patch * w[ci, 0])
+                    out[ni, ci, yi, xi] = np.sum(xp[ni, ci, yi : yi + kh, xi : xi + kw] * w[ci, 0])
             if b is not None:
                 out[ni, ci] += b[ci]
     return out
+
+
+def depthwise_backward_naive(x, w, g, padding):
+    """dx, dw, db of ``depthwise_naive`` for the output grad ``g``, one tap at a time."""
+    n, c, h, ww = x.shape
+    _, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for ni in range(n):
+        for ci in range(c):
+            for yi in range(g.shape[2]):
+                for xi in range(g.shape[3]):
+                    dxp[ni, ci, yi : yi + kh, xi : xi + kw] += g[ni, ci, yi, xi] * w[ci, 0]
+                    dw[ci, 0] += g[ni, ci, yi, xi] * xp[ni, ci, yi : yi + kh, xi : xi + kw]
+    return dxp[:, :, padding : padding + h, padding : padding + ww], dw, g.sum(axis=(0, 2, 3))
 
 
 def conv1d_naive(x, w, b):
@@ -86,14 +101,41 @@ class TestConvOracles:
         got = F.conv2d(t(x), t(w), None)
         np.testing.assert_allclose(got.data, conv2d_naive(x, w, None, 1, 0), atol=1e-10)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
-    def test_depthwise_matches_naive(self, stride, padding):
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_depthwise_matches_naive(self, kernel, padding):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 6, 7, 7))
-        w = rng.normal(size=(6, 1, 3, 3))
+        x = rng.normal(size=(2, 6, 7, 9))
+        w = rng.normal(size=(6, 1, kernel, kernel))
         b = rng.normal(size=(6,))
-        got = F.depthwise_conv2d(t(x), t(w), t(b), stride=stride, padding=padding)
-        np.testing.assert_allclose(got.data, depthwise_naive(x, w, b, stride, padding), atol=1e-10)
+        got = F.depthwise_conv2d(t(x), t(w), t(b), padding=padding)
+        np.testing.assert_allclose(got.data, depthwise_naive(x, w, b, padding), atol=1e-10)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_depthwise_backward_matches_naive(self, kernel, padding):
+        rng = np.random.default_rng(8)
+        x = t(rng.normal(size=(2, 5, 6, 8)), rg=True)
+        w = t(rng.normal(size=(5, 1, kernel, kernel)), rg=True)
+        b = t(rng.normal(size=(5,)), rg=True)
+        out = F.depthwise_conv2d(x, w, b, padding=padding)
+        g = rng.normal(size=out.shape)
+        (out * t(g)).sum().backward()
+        for got, want in zip((x.grad, w.grad, b.grad), depthwise_backward_naive(x.data, w.data, g, padding)):
+            np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_depthwise_backward_keeps_the_input_dtype(self):
+        # a float64 output grad must not turn dx (and everything upstream of it) into float64
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(1, 4, 5, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 1, 3, 3)).astype(np.float32), requires_grad=True)
+        out = F.depthwise_conv2d(x, w, padding=1)
+        assert out.dtype == np.float32
+        g = rng.normal(size=out.shape)
+        dx = out._backward(g)[0]
+        assert dx.dtype == np.float32
+        want = depthwise_backward_naive(x.data.astype(np.float64), w.data.astype(np.float64), g, 1)[0]
+        np.testing.assert_allclose(dx, want, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_conv1d_matches_naive(self, k):
@@ -138,6 +180,25 @@ class TestLinear:
             results.append((y.data, tx.grad, tw.grad.reshape(4, 6), tb.grad))
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(7, 6), (3, 6, 1, 1)])
+    def test_rows_forward_and_backward_match_naive(self, shape):
+        # nothing after the channel axis: one GEMM over the rows, checked row by row
+        rng = np.random.default_rng(12)
+        x, w, b = rng.normal(size=shape), rng.normal(size=(4, 6)), rng.normal(size=(4,))
+        g = rng.normal(size=(shape[0], 4) + shape[2:])
+        tx, tw, tb = t(x, rg=True), t(w, rg=True), t(b, rg=True)
+        y = F.linear(tx, tw, tb)
+        (y * t(g)).sum().backward()
+        x2, g2 = x.reshape(shape[0], 6), g.reshape(shape[0], 4)
+        want_y = np.stack([[np.dot(w[o], x2[r]) + b[o] for o in range(4)] for r in range(shape[0])])
+        want_dx = np.stack([[np.dot(g2[r], w[:, i]) for i in range(6)] for r in range(shape[0])])
+        want_dw = np.array([[np.dot(g2[:, o], x2[:, i]) for i in range(6)] for o in range(4)])
+        assert y.shape == g.shape and tx.grad.shape == shape
+        np.testing.assert_allclose(y.data.reshape(shape[0], 4), want_y, atol=1e-12)
+        np.testing.assert_allclose(tx.grad.reshape(shape[0], 6), want_dx, atol=1e-12)
+        np.testing.assert_allclose(tw.grad, want_dw, atol=1e-12)
+        np.testing.assert_allclose(tb.grad, g2.sum(axis=0), atol=1e-12)
 
     def test_feature_mismatch_raises(self):
         with pytest.raises(ValueError, match="features"):
@@ -220,6 +281,20 @@ class TestActivations:
         x = t(np.array([0.0, 1.0, -1.0, 2.0]))
         expected = [0.0, 0.8413447460685429, -0.15865525393145707, 1.9544997361036416]
         np.testing.assert_allclose(F.gelu(x).data, expected, atol=1e-12)
+
+    def test_gelu_keeps_float32(self):
+        # float64 constants must not promote a float32 activation or its grad
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=(3, 4)) * 3
+        x = Tensor(values.astype(np.float32), requires_grad=True)
+        y = F.gelu(x)
+        y.sum().backward()
+        assert y.dtype == np.float32 and x.grad.dtype == np.float32
+        ref = t(values.astype(np.float32), rg=True)  # the same inputs in float64
+        y_ref = F.gelu(ref)
+        y_ref.sum().backward()
+        np.testing.assert_allclose(y.data, y_ref.data, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(x.grad, ref.grad, rtol=1e-6, atol=1e-6)
 
     def test_log_softmax_matches_naive(self):
         rng = np.random.default_rng(11)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvmhunet import functional as F
+from cvmhunet import ssm
 from cvmhunet.checkpoint import CheckpointError, apply_model_state, model_state
 from cvmhunet.gradcheck import DEFAULT_TOL, check_gradients
 from cvmhunet.module import init_linear
@@ -267,6 +268,73 @@ class TestSelectiveScanGradients:
         d = Tensor(np.zeros(2))
         with pytest.raises(ValueError, match="delta"):
             selective_scan(u, dt, a, bc, bc, d)
+
+
+def _carries(y):
+    """The chunk carries a grad-mode ``selective_scan`` result keeps for its backward."""
+    fn = y._backward
+    return fn.__closure__[fn.__code__.co_freevars.index("carries")].cell_contents
+
+
+class TestScanTiling:
+    """Tiles block the loops over (steps, N, S, D) buffers; ``scan_block`` sets only the carries."""
+
+    N, D, S, L = 2, 5, 4, 45
+    STEP = N * S * D * 4  # bytes of one float32 step slice
+
+    def _tile_bytes(self):
+        # 1 step per tile (the floor), tiles that leave a short last one, and one tile longer than L
+        return (1, 3 * self.STEP, 7 * self.STEP, 16 * self.STEP, 2 * self.L * self.STEP)
+
+    def test_forward_bitwise_equal_across_tile_sizes(self, monkeypatch):
+        ops = _scan_operands(np.random.default_rng(21), self.N, self.D, self.S, self.L)
+        outs = []
+        for nbytes in self._tile_bytes():
+            monkeypatch.setattr(ssm, "TILE_BYTES", nbytes)
+            for block in (4, 16, 64):
+                with no_grad():
+                    outs.append(selective_scan(*(Tensor(v) for v in ops), block=block).data)
+                outs.append(selective_scan(*(Tensor(v, requires_grad=True) for v in ops), block=block).data)
+        for got in outs[1:]:
+            np.testing.assert_array_equal(got, outs[0])
+
+    def test_grads_agree_across_tile_sizes(self, monkeypatch):
+        ops = _scan_operands(np.random.default_rng(22), self.N, self.D, self.S, self.L)
+        w = np.random.default_rng(23).normal(size=(self.N, self.D, self.L)).astype(np.float32)
+        grads = []
+        for nbytes in self._tile_bytes():
+            monkeypatch.setattr(ssm, "TILE_BYTES", nbytes)
+            for block in (5, 16, 64):
+                tracked = [Tensor(v, requires_grad=True) for v in ops]
+                (selective_scan(*tracked, block=block) * Tensor(w)).sum().backward()
+                grads.append([t.grad for t in tracked])
+        for got in grads[1:]:
+            for name, want_g, got_g in zip(("u", "delta", "A", "B", "C", "D"), grads[0], got):
+                assert got_g.dtype == np.float32
+                np.testing.assert_allclose(got_g, want_g, rtol=1e-5, atol=1e-5, err_msg=name)
+
+    def test_grad_forward_keeps_one_carry_per_block(self, monkeypatch):
+        ops = _scan_operands(np.random.default_rng(24), self.N, self.D, self.S, self.L)
+        for nbytes in self._tile_bytes():
+            monkeypatch.setattr(ssm, "TILE_BYTES", nbytes)
+            for block in (1, 4, 16, self.L, self.L + 5):
+                y = selective_scan(*(Tensor(v, requires_grad=True) for v in ops), block=block)
+                assert _carries(y).shape == (-(-self.L // block), self.N, self.S, self.D)
+
+    def test_no_grad_forward_peak_stays_near_the_tile(self):
+        # (1, 768, 64) with S = 16: a step slice is 48 KiB, so a 64-step buffer is 3 MiB and a
+        # tile about 0.5 MiB; the (L, N, D) operands, their time-major copies and the output
+        # are 192 KiB each
+        ops = _scan_operands(np.random.default_rng(25), 1, 768, 16, 64)
+        tensors = [Tensor(v) for v in ops]
+        with no_grad():
+            tracemalloc.start()
+            try:
+                selective_scan(*tensors, block=64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 << 20, f"no_grad forward peaked at {peak} bytes"
 
 
 def _direction_reference(m, k, x, rows):

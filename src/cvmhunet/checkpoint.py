@@ -12,15 +12,19 @@ Model checkpoints store every parameter plus every persistent buffer
 (batch-norm running statistics) under their hierarchical names.  Loading is
 strict: unknown names, missing names, or shape mismatches raise
 ``CheckpointError``.  Per-direction scan entries of older checkpoints are
-stacked into the current parameters first.
+stacked into the current parameters first.  A restore passes the model's
+own arrays to ``load_tensors(path, into=...)``, so each entry is read once,
+straight into the array it fills.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 import struct
-from typing import Mapping
+from typing import IO, Iterator, Mapping
 
 import numpy as np
 
@@ -30,58 +34,101 @@ __all__ = ["CheckpointError", "save_tensors", "load_tensors"]
 
 MAGIC = b"CVCK"
 VERSION = 1
+_ENTRY_DTYPE = np.dtype("<f4")
 
 
 class CheckpointError(IOError):
     pass
 
 
+@contextlib.contextmanager
+def replacing(path: str | os.PathLike, mode: str = "wb") -> Iterator[IO]:
+    """Open ``<path>.tmp`` for writing; it replaces ``path`` on success and is removed on error.
+
+    ``os.replace`` within one directory is atomic, so a reader (or a crash
+    mid-write) sees either the old file or the whole new one, never a torn one.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_tensors(path: str, tensors: Mapping[str, np.ndarray]) -> None:
-    """Write ``tensors`` to ``path``, one entry at a time (no second copy of the payload)."""
-    with open(path, "wb") as fh:
+    """Write ``tensors`` to ``path``, one entry at a time (no second copy of the payload).
+
+    The file is written next to ``path`` and moved over it once complete.
+    """
+    with replacing(path) as fh:
         fh.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
         for name, arr in tensors.items():
             encoded = name.encode("utf-8")
-            arr = np.asarray(arr, dtype="<f4")
+            arr = np.asarray(arr, dtype=_ENTRY_DTYPE)
             if not arr.flags["C_CONTIGUOUS"]:  # np.ascontiguousarray would store a 0-d array as shape (1,)
                 arr = np.ascontiguousarray(arr)
             fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
             fh.write(arr.data)
 
 
-def load_tensors(path: str) -> dict[str, np.ndarray]:
-    """Read a CVCK file; any malformed or truncated content raises ``CheckpointError``."""
+def _read(fh: IO, fmt: str) -> tuple:
+    return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+
+def load_tensors(path: str, into: Mapping[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Read a CVCK file; any malformed or truncated content raises ``CheckpointError``.
+
+    The file is streamed entry by entry.  An entry whose name, shape and dtype
+    match an array of ``into`` is read straight into that array, which the
+    result then holds; every other entry gets a fresh array.  On error the
+    arrays of ``into`` may hold part of the file.
+    """
+    into = into or {}
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    try:
-        version, count = struct.unpack_from("<II", blob, 4)
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        offset = 12
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", blob, offset)
-            dims = struct.unpack_from(f"<{rank}I", blob, offset + 1)
-            offset += 1 + 4 * rank
-            n = math.prod(dims)
-            if offset + 4 * n > len(blob):
-                raise CheckpointError(f"{path}: truncated checkpoint (entry {name!r} of shape {dims})")
-            out[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(dims).copy()
-            offset += 4 * n
-        if offset != len(blob):
-            raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after last entry")
-    except struct.error as exc:
-        raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from exc
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: entry name is not UTF-8 ({exc})") from exc
-    except ValueError as exc:  # an empty entry whose other dims overflow numpy's size limit
-        raise CheckpointError(f"{path}: impossible tensor shape ({exc})") from exc
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        try:
+            version, count = _read(fh, "<II")
+            if version != VERSION:
+                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            offset = 12
+            out: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                (name_len,) = _read(fh, "<H")
+                name = fh.read(name_len).decode("utf-8")
+                (rank,) = _read(fh, "<B")
+                dims = _read(fh, f"<{rank}I")
+                offset += 3 + name_len + 4 * rank
+                nbytes = 4 * math.prod(dims)
+                if offset + nbytes > size:  # before anything of that size is allocated
+                    raise CheckpointError(f"{path}: truncated checkpoint (entry {name!r} of shape {dims})")
+                arr = into.get(name)
+                if not (
+                    arr is not None
+                    and arr.shape == dims
+                    and arr.dtype == _ENTRY_DTYPE
+                    and arr.flags.c_contiguous
+                    and arr.flags.writeable
+                ):
+                    arr = np.empty(dims, dtype=_ENTRY_DTYPE)
+                if fh.readinto(arr) != nbytes:  # the file shrank since fstat
+                    raise CheckpointError(f"{path}: truncated checkpoint (entry {name!r} of shape {dims})")
+                out[name] = arr
+                offset += nbytes
+            if offset != size:
+                raise CheckpointError(f"{path}: {size - offset} trailing bytes after last entry")
+        except struct.error as exc:
+            raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: entry name is not UTF-8 ({exc})") from exc
+        except ValueError as exc:  # an empty entry whose other dims overflow numpy's size limit
+            raise CheckpointError(f"{path}: impossible tensor shape ({exc})") from exc
     return out
 
 
@@ -130,9 +177,11 @@ def apply_model_state(model: Module, loaded: Mapping[str, np.ndarray], source: s
         arr = loaded[name]
         if arr.shape != p.data.shape:
             raise CheckpointError(f"{source}: {name} has shape {arr.shape}, expected {p.data.shape}")
-        p.data = arr.astype(p.data.dtype)
+        if arr is not p.data:  # else ``load_tensors`` already read it in place
+            p.data = arr.astype(p.data.dtype)
     for name, buf in model.named_buffers():
         arr = loaded[name]
         if arr.shape != buf.shape:
             raise CheckpointError(f"{source}: {name} has shape {arr.shape}, expected {buf.shape}")
-        buf[...] = arr.astype(buf.dtype)
+        if arr is not buf:
+            buf[...] = arr.astype(buf.dtype)

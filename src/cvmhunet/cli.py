@@ -20,7 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, apply_model_state, load_tensors, model_state, save_tensors
+from .checkpoint import (
+    CheckpointError,
+    apply_model_state,
+    load_tensors,
+    model_state,
+    replacing,
+    save_tensors,
+)
 from .data import (
     AugmentConfig,
     DataError,
@@ -165,28 +172,40 @@ def _save_run_checkpoint(
             tensors[f"optim.{k}"] = v
     save_tensors(str(path), tensors)
     meta = {**meta, "model": model.config.to_dict()}
-    _sidecar(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    with replacing(_sidecar(path), "w") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _load_run_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """(sidecar metadata, model state, optimizer state) from a train checkpoint."""
+def _read_sidecar(path: Path) -> dict:
     side = _sidecar(path)
     if not side.exists():
         raise CliError(f"{path}: missing sidecar {side.name} (not a training checkpoint?)", EXIT_IO)
     meta = _read_json(side)
-    tensors = load_tensors(str(path))
+    if not isinstance(meta, dict) or not isinstance(meta.get("model", {}), dict):
+        raise CliError(f"{side}: sidecar must be a JSON object with an object 'model'", EXIT_IO)
+    return meta
+
+
+def _restore(path: Path, model: CVMHUNet, optimizer: AdamW | None = None) -> None:
+    """Read a train checkpoint into ``model`` (and ``optimizer``), each entry straight into its array."""
+    into = {f"model.{k}": v for k, v in model_state(model).items()}
+    if optimizer is not None:
+        into.update((f"optim.{k}", v) for k, v in optimizer.state_tensors().items())
+    tensors = load_tensors(str(path), into=into)
     model_part = {k[len("model.") :]: v for k, v in tensors.items() if k.startswith("model.")}
     optim_part = {k[len("optim.") :]: v for k, v in tensors.items() if k.startswith("optim.")}
     if not model_part:
         raise CliError(f"{path}: no model tensors found", EXIT_IO)
-    return meta, model_part, optim_part
+    apply_model_state(model, model_part, source=str(path))
+    if optimizer is not None and optim_part:
+        optimizer.load_state_tensors(optim_part)
 
 
 def _model_from_checkpoint(path: Path) -> tuple[CVMHUNet, dict]:
-    meta, model_part, _ = _load_run_checkpoint(path)
+    meta = _read_sidecar(path)
     cfg = _build_network_config(meta.get("model", {}))
-    model = CVMHUNet(cfg, seed=int(meta.get("seed", 0)))
-    apply_model_state(model, model_part, source=str(path))
+    model = CVMHUNet(cfg, seed=None)  # the strict load overwrites every parameter
+    _restore(path, model)
     return model, meta
 
 
@@ -231,7 +250,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = CVMHUNet(net_cfg, seed=seed)
+    meta = _read_sidecar(Path(args.resume)) if getattr(args, "resume", None) else None
+    if meta is not None and meta.get("model") != net_cfg.to_dict():
+        raise CliError(
+            f"{args.resume}: checkpoint model config differs from the requested one",
+            EXIT_CONFIG,
+        )
+    model = CVMHUNet(net_cfg, seed=None if meta is not None else seed)
     optimizer = AdamW(
         model.parameters(),
         lr=float(train["lr"]),
@@ -239,17 +264,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     rng = np.random.default_rng(seed)
     best_total, best_step, start_step = np.inf, 0, 0
-    if getattr(args, "resume", None):
-        meta, model_part, optim_part = _load_run_checkpoint(Path(args.resume))
-        if meta.get("model") != net_cfg.to_dict():
-            raise CliError(
-                f"{args.resume}: checkpoint model config differs from the requested one",
-                EXIT_CONFIG,
-            )
+    if meta is not None:
         try:
-            apply_model_state(model, model_part, source=args.resume)
-            if optim_part:
-                optimizer.load_state_tensors(optim_part)
+            _restore(Path(args.resume), model, optimizer)
         except (CheckpointError, ValueError) as e:
             raise CliError(str(e), EXIT_IO) from e
         # continue the step count, the batch stream and the best-so-far where the saved run stopped

@@ -244,12 +244,27 @@ class AddFusion(Module):
 # ---------------------------------------------------------------------------
 
 
+class _Undrawn:
+    """Stands in for the init generator of a model whose weights a checkpoint will overwrite.
+
+    ``uniform`` returns zeros of the requested shape and draws nothing; it is
+    the only draw the init sites make, so a new site that calls anything
+    else fails with ``AttributeError`` instead of silently drawing.
+    """
+
+    __slots__ = ()
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return np.zeros(size, dtype=np.float32)
+
+
 class CVMHUNet(Module):
     IN_CHANNELS = 3
 
-    def __init__(self, config: NetworkConfig, seed: int = 0):
+    def __init__(self, config: NetworkConfig, seed: int | None = 0):
+        """``seed=None`` skips the random init: for a model a strict checkpoint load will fill."""
         super().__init__()
-        rng = np.random.default_rng(seed)
+        rng = _Undrawn() if seed is None else np.random.default_rng(seed)
         self.config = config
         c = config.embed_dim
 

@@ -113,7 +113,8 @@ class AdamW:
                     raise ValueError(
                         f"optimizer moment {key} has shape {arr.shape}, parameter is {p.data.shape}"
                     )
-                attr[i] = arr.astype(p.data.dtype)
+                if arr is not attr[i]:  # else ``load_tensors`` already read it in place
+                    attr[i] = arr.astype(p.data.dtype)
 
 
 def _shaped_like(buf: np.ndarray, like: np.ndarray) -> np.ndarray:

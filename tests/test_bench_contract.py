@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvmhunet import cli
 from cvmhunet.network import CVMHUNet, NetworkConfig
 from cvmhunet.tensor import Tensor
 
@@ -56,3 +57,21 @@ def test_traced_forward_covers_the_analytic_macs():
     # (five per forward) is all; run.py's per-layer report reads this span unconditionally
     moves = t.summary().get("tensor.moveaxis", {"calls": 0})["calls"]
     assert 1 <= moves <= 5, f"{moves} moveaxis calls in one forward"
+
+
+def test_checkpoint_spans_record_the_file_size(tmp_path):
+    # the spans read the size of their first argument after the call returns, so a
+    # save that leaves its file elsewhere or a load handed another argument shows here
+    cfg = NetworkConfig(embed_dim=8, num_classes=3, input_size=(32, 32), state_dim=4, scan_block=16, freq_k=4)
+    path = tmp_path / "best.cvck"
+    t = Tracer(spans=True)
+    try:
+        workloads.install(t, workloads.WORKLOADS["tile_eval"])
+        cli._save_run_checkpoint(path, CVMHUNet(cfg, seed=0), None, None, {"seed": 0})
+        cli._model_from_checkpoint(path)
+    finally:
+        t.restore()
+    summary = t.summary()
+    size = path.stat().st_size
+    assert summary["checkpoint.save_tensors"]["info"] == [size]
+    assert summary["checkpoint.load_tensors"]["info"] == [size]

@@ -1,12 +1,14 @@
-"""CVCK tensor files: exact byte layout on save, only ``CheckpointError`` on bad input."""
+"""CVCK tensor files: exact byte layout on save, atomic saves, in-place loads, only ``CheckpointError`` on bad input."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cvmhunet import checkpoint
 from cvmhunet.checkpoint import CheckpointError, load_tensors, save_tensors
 
 
@@ -23,6 +25,30 @@ def entry(name: str, dims: tuple, values) -> bytes:
 def two_tensor_file(path) -> bytes:
     save_tensors(str(path), {"model.w": np.arange(6, dtype=np.float32).reshape(2, 3), "optim.step": np.array([7.0])})
     return path.read_bytes()
+
+
+def two_tensor_targets() -> dict[str, np.ndarray]:
+    """Arrays that ``two_tensor_file``'s entries fit exactly."""
+    return {"model.w": np.zeros((2, 3), dtype=np.float32), "optim.step": np.zeros(1, dtype=np.float32)}
+
+
+class WritesFailAfter:
+    """A file whose ``write`` raises once ``n`` writes have gone through."""
+
+    def __init__(self, fh, n: int):
+        self.fh, self.left = fh, n
+
+    def write(self, data):
+        if self.left == 0:
+            raise OSError("no space left on device")
+        self.left -= 1
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
 
 
 class TestSave:
@@ -54,6 +80,59 @@ class TestSave:
         assert back["one"].shape == (1,)
 
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.cvck"
+        before = two_tensor_file(path)
+        real_open = open
+        # the file header, then the first entry's header and payload
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: WritesFailAfter(real_open(*a, **k), 3), raising=False)
+        tensors = {"a": np.ones(3, dtype=np.float32), "b": np.zeros((2, 2), dtype=np.float32)}
+        with pytest.raises(OSError, match="no space"):
+            save_tensors(str(path), tensors)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cvck"]
+
+    def test_save_replaces_the_previous_file(self, tmp_path):
+        path = tmp_path / "c.cvck"
+        two_tensor_file(path)
+        save_tensors(str(path), {"a": np.ones(3, dtype=np.float32)})
+        assert list(load_tensors(str(path))) == ["a"]
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cvck"]
+
+
+class TestLoadInto:
+    def test_fills_matching_arrays_in_place(self, tmp_path):
+        two_tensor_file(tmp_path / "t.cvck")
+        into = two_tensor_targets()
+        back = load_tensors(str(tmp_path / "t.cvck"), into=into)
+        assert back["model.w"] is into["model.w"] and back["optim.step"] is into["optim.step"]
+        assert np.array_equal(into["model.w"], np.arange(6).reshape(2, 3))
+        assert np.array_equal(into["optim.step"], [7.0])
+
+    @pytest.mark.parametrize(
+        "name, target",
+        [
+            ("model.v", np.zeros((2, 3), dtype=np.float32)),  # other name
+            ("model.w", np.zeros((3, 2), dtype=np.float32)),  # other shape
+            ("model.w", np.zeros((2, 3), dtype=np.float64)),  # other dtype
+            ("model.w", np.zeros((3, 2), dtype=np.float32).T),  # not contiguous
+            ("model.w", np.broadcast_to(np.float32(0), (2, 3))),  # read-only
+        ],
+    )
+    def test_fresh_array_when_the_target_does_not_fit(self, tmp_path, name, target):
+        two_tensor_file(tmp_path / "t.cvck")
+        back = load_tensors(str(tmp_path / "t.cvck"), into={name: target})
+        assert back["model.w"] is not target and back["model.w"].dtype == np.float32
+        assert np.array_equal(back["model.w"], np.arange(6).reshape(2, 3))
+        assert not target.any()
+
+    def test_rank_zero_entry_fills_in_place(self, tmp_path):
+        save_tensors(str(tmp_path / "s.cvck"), {"s": np.array(-1.5)})
+        target = np.zeros((), dtype=np.float32)
+        back = load_tensors(str(tmp_path / "s.cvck"), into={"s": target})
+        assert back["s"] is target and float(target) == -1.5
+
+
 class TestLoadRejects:
     def test_truncated_payload(self, tmp_path):
         blob = two_tensor_file(tmp_path / "t.cvck")
@@ -82,12 +161,26 @@ class TestLoadRejects:
         with pytest.raises(CheckpointError, match="impossible tensor shape"):
             load_tensors(str(tmp_path / "z.cvck"))
 
+    def test_oversized_entry_raises_before_allocating(self, tmp_path):
+        dims = (1024, 1024, 64)  # 256 MiB of payload claimed, 64 bytes present
+        blob = b"CVCK" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x" + struct.pack("<B3I", 3, *dims)
+        (tmp_path / "o.cvck").write_bytes(blob + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_tensors(str(tmp_path / "o.cvck"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak} bytes allocated for a file of {len(blob) + 64}"
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         cut=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
         flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)), max_size=4),
+        into=st.booleans(),
     )
-    def test_mutations_raise_only_checkpoint_error(self, tmp_path, cut, flips):
+    def test_mutations_raise_only_checkpoint_error(self, tmp_path, cut, flips, into):
         blob = bytearray(two_tensor_file(tmp_path / "valid.cvck"))
         for pos, mask in flips:
             blob[pos % len(blob)] ^= mask
@@ -95,6 +188,6 @@ class TestLoadRejects:
             blob = blob[: cut % len(blob)]
         (tmp_path / "m.cvck").write_bytes(bytes(blob))
         try:
-            load_tensors(str(tmp_path / "m.cvck"))
+            load_tensors(str(tmp_path / "m.cvck"), into=two_tensor_targets() if into else None)
         except CheckpointError:
             pass  # a mutation the format cannot see (no checksum) may load

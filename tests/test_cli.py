@@ -4,22 +4,30 @@ import json
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cvmhunet
-from cvmhunet.checkpoint import load_tensors, save_tensors
-from cvmhunet.cli import main
+from cvmhunet.checkpoint import apply_model_state, load_tensors, model_state, save_tensors
+from cvmhunet.cli import _model_from_checkpoint, _predict_logits, _save_run_checkpoint, main
 from cvmhunet.data import (
+    AugmentConfig,
+    DataError,
     DatasetManifest,
+    load_pair,
     palette_to_labels,
     read_ppm,
     save_cvtn,
     synth_generate,
+    write_pgm,
+    write_ppm,
 )
-from cvmhunet.network import NetworkConfig, param_count
+from cvmhunet.network import CVMHUNet, NetworkConfig, param_count
 
 TINY_MODEL = {
     "embed_dim": 8,
@@ -28,6 +36,8 @@ TINY_MODEL = {
     "scan_block": 16,
     "freq_k": 4,
 }
+# README desk config
+DESK_MODEL = {"embed_dim": 16, "input_size": [64, 64], "state_dim": 8, "scan_block": 32, "num_classes": 4}
 
 
 def write_config(tmp_path, **extra):
@@ -96,6 +106,13 @@ class TestTrain:
         assert (dataset / "run" / "last.cvck").exists()
         assert (dataset / "run" / "best.cvck").exists()
         assert (dataset / "run" / "last.json").exists()
+
+    def test_saves_leave_no_temp_files(self, dataset, capsys):
+        cfg = write_config(dataset)
+        assert main(["train", "--config", str(cfg), "--steps", "1"]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in (dataset / "run").iterdir())
+        assert names == ["best.cvck", "best.json", "last.cvck", "last.json", "loss.csv"]
 
     def test_flag_overrides_config(self, dataset, capsys):
         cfg = write_config(dataset)
@@ -370,6 +387,14 @@ class TestEvalPredict:
         capsys.readouterr()
         assert (trained / "ppm.cvtn").read_bytes() == (trained / "cvtn.cvtn").read_bytes()
 
+    @pytest.mark.parametrize("sidecar", ["[1]", '{"model": 5}'])
+    def test_malformed_sidecar_exits_4(self, trained, capsys, sidecar):
+        (trained / "run" / "last.json").write_text(sidecar)
+        ckpt = str(trained / "run" / "last.cvck")
+        assert main(["eval", "--checkpoint", ckpt, "--manifest", str(trained / "data" / "manifest.json")]) == 4
+        assert main(["train", "--config", str(write_config(trained)), "--steps", "1", "--resume", ckpt]) == 4
+        assert "sidecar must be a JSON object" in capsys.readouterr().err
+
     def test_eval_corrupted_checkpoint_exits_4(self, trained, capsys):
         ckpt = trained / "run" / "last.cvck"  # its sidecar last.json stays valid
         ckpt.write_bytes(ckpt.read_bytes()[:-2])
@@ -389,6 +414,71 @@ class TestEvalPredict:
         assert code == 4
         capsys.readouterr()
 
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        which=st.sampled_from(["image", "label"]),
+        cut=st.one_of(st.none(), st.integers(min_value=0, max_value=100)),
+        flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)), max_size=4),
+    )
+    def test_eval_of_mutated_netpbm_exits_4(self, tmp_path, capsys, which, cut, flips):
+        rng = np.random.default_rng(1)
+        write_ppm(tmp_path / "img.ppm", rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8))
+        write_pgm(tmp_path / "lab.pgm", rng.integers(0, 2, size=(4, 5), dtype=np.uint8))
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "pairs": [{"image": "img.ppm", "label": "lab.pgm"}],
+            "num_classes": 2,
+            "palette": [[0, 0, 0], [255, 255, 255]],
+        }))
+        path = tmp_path / ("img.ppm" if which == "image" else "lab.pgm")
+        blob = bytearray(path.read_bytes())
+        for pos, mask in flips:
+            blob[pos % len(blob)] ^= mask
+        if cut is not None:
+            blob = blob[: cut % len(blob)]
+        path.write_bytes(bytes(blob))
+        try:
+            load_pair(tmp_path / "img.ppm", tmp_path / "lab.pgm", 2)
+            want = 0
+        except DataError:
+            want = 4
+        assert main(["eval", "--oracle", "--manifest", str(tmp_path / "manifest.json")]) == want
+        capsys.readouterr()
+
+
+class TestRestore:
+    def checkpoint(self, tmp_path, seed=3):
+        model = CVMHUNet(NetworkConfig.from_dict(DESK_MODEL), seed=seed)
+        _save_run_checkpoint(tmp_path / "best.cvck", model, None, None, {"seed": seed})
+        return model, tmp_path / "best.cvck"
+
+    def test_restore_holds_the_weights_about_once(self, tmp_path):
+        model, path = self.checkpoint(tmp_path)
+        param_bytes = sum(p.data.nbytes for p in model.parameters())
+        del model
+        tracemalloc.start()
+        try:
+            _model_from_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * param_bytes, f"restore peak is {peak / param_bytes:.2f}x the parameter bytes"
+
+    def test_unseeded_restore_equals_seeded(self, tmp_path):
+        saved, path = self.checkpoint(tmp_path)
+        restored, _ = _model_from_checkpoint(path)
+        seeded = CVMHUNet(saved.config, seed=11)
+        apply_model_state(seeded, {k[len("model."):]: v for k, v in load_tensors(str(path)).items()})
+        want = model_state(seeded)
+        got = model_state(restored)
+        assert list(got) == list(want)
+        for name, arr in got.items():
+            assert arr.dtype == want[name].dtype and arr.tobytes() == want[name].tobytes(), name
+        image = np.random.default_rng(0).random((3, 64, 96)).astype(np.float32)
+        restored.eval()
+        seeded.eval()
+        logits = [_predict_logits(m, image, AugmentConfig(), 2) for m in (restored, seeded)]
+        assert logits[0].tobytes() == logits[1].tobytes()
 
 class TestReports:
     def test_inspect_stage_plan(self, tmp_path, capsys):

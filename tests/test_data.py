@@ -44,6 +44,16 @@ def cvtn_header(dims, code=1) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def netpbm_file(path) -> bytes:
+    """A small valid PPM or PGM (by suffix) at ``path``; returns its bytes."""
+    if path.suffix == ".ppm":
+        write_ppm(path, rng(3).integers(0, 256, size=(4, 5, 3), dtype=np.uint8))
+    else:
+        write_pgm(path, rng(4).integers(0, 4, size=(4, 5), dtype=np.uint8))
+    return path.read_bytes()
+
+
+
 class TestNetpbm:
     def test_ppm_round_trip(self, tmp_path):
         img = rng(1).integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
@@ -100,6 +110,24 @@ class TestNetpbm:
     def test_missing_file_raises_dataerror(self, tmp_path):
         with pytest.raises(DataError):
             read_ppm(tmp_path / "nope.ppm")
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        kind=st.sampled_from(["ppm", "pgm"]),
+        cut=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
+        flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)), max_size=4),
+    )
+    def test_mutations_raise_only_data_error(self, tmp_path, kind, cut, flips):
+        blob = bytearray(netpbm_file(tmp_path / f"valid.{kind}"))
+        for pos, mask in flips:
+            blob[pos % len(blob)] ^= mask
+        if cut is not None:
+            blob = blob[: cut % len(blob)]
+        (tmp_path / f"m.{kind}").write_bytes(bytes(blob))
+        try:
+            (read_ppm if kind == "ppm" else read_pgm)(tmp_path / f"m.{kind}")
+        except DataError:
+            pass  # a mutation the format cannot see (no checksum) may load
 
 
 # ---------------------------------------------------------------------------

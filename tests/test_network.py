@@ -8,6 +8,7 @@ import pytest
 from cvmhunet.gradcheck import check_gradients
 from cvmhunet.network import (
     CVMHUNet,
+    _Undrawn,
     NetworkConfig,
     PatchEmbed,
     PatchExpand,
@@ -335,3 +336,18 @@ class TestCounters:
         other = NetworkConfig(**{**base, "enc_depths": (2, 2, 3, 2)})
         delta2 = param_count(other) - param_count(SMALL)
         assert delta > 0 and delta2 > delta  # wider stage => bigger block
+
+
+class TestUnseededInit:
+    def test_placeholder_draws_nothing_and_offers_only_uniform(self):
+        rng = _Undrawn()
+        draw = rng.uniform(-1.0, 1.0, size=(2, 3))
+        assert draw.shape == (2, 3) and not draw.any()
+        for name in ("normal", "standard_normal", "integers", "random", "choice", "permutation", "bit_generator"):
+            with pytest.raises(AttributeError):
+                getattr(rng, name)
+
+    def test_unseeded_model_has_the_seeded_layout(self):
+        seeded, unseeded = CVMHUNet(TINY, seed=0), CVMHUNet(TINY, seed=None)
+        want = [(n, p.data.shape, p.data.dtype) for n, p in seeded.named_parameters()]
+        assert [(n, p.data.shape, p.data.dtype) for n, p in unseeded.named_parameters()] == want

@@ -79,7 +79,6 @@ class TestSave:
         assert back["s"].shape == () and float(back["s"]) == -1.5
         assert back["one"].shape == (1,)
 
-
     def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "c.cvck"
         before = two_tensor_file(path)

@@ -301,7 +301,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             x = Tensor(np.stack(images))
             y = np.stack(labels)
 
-            model.zero_grad()  # before the forward: last step's grads need not sit under the activations
             total, ce, dice = segmentation_loss(model(x), y, loss_cfg)
             total_v = float(total.data)
             if not np.isfinite(total_v):
@@ -313,8 +312,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 return EXIT_NUMERIC
             csv_file.write(f"{step},{float(ce.data)!r},{float(dice.data)!r},{total_v!r}\n")
 
-            total.backward()
-            optimizer.step()
+            optimizer.step(total)  # backward and update in one sweep; its return ends the step
 
             if total_v < best_total:
                 best_total = total_v

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .tensor import Parameter
+from .tensor import Parameter, Tensor
 
 __all__ = ["AdamW"]
 
@@ -46,30 +46,41 @@ class AdamW:
         for p in self.params:
             p.grad = None
 
-    def step(self) -> None:
+    def step(self, loss: Tensor | None = None) -> None:
         """One in-place update, ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
 
-        Temporaries go into two scratch buffers sized to the largest parameter
-        or grad, allocated per call so that nothing stays resident between
-        steps.  Each op runs in the dtype the expression with fresh
-        temporaries would use, so the result is bitwise the same: the moment
-        increments in the grad's dtype (a float64 grad of a float32
-        parameter stays float64 until it is added), the update in the
-        parameter's.
+        With a ``loss``, the step runs ``loss.backward`` itself and updates
+        each parameter inside the sweep, as soon as its grad is final, then
+        drops that grad (``p.grad = None``), so no grad outlives its update
+        and the full set of grads never exists at once (LOMO, arXiv
+        2306.09782).  This needs what ``Tensor.backward`` states for
+        ``on_leaf``: no closure reads a parameter's data except through the
+        graph.  Parameters the sweep did not finish (no grad reached them,
+        or the loss does not depend on them) then go through the loop that
+        is all of a call without a loss: it updates each parameter that has
+        a grad, keeps that grad, and warns about the others.  Parameters
+        are independent, so the order of the updates does not change them.
+
+        Temporaries go into two scratch buffers that grow to the largest
+        parameter or grad met so far; they are per call, so nothing stays
+        resident between steps.  Each op runs in the dtype the expression
+        with fresh temporaries would use, so the result is bitwise the same:
+        the moment increments in the grad's dtype (a float64 grad of a
+        float32 parameter stays float64 until it is added), the update in
+        the parameter's.
         """
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        nbytes = max(x.nbytes for p in self.params for x in (p.data, p.grad) if x is not None)
-        scratch = np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8)
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                warnings.warn(
-                    f"adamw: parameter {p.name or i} has no gradient; skipped", stacklevel=2
-                )
-                continue
+        scratch: list[np.ndarray] = []
+        done = [False] * len(self.params)
+
+        def update(i: int, p: Parameter) -> None:
             g = p.grad
+            nbytes = max(p.data.nbytes, g.nbytes)
+            if not scratch or scratch[0].nbytes < nbytes:
+                scratch[:] = np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8)
             if not p.weight_decay_exempt and self.weight_decay != 0.0:
                 p.data *= 1.0 - self.lr * self.weight_decay
             m, v = self._m[i], self._v[i]
@@ -89,6 +100,27 @@ class AdamW:
             a /= b
             a *= self.lr
             p.data -= a
+
+        if loss is not None:
+            index = {id(p): i for i, p in enumerate(self.params)}
+
+            def on_leaf(leaf: Tensor) -> None:
+                i = index.get(id(leaf))
+                if i is not None and leaf.grad is not None:
+                    update(i, leaf)
+                    leaf.grad = None
+                    done[i] = True
+
+            loss.backward(on_leaf=on_leaf)
+        for i, p in enumerate(self.params):
+            if done[i]:
+                continue
+            if p.grad is None:
+                warnings.warn(
+                    f"adamw: parameter {p.name or i} has no gradient; skipped", stacklevel=2
+                )
+                continue
+            update(i, p)
 
     # -- persistence (arrays suitable for the tensor checkpoint format) ----------
 

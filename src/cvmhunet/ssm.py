@@ -13,8 +13,8 @@ injection uses the Euler/simplified form ``dt * B``.
 The scan runs time-major and channel-minor: propagators and states are
 built as C-contiguous (steps, N, S, D) buffers, so every broadcast runs
 along the contiguous channel axis and one in-place kernel, ``_scan``,
-updates a contiguous (N, S, D) slice per step for the forward, the reversed
-adjoint and ``first_order_scan``.  Every pass runs over a tile of at most
+updates a contiguous (N, S, D) slice per step for the forward and the
+reversed adjoint.  Every pass runs over a tile of at most
 ``TILE_BYTES``, so a tile's data stays in L2 from one pass to the next, and
 the tile buffers are reused.  A forward that a backward can follow keeps
 only the state entering each chunk of ``block`` steps; the backward rebuilds
@@ -35,7 +35,6 @@ from .tensor import Parameter, Tensor, is_grad_enabled
 
 __all__ = [
     "sequential_scan",
-    "first_order_scan",
     "selective_scan",
     "DirectionalSSM",
     "default_dt_rank",
@@ -91,25 +90,6 @@ def _time_major(x: np.ndarray) -> np.ndarray:
 
 def _time_last(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, 0, -1))
-
-
-def first_order_scan(a: np.ndarray, b: np.ndarray, block: int = DEFAULT_SCAN_BLOCK) -> np.ndarray:
-    """``h_t = a_t * h_{t-1} + b_t`` with ``h_{-1} = 0``; last axis is time.
-
-    Moves time to the front, runs ``_scan`` and moves it back, so the result
-    equals ``sequential_scan`` bitwise.  ``block`` must be >= 1; the result
-    does not depend on it.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"scan inputs must share a shape, got {a.shape} vs {b.shape}")
-    if a.shape[-1] == 0:
-        return b.copy()
-    if block < 1:
-        raise ValueError(f"scan block size must be >= 1, got {block}")
-    # a trailing unit axis keeps every step an array view, also for 1-D input
-    h = np.moveaxis(b, -1, 0)[..., None].copy()
-    _scan(np.moveaxis(a, -1, 0)[..., None], h, np.zeros(h.shape[1:], dtype=h.dtype))
-    return _time_last(h[..., 0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ backward reads is freed as soon as the forward drops its tensor.
 in reverse order.  Each popped node passes its grad on to its parents and
 drops its grad, edges and closure, so what it saved is freed during the
 sweep, not when ``backward()`` returns.  Grads accumulate into every
-reachable leaf.
+reachable leaf.  While ordering, the sweep counts each leaf's edges; once
+the last node with an edge to a leaf is popped, that leaf's grad is final,
+and ``backward(on_leaf=...)`` hands the leaf over right then, so an
+optimizer can update it and drop its grad inside the sweep.
 
 float32 is the working precision; float64 is supported throughout so that
 finite-difference gradient checks can run at full accuracy.
@@ -344,10 +347,18 @@ class Tensor:
 
     # -- autodiff ---------------------------------------------------------------
 
-    def backward(self) -> None:
+    def backward(self, on_leaf: Callable[["Tensor"], None] | None = None) -> None:
         """Backpropagate from a scalar, filling grads of reachable tensors.
 
         Repeated calls without clearing accumulate into existing grads.
+        ``on_leaf(leaf)`` is called once for every leaf the loss depends on,
+        as soon as the last node with an edge to it has been popped, whether
+        or not a grad reached it: its ``grad`` is then final (or ``None``).
+        The callback may change ``leaf.data`` in place, because every node
+        whose closure reads that array, or a view of it, has an edge to the
+        leaf (or to a node between the two) and was popped before.  That
+        holds as long as no closure reads a leaf's data that it did not get
+        through the graph.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -356,9 +367,12 @@ class Tensor:
         seed = np.ones_like(self.data)
         self.grad = seed if self.grad is None else self.grad + seed
         if self._node is None:  # a leaf: nothing to pass on
+            if on_leaf is not None:
+                on_leaf(self)
             return
         topo: list[_Node] = []
         visited: set[int] = set()
+        pending: dict[int, int] = {}  # id of a leaf -> edges to it from nodes not yet popped
         stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
@@ -370,20 +384,28 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node.parents:
-                if type(parent) is _Node and id(parent) not in visited:
-                    stack.append((parent, False))
+                if type(parent) is _Node:
+                    if id(parent) not in visited:
+                        stack.append((parent, False))
+                elif parent is not None:
+                    pending[id(parent)] = pending.get(id(parent), 0) + 1
 
         self._node.grad = self.grad
         while topo:  # popped in reverse topological order; a finished node keeps nothing
             node = topo.pop()
             grad, backward, parents = node.grad, node.backward, node.parents
             node.grad, node.backward, node.parents = None, None, ()
-            if backward is None or grad is None:
-                continue
-            for parent, g in zip(parents, backward(grad)):
-                if parent is None or g is None:
+            grads = () if backward is None or grad is None else backward(grad)
+            for parent, g in zip(parents, grads):
+                if parent is not None and g is not None:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            grad = backward = grads = g = None  # free the closure and the grads before a leaf is handed over
+            for parent in parents:
+                if parent is None or type(parent) is _Node:
                     continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+                pending[id(parent)] -= 1
+                if not pending[id(parent)] and on_leaf is not None:
+                    on_leaf(parent)
 
 
 class Parameter(Tensor):

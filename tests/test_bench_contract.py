@@ -7,6 +7,7 @@ moves one of them fails here instead of only in a benchmark run.  The tests
 only read ``perfbench/``.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from cvmhunet import cli
+from cvmhunet.data import synth_generate
 from cvmhunet.network import CVMHUNet, NetworkConfig
 from cvmhunet.tensor import Tensor
 
@@ -75,3 +77,25 @@ def test_checkpoint_spans_record_the_file_size(tmp_path):
     size = path.stat().st_size
     assert summary["checkpoint.save_tensors"]["info"] == [size]
     assert summary["checkpoint.load_tensors"]["info"] == [size]
+
+
+def test_one_op_boundary_per_training_step(tmp_path, capsys):
+    # perfbench times a training step from one return of AdamW.step to the next, so
+    # cvmh train must call it exactly once per step, with the backward inside or before it
+    synth_generate(tmp_path / "data", seed=1, n_images=2, size=32, n_classes=4)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"embed_dim": 8, "input_size": [32, 32], "state_dim": 4, "scan_block": 16, "freq_k": 4},
+        "train": {"steps": 3, "batch_size": 1, "lr": 0.003},
+        "manifest": str(tmp_path / "data" / "manifest.json"),
+        "seed": 0,
+        "out_dir": str(tmp_path / "run"),
+    }))
+    t = Tracer(spans=False)
+    try:
+        workloads.install(t, workloads.WORKLOADS["wide_train"])
+        assert cli.main(["train", "--config", str(config), "--steps", "3"]) == 0
+    finally:
+        t.restore()
+    capsys.readouterr()
+    assert len(t.op_ends) == 3

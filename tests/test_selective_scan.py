@@ -13,14 +13,19 @@ from cvmhunet.checkpoint import CheckpointError, apply_model_state, model_state
 from cvmhunet.gradcheck import DEFAULT_TOL, check_gradients
 from cvmhunet.module import init_linear
 from cvmhunet.scan import flatten_spatial, scan_orders, unflatten_spatial
-from cvmhunet.ssm import (
-    DirectionalSSM,
-    default_dt_rank,
-    first_order_scan,
-    selective_scan,
-    sequential_scan,
-)
+from cvmhunet.ssm import DirectionalSSM, default_dt_rank, selective_scan, sequential_scan
 from cvmhunet.tensor import Tensor, no_grad
+
+
+def kernel_scan(a, b):
+    """``h_t = a_t * h_{t-1} + b_t`` from ``h_{-1} = 0`` through the kernel ``ssm._scan``; last axis is time.
+
+    Time moves to the front with a trailing unit axis, so every step is an
+    array view, also for 1-D input.
+    """
+    h = np.moveaxis(b, -1, 0)[..., None].copy()
+    ssm._scan(np.moveaxis(a, -1, 0)[..., None], h, np.zeros(h.shape[1:], dtype=h.dtype))
+    return np.ascontiguousarray(np.moveaxis(h[..., 0], 0, -1))
 
 
 class TestHandTraces:
@@ -29,14 +34,13 @@ class TestHandTraces:
         b = np.array([1.0, 2.0, 3.0], dtype=np.float64)
         expected = [1.0, 2.5, 4.25]  # h = a*h + b from h=0
         np.testing.assert_allclose(sequential_scan(a, b), expected, atol=1e-12)
-        for block in (1, 2, 3):
-            np.testing.assert_allclose(first_order_scan(a, b, block), expected, atol=1e-12)
+        np.testing.assert_allclose(kernel_scan(a, b), expected, atol=1e-12)
 
     def test_scalar_scan_growth(self):
         a = np.array([2.0, 3.0, 4.0], dtype=np.float64)
         b = np.array([1.0, 1.0, 1.0], dtype=np.float64)
         expected = [1.0, 4.0, 17.0]
-        np.testing.assert_allclose(first_order_scan(a, b, 2), expected, atol=1e-12)
+        np.testing.assert_allclose(kernel_scan(a, b), expected, atol=1e-12)
 
     def test_selective_scan_scalar_trace(self):
         # dt = ln 2, A = -1  => propagator exp(-ln 2) = 1/2
@@ -75,9 +79,7 @@ class TestBlockedEqualsSequential:
             a = np.exp(-np.abs(rng.normal(size=lead + (length,)))).astype(np.float32)
             b = rng.normal(size=lead + (length,)).astype(np.float32)
             ref = sequential_scan(a, b)
-            for block in (1, 2, 3, 5, 8, 64, length):
-                got = first_order_scan(a, b, block)
-                np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5, err_msg=f"i={i} block={block}")
+            np.testing.assert_allclose(kernel_scan(a, b), ref, rtol=1e-5, atol=1e-5, err_msg=f"i={i}")
 
     def test_bitwise_identity_at_extreme_blocks(self):
         rng = np.random.default_rng(7)
@@ -85,28 +87,15 @@ class TestBlockedEqualsSequential:
             length = int(rng.integers(1, 80))
             a = np.exp(-np.abs(rng.normal(size=(3, length)))).astype(np.float32)
             b = rng.normal(size=(3, length)).astype(np.float32)
-            ref = sequential_scan(a, b)
-            np.testing.assert_array_equal(first_order_scan(a, b, 1), ref)
-            np.testing.assert_array_equal(first_order_scan(a, b, length), ref)
-
-    def test_block_larger_than_length_clamps(self):
-        a = np.full((4,), 0.5)
-        b = np.ones(4)
-        np.testing.assert_array_equal(first_order_scan(a, b, 1000), sequential_scan(a, b))
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="share a shape"):
-            first_order_scan(np.ones(3), np.ones(4))
-        with pytest.raises(ValueError, match="block size"):
-            first_order_scan(np.ones(3), np.ones(3), block=0)
+            np.testing.assert_array_equal(kernel_scan(a, b), sequential_scan(a, b))
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**16), length=st.integers(1, 60), block=st.integers(1, 70))
-    def test_agreement_property(self, seed, length, block):
+    @given(seed=st.integers(0, 2**16), length=st.integers(1, 60))
+    def test_agreement_property(self, seed, length):
         rng = np.random.default_rng(seed)
         a = np.exp(-np.abs(rng.normal(size=(2, length))))
         b = rng.normal(size=(2, length))
-        np.testing.assert_allclose(first_order_scan(a, b, block), sequential_scan(a, b), atol=1e-10)
+        np.testing.assert_allclose(kernel_scan(a, b), sequential_scan(a, b), atol=1e-10)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**16), length=st.integers(1, 200))
@@ -115,7 +104,7 @@ class TestBlockedEqualsSequential:
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.0, 0.99, size=(length,))
         b = rng.uniform(-1.0, 1.0, size=(length,))
-        h = first_order_scan(a, b, 16)
+        h = kernel_scan(a, b)
         assert np.all(np.abs(h) <= 100.0 + 1e-9)
 
 
@@ -183,16 +172,14 @@ class TestTimeMajorScan:
         length = 19
         a = rng.uniform(-1.0, 1.0, size=lead + (length,)).astype(np.float32)
         b = rng.normal(size=lead + (length,)).astype(np.float32)
-        ref = sequential_scan(a, b)
-        for block in (1, 4, length):
-            got = first_order_scan(a, b, block)
-            assert got.shape == a.shape and got.flags["C_CONTIGUOUS"]
-            np.testing.assert_array_equal(got, ref)
+        got = kernel_scan(a, b)
+        assert got.shape == a.shape and got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(got, sequential_scan(a, b))
 
     def test_first_order_scan_leaves_inputs_untouched(self):
         a = np.full(5, 0.5)
         b = np.arange(5.0)
-        first_order_scan(a, b, 2)
+        kernel_scan(a, b)
         np.testing.assert_array_equal(b, np.arange(5.0))
         np.testing.assert_array_equal(a, np.full(5, 0.5))
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvmhunet.optim import AdamW
 from cvmhunet.tensor import Parameter, Tensor, cat, is_grad_enabled, no_grad
 
 
@@ -162,6 +163,53 @@ class TestGradientSemantics:
         np.testing.assert_array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
 
 
+class TestOnLeaf:
+    """``backward(on_leaf=...)`` hands over each leaf once, when its grad is final."""
+
+    @staticmethod
+    def record(calls):
+        def on_leaf(leaf):
+            calls.append((leaf, None if leaf.grad is None else leaf.grad.copy()))
+
+        return on_leaf
+
+    def test_leaf_used_three_ways_is_called_once_with_its_whole_grad(self):
+        x = t([1.0, 2.0, 3.0])
+        w = t([[0.5], [2.0]])
+        # directly, through a view and through a broadcast add
+        loss = (x * 3.0).sum() + (x[1:] * 5.0).sum() + ((x + w) * 7.0).sum()
+        calls = []
+        loss.backward(on_leaf=self.record(calls))
+        assert sorted(id(leaf) for leaf, _ in calls) == sorted([id(x), id(w)])
+        grads = {id(leaf): g for leaf, g in calls}
+        np.testing.assert_array_equal(grads[id(x)], [3.0 + 14.0, 3.0 + 5.0 + 14.0, 3.0 + 5.0 + 14.0])
+        np.testing.assert_array_equal(grads[id(w)], [[21.0], [21.0]])
+        np.testing.assert_array_equal(grads[id(x)], x.grad)
+
+    def test_leaf_whose_consumer_returns_none_is_called_without_grad(self):
+        x, y = t([1.0, 2.0]), t([3.0, 4.0])
+        z = Tensor.from_op(x.data + y.data, (x, y), lambda g: (g, None))
+        calls = []
+        z.sum().backward(on_leaf=self.record(calls))
+        assert sorted(id(leaf) for leaf, _ in calls) == sorted([id(x), id(y)])
+        assert {id(leaf): g for leaf, g in calls}[id(y)] is None and y.grad is None
+
+    def test_loss_that_is_a_leaf_is_called_with_the_seed(self):
+        x = t(2.0)
+        calls = []
+        x.backward(on_leaf=self.record(calls))
+        assert len(calls) == 1 and calls[0][0] is x
+        np.testing.assert_array_equal(calls[0][1], 1.0)
+
+    def test_unreachable_leaf_is_never_called(self):
+        x, unused = t([1.0, 2.0]), t([5.0])
+        _ = unused * 2.0  # in a graph of its own, which the loss does not reach
+        calls = []
+        (x * x).sum().backward(on_leaf=self.record(calls))
+        assert len(calls) == 1 and calls[0][0] is x
+        np.testing.assert_array_equal(calls[0][1], [2.0, 4.0])
+
+
 class TestSavedMemory:
     """The graph keeps only what backward reads, and the sweep frees it as it goes."""
 
@@ -204,6 +252,44 @@ class TestSavedMemory:
         assert peak < 1.5 * activations, f"backward peak {peak / activations:.2f}x the activations"
         prod = np.prod([w.data for w in ws], axis=0)
         np.testing.assert_allclose(ws[0].grad, x.data * prod / ws[0].data, rtol=1e-5)
+
+
+    def test_step_with_loss_frees_each_grad_at_its_update(self):
+        # h - w reads nothing in backward, so the graph holds no activations: above it
+        # the step holds AdamW's two scratch buffers (each the size of a weight), the grad
+        # passed down the chain and the weights' grads
+        def run(fused):
+            rng = np.random.default_rng(0)
+            x = Tensor(rng.normal(size=self.N).astype(np.float32))
+            ws = [Parameter(rng.normal(size=self.N).astype(np.float32)) for _ in range(8)]
+            opt = AdamW(ws, lr=1e-3)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                h = x
+                for w in ws:
+                    h = h - w
+                loss = h.sum()
+                del h
+                graph = tracemalloc.get_traced_memory()[0] - before
+                tracemalloc.reset_peak()
+                if fused:
+                    opt.step(loss)
+                else:
+                    loss.backward()
+                    opt.step()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            return (peak - graph) / x.data.nbytes - 2.0, [w.data for w in ws]
+
+        held, fused = run(True)
+        held_separately, separate = run(False)
+        # the chain's grad and at most about 1.5 weights' grads, against all eight
+        assert held <= 2.5, f"{held:.2f} weights' worth of grads held at once"
+        assert held_separately >= 7.5, f"{held_separately:.2f} weights' worth of grads held at once"
+        for a, b in zip(fused, separate):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestGraphHooks:

@@ -6,6 +6,8 @@ import pytest
 from cvmhunet.gradcheck import check_gradients
 from cvmhunet.losses import LossConfig, ce_loss, dice_loss, segmentation_loss
 from cvmhunet.metrics import ConfusionMatrix, compute_metrics
+from cvmhunet.checkpoint import model_state
+from cvmhunet.network import CVMHUNet, NetworkConfig
 from cvmhunet.optim import AdamW
 from cvmhunet.tensor import Parameter, Tensor
 
@@ -247,6 +249,50 @@ class TestAdamW:
             np.testing.assert_array_equal(opt._m[i], ref_m[i])
             np.testing.assert_array_equal(opt._v[i], ref_v[i])
             np.testing.assert_array_equal(p.data, ref_p[i])
+
+    def test_step_with_loss_equals_backward_then_step_bitwise(self):
+        # the README desk config: stacked DirectionalSSM parameters, decay-exempt
+        # parameters and BatchNorm running statistics, trained for three steps
+        cfg = NetworkConfig(embed_dim=16, input_size=(64, 64), state_dim=8, scan_block=32, num_classes=4)
+        runs = []
+        for fused in (False, True):
+            model = CVMHUNet(cfg, seed=3)
+            model.train()
+            opt = AdamW(model.parameters(), lr=0.005)
+            data = rng(4)
+            for _ in range(3):
+                x = Tensor(data.normal(size=(2, 3, 64, 64)).astype(np.float32))
+                y = data.integers(0, 4, size=(2, 64, 64))
+                model.zero_grad()
+                total = segmentation_loss(model(x), y)[0]
+                if fused:
+                    opt.step(total)
+                    assert all(p.grad is None for p in model.parameters())
+                else:
+                    total.backward()
+                    opt.step()
+            runs.append((model_state(model), opt._m, opt._v))
+        (state, m, v), (fused_state, fused_m, fused_v) = runs
+        assert any(p.weight_decay_exempt for p in model.parameters())
+        assert any(k.endswith("running_mean") for k in state)
+        assert list(fused_state) == list(state)
+        for name, arr in state.items():
+            np.testing.assert_array_equal(fused_state[name], arr, err_msg=name)
+        for i in range(len(m)):
+            np.testing.assert_array_equal(fused_m[i], m[i])
+            np.testing.assert_array_equal(fused_v[i], v[i])
+
+    def test_step_with_loss_finishes_parameters_the_sweep_missed(self):
+        a = make_param([1.0, 2.0], name="used")
+        b = make_param([3.0], name="stale")
+        c = make_param([4.0], name="unused")
+        b.grad = np.array([0.5])  # from an earlier backward, outside this loss
+        opt = AdamW([a, b, c], lr=0.01, weight_decay=0.0)
+        with pytest.warns(UserWarning, match="unused"):
+            opt.step((a * a).sum())
+        assert a.grad is None and float(a.data[0]) != 1.0
+        assert b.grad is not None and float(b.data[0]) != 3.0
+        assert float(c.data[0]) == 4.0
 
     def test_zero_lr_is_identity(self):
         p = make_param([3.0, -2.0])

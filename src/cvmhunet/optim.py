@@ -69,8 +69,7 @@ class AdamW:
         float32 parameter stays float64 until it is added), the update in
         the parameter's.
         """
-        self.step_count += 1
-        t = self.step_count
+        t = self.step_count + 1
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         scratch: list[np.ndarray] = []
@@ -111,7 +110,8 @@ class AdamW:
                     leaf.grad = None
                     done[i] = True
 
-            loss.backward(on_leaf=on_leaf)
+            loss.backward(on_leaf=on_leaf)  # a loss it rejects leaves the optimizer as it was
+        self.step_count = t
         for i, p in enumerate(self.params):
             if done[i]:
                 continue

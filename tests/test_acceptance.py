@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import cvmhunet
+from cvmhunet import ssm
 from cvmhunet.blocks import BlockPair, CVSSBlock, CVSSConfig
 from cvmhunet.cli import main
 from cvmhunet.losses import LossConfig, ce_loss
@@ -31,7 +32,6 @@ from cvmhunet.mfms import (
 )
 from cvmhunet.network import NetworkConfig, flops_count, param_count
 from cvmhunet.scan import SCAN_MODES, scan_orders
-from cvmhunet import ssm
 from cvmhunet.ssm import sequential_scan
 from cvmhunet.tensor import Tensor
 
@@ -184,7 +184,7 @@ def test_06_scan_kernel_equivalence():
         a = rng.uniform(-1.0, 1.0, size=(n, d, s, length))
         b = rng.normal(size=(n, d, s, length))
         ref = sequential_scan(a, b)
-        rng.choice([1, 2, 3, 8, 32])  # the draw of a since removed block size; keeps the instances
+        rng.choice([1, 2, 3, 8, 32])  # once the block size; still drawn, so the 100 instances stay the same
         worst = max(worst, float(np.abs(kernel_scan(a, b) - ref).max()))
     assert worst < 1e-5
 

@@ -294,6 +294,13 @@ class TestAdamW:
         assert b.grad is not None and float(b.data[0]) != 3.0
         assert float(c.data[0]) == 4.0
 
+    def test_step_with_a_rejected_loss_changes_nothing(self):
+        p = make_param([1.0, 2.0])
+        opt = AdamW([p], lr=0.01)
+        with pytest.raises(ValueError, match="scalar"):
+            opt.step(p * 2.0)
+        assert opt.step_count == 0 and p.data.tolist() == [1.0, 2.0]
+
     def test_zero_lr_is_identity(self):
         p = make_param([3.0, -2.0])
         p.grad = np.array([1.0, 1.0])

@@ -2,11 +2,11 @@
 
 Feature maps are NCHW, and every dense map contracts the channel axis 1:
 ``linear`` takes (N, Din, *rest) to (N, Dout, *rest), so it runs on feature
-maps and (N, D, L) scan sequences as they are, and a 1x1 ``conv2d`` is the
-same kernel.  Larger convolutions gather sliding windows with numpy stride
-tricks and contract them with ``tensordot`` (BLAS); the depthwise one
-contracts contiguous tap slices of flat channel rows with a batched matmul.
-Backwards are analytic.
+maps and (N, D, L) scan sequences as they are.  Every convolution runs on one
+of two kernels: non-overlapping patches (1x1, and the strided patch embedding)
+are a space-to-depth reshape and that same channel GEMM; stride-1 convs (dense,
+depthwise and ``conv1d``) contract contiguous tap slices of flat channel rows
+with a batched matmul.  Backwards are analytic.
 Dtype follows the inputs, so every op runs in float64 when gradient checking.
 """
 
@@ -57,11 +57,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and 1x1 ``conv2d``.
+    """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and patch ``conv2d``.
 
-    ``weight`` is (O, I) or (O, I, 1, 1).  Each sample is one (O, I) @ (I, rest)
-    GEMM; an input with nothing after the channel axis, such as (N, I), is one
-    (N, I) @ (I, O) GEMM instead of N matrix-vector products.
+    ``weight`` is (O, I) or (O, C, s, s) with I = C * s * s.  Each sample is one
+    (O, I) @ (I, rest) GEMM; an input with nothing after the channel axis, such as
+    (N, I), is one (N, I) @ (I, O) GEMM instead of N matrix-vector products.
     """
     n, din = x.shape[:2]
     dout = weight.shape[0]
@@ -90,9 +90,19 @@ def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     return Tensor.from_op(out.reshape((n, dout) + x.shape[2:]), parents, backward)
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw]
+def _space_to_depth(x: Tensor, s: int) -> Tensor:
+    """(N, C, H, W) -> (N, C * s * s, H / s, W / s): channel ``c*s*s + i*s + j`` holds
+    pixel (i, j) of each s x s patch, the order in which an OIHW weight flattens to
+    (O, C * s * s)."""
+    n, c, h, w = x.shape
+    out = x.data.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 3, 5, 2, 4)
+    out = np.ascontiguousarray(out).reshape(n, c * s * s, h // s, w // s)
+
+    def backward(g):
+        dx = g.reshape(n, c, s, s, h // s, w // s).transpose(0, 1, 4, 2, 5, 3)
+        return (np.ascontiguousarray(dx).reshape(n, c, h, w),)
+
+    return Tensor.from_op(out, (x,), backward)
 
 
 def conv2d(
@@ -102,41 +112,26 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """Dense 2D cross-correlation, NCHW input, OIHW weight."""
+    """Dense 2D cross-correlation, NCHW input, OIHW weight.
+
+    Non-overlapping patches (a kernel equal to the stride, no padding; 1x1 is
+    stride 1) are a space-to-depth reshape and one channel GEMM; any other
+    kernel runs at stride 1 on the flat-tap kernel (``_tap_conv``), and any
+    other stride raises ``ValueError``.
+    """
     n, cin, h, w = x.shape
     cout, cw, kh, kw = weight.shape
     _require(cw == cin, f"conv2d: input channels {cin} != weight in-channels {cw}")
-    _require(h + 2 * padding >= kh and w + 2 * padding >= kw,
-             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-        return _channel_dense(x, weight, bias)
-    sh = sw = stride
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    win = _windows(xp, kh, kw, sh, sw)
-    out = np.tensordot(win, weight.data, axes=[(1, 4, 5), (1, 2, 3)])  # (N,H',W',O)
-    out = np.ascontiguousarray(np.moveaxis(out, 3, 1))
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
-    ho, wo = out.shape[2], out.shape[3]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g):
-        dw = np.tensordot(g, win, axes=[(0, 2, 3), (0, 2, 3)])  # (O,C,kh,kw)
-        t = np.tensordot(g, weight.data, axes=[(1,), (0,)])  # (N,H',W',C,kh,kw)
-        t = np.moveaxis(t, 3, 1)  # (N,C,H',W',kh,kw)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw] += t[:, :, :, :, i, j]
-        dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
-        if bias is None:
-            return np.ascontiguousarray(dx), dw
-        return np.ascontiguousarray(dx), dw, g.sum(axis=(0, 2, 3))
-
-    return Tensor.from_op(out, parents, backward)
+    if kh == kw == stride and padding == 0:
+        _require(h % stride == 0 and w % stride == 0,
+                 f"conv2d: input {h}x{w} is not a whole number of {stride}x{stride} patches")
+        return _channel_dense(_space_to_depth(x, stride) if stride > 1 else x, weight, bias)
+    _require(stride == 1, f"conv2d: stride {stride} needs a {stride}x{stride} kernel and no padding, "
+                          f"got {kh}x{kw} with padding {padding}")
+    return _tap_conv(x, weight, bias, (padding, padding))
 
 
-# Bytes of tap columns one channel block of ``depthwise_conv2d`` may copy:
+# Bytes of tap columns one group block of ``_correlate_rows`` may copy:
 # the block's columns and output then stay in a 2 MB L2 for its matmul.
 TAP_BLOCK_BYTES = 1 << 19
 
@@ -151,25 +146,87 @@ def _taps(rows: np.ndarray, start: int, wp: int, kh: int, kw: int, q: int) -> np
 
 
 def _correlate_rows(rows: np.ndarray, k: np.ndarray, wp: int, start: int, out: np.ndarray) -> None:
-    """``out[n, c, q] = sum_ij k[c, i, j] * rows[n, c, start + q + i * wp + j]``.
+    """``out[n, o, q] = sum_cij k[o, c, i, j] * rows[n, g * cg + c, start + q + i * wp + j]``,
+    with g the group of output channel o.
 
-    ``rows`` is (N, C, R) flat channel rows of row stride ``wp`` and ``out``
-    (N, C, Q).  Channels go in blocks of ``TAP_BLOCK_BYTES``: a block's
-    kh * kw tap slices are copied into one column buffer, which a batched
-    (1, kh * kw) @ (kh * kw, Q) matmul contracts while it is in cache.
+    ``rows`` is (N, C, R) flat channel rows of row stride ``wp``, ``k`` (O, cg, kh, kw)
+    in G = C / cg groups of O / G outputs each, and ``out`` (N, O, Q).  Groups go in
+    blocks of ``TAP_BLOCK_BYTES``: a block's cg * kh * kw tap slices per group are
+    copied into one column buffer, which a batched (O / G, cg * kh * kw) @
+    (cg * kh * kw, Q) matmul contracts while it is in cache.
     """
     n, c = rows.shape[:2]
-    kh, kw = k.shape[1:]
-    q = out.shape[-1]
-    taps = _taps(rows, start, wp, kh, kw, q)
-    kt = k.reshape(c, 1, kh * kw)
-    block = max(1, min(c, TAP_BLOCK_BYTES // (kh * kw * q * out.itemsize)))
-    cols = np.empty((block, kh, kw, q), out.dtype)
+    o, cg, kh, kw = k.shape
+    groups, q = c // cg, out.shape[-1]
+    taps = _taps(rows, start, wp, kh, kw, q).reshape(n, groups, cg, kh, kw, q)
+    kt = k.reshape(groups, o // groups, cg * kh * kw)
+    outg = out.reshape(n, groups, o // groups, q, copy=False)
+    block = max(1, min(groups, TAP_BLOCK_BYTES // (cg * kh * kw * q * out.itemsize)))
+    cols = np.empty((block, cg, kh, kw, q), out.dtype)
     for b in range(n):
-        for c0 in range(0, c, block):
-            c1 = min(c0 + block, c)
-            np.copyto(cols[: c1 - c0], taps[b, c0:c1])
-            np.matmul(kt[c0:c1], cols[: c1 - c0].reshape(c1 - c0, kh * kw, q), out=out[b, c0:c1, None])
+        for g0 in range(0, groups, block):
+            g1 = min(g0 + block, groups)
+            np.copyto(cols[: g1 - g0], taps[b, g0:g1])
+            np.matmul(kt[g0:g1], cols[: g1 - g0].reshape(g1 - g0, cg * kh * kw, q), out=outg[b, g0:g1])
+
+
+def _tap_conv(x: Tensor, weight: Tensor, bias: Tensor | None, padding: tuple[int, int]) -> Tensor:
+    """Stride-1 cross-correlation of (N, C, H, W) by an (O, cg, kh, kw) weight, zero
+    ``padding`` (rows, columns); cg = C is a dense conv, cg = 1 a depthwise one.
+    A 3-D input and weight (``conv1d``) are one-row images.
+
+    Each channel of the zero-padded input is one flat row of row stride
+    ``wp = w + 2 * pw``, so tap (i, j) is the contiguous slice of that row at
+    offset ``i * wp + j`` (``_correlate_rows``).  The output comes out in rows of
+    stride ``wp`` whose last ``kw - 1`` columns straddle a row edge and are
+    cropped.  The backward runs the same kernel with the taps mirrored and each
+    group's in/out channels swapped on ``g`` laid out in rows of stride ``wp``,
+    which gathers into ``dx`` what each tap scattered, and takes ``dw`` as one
+    dot product per weight.
+    """
+    n, c = x.shape[:2]
+    o, cg = weight.shape[:2]
+    h, w = x.shape[2:] if x.ndim == 4 else (1, x.shape[2])
+    kh, kw = weight.shape[2:] if weight.ndim == 4 else (1, weight.shape[2])
+    ph, pw = padding
+    hp, wp = h + 2 * ph, w + 2 * pw
+    _require(hp >= kh and wp >= kw, f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
+    ho, wo = hp - kh + 1, wp - kw + 1
+    m = ho * wp - kw + 1  # flat outputs whose taps all stay inside the padded row
+    xp = np.zeros((n, c, hp * wp), x.dtype)
+    xp.reshape(n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w] = x.data.reshape(n, c, h, w)
+    k = weight.data.reshape(o, cg, kh, kw)
+    dtype = np.result_type(xp, k)
+    flat = np.empty((n, o, ho * wp), dtype)
+    _correlate_rows(xp, k, wp, 0, flat[..., :m])
+    out = np.ascontiguousarray(flat.reshape(n, o, ho, wp)[..., :wo])
+    if bias is not None:
+        out += bias.data[:, None, None]
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    xshape, wshape = x.shape, weight.shape
+    groups = c // cg
+
+    def backward(g):
+        # g in rows of stride wp, zero in the cropped columns, after `lead` zeros:
+        # dx at padded flat position P is sum_oij k[o, c, kh-1-i, kw-1-j] * gbuf[o, P + i*wp + j]
+        g = g.reshape(n, o, ho, wo)
+        lead = (kh - 1) * wp + kw - 1
+        gbuf = np.zeros((n, o, lead + hp * wp), dtype)
+        gflat = gbuf[..., lead : lead + ho * wp]
+        gflat.reshape(n, o, ho, wp)[..., :wo] = g
+        kt = k.reshape(groups, o // groups, cg, kh, kw).swapaxes(1, 2).reshape(c, o // groups, kh, kw)
+        dflat = np.empty((n, c, h * wp), dtype)
+        span = (h - 1) * wp + w  # padded flat positions of the unpadded input, from its first
+        _correlate_rows(gbuf, kt[..., ::-1, ::-1], wp, ph * wp + pw, dflat[..., :span])
+        dx = dflat.reshape(n, c, h, wp)[..., :w].astype(xp.dtype).reshape(xshape)
+        taps = _taps(xp, 0, wp, kh, kw, m).reshape(n, groups, 1, cg, kh, kw, m)
+        gm = gflat[..., :m].reshape(n, groups, o // groups, 1, 1, 1, m)
+        dw = np.vecdot(taps, gm).sum(axis=0).reshape(wshape)
+        if bias is None:
+            return dx, dw
+        return dx, dw, g.sum(axis=(0, 2, 3))
+
+    return Tensor.from_op(out if x.ndim == 4 else out.reshape(n, o, wo), parents, backward)
 
 
 def depthwise_conv2d(
@@ -178,54 +235,11 @@ def depthwise_conv2d(
     bias: Tensor | None = None,
     padding: int = 0,
 ) -> Tensor:
-    """Per-channel 2D cross-correlation, stride 1; weight is (C, 1, kh, kw).
-
-    Each channel of the zero-padded input is one flat row of row stride
-    ``wp = w + 2 * padding``, so tap (i, j) is the contiguous slice of that
-    row at offset ``i * wp + j`` (``_correlate_rows``).  The output comes out
-    in rows of stride ``wp`` whose last ``kw - 1`` columns straddle a row edge
-    and are cropped.  The backward runs the same kernel with the taps mirrored
-    on ``g`` laid out in rows of stride ``wp``, which gathers into ``dx`` what
-    each tap scattered, and takes ``dw`` as one dot product per channel and tap.
-    """
-    n, c, h, w = x.shape
-    cw, one, kh, kw = weight.shape
-    _require(cw == c and one == 1,
+    """Per-channel 2D cross-correlation, stride 1; weight is (C, 1, kh, kw)."""
+    _, c, _, _ = x.shape
+    _require(weight.ndim == 4 and weight.shape[:2] == (c, 1),
              f"depthwise_conv2d: weight {weight.shape} incompatible with {c} channels")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    _require(hp >= kh and wp >= kw,
-             f"depthwise_conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    ho, wo = hp - kh + 1, wp - kw + 1
-    m = ho * wp - kw + 1  # flat outputs whose taps all stay inside the padded row
-    xp = np.zeros((n, c, hp * wp), x.dtype)
-    xp.reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w] = x.data
-    k3 = weight.data.reshape(c, kh, kw)
-    dtype = np.result_type(xp, k3)
-    flat = np.empty((n, c, ho * wp), dtype)
-    _correlate_rows(xp, k3, wp, 0, flat[..., :m])
-    out = np.ascontiguousarray(flat.reshape(n, c, ho, wp)[..., :wo])
-    if bias is not None:
-        out += bias.data[:, None, None]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    wshape = weight.shape
-
-    def backward(g):
-        # g in rows of stride wp, zero in the cropped columns, after `lead` zeros:
-        # dx at padded flat position P is sum_ij k[kh-1-i, kw-1-j] * gbuf[P + i*wp + j]
-        lead = (kh - 1) * wp + kw - 1
-        gbuf = np.zeros((n, c, lead + hp * wp), dtype)
-        gflat = gbuf[..., lead : lead + ho * wp]
-        gflat.reshape(n, c, ho, wp)[..., :wo] = g
-        dflat = np.empty((n, c, h * wp), dtype)
-        span = (h - 1) * wp + w  # padded flat positions of the unpadded input, from its first
-        _correlate_rows(gbuf, k3[:, ::-1, ::-1], wp, padding * wp + padding, dflat[..., :span])
-        dx = dflat.reshape(n, c, h, wp)[..., :w].astype(xp.dtype)
-        dw = np.vecdot(_taps(xp, 0, wp, kh, kw, m), gflat[:, :, None, None, :m]).sum(axis=0).reshape(wshape)
-        if bias is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3))
-
-    return Tensor.from_op(out, parents, backward)
+    return _tap_conv(x, weight, bias, (padding, padding))
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -235,27 +249,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
              f"conv1d: expected single-channel input/weight, got {x.shape} / {weight.shape}")
     k = weight.shape[2]
     _require(k % 2 == 1, f"conv1d: kernel size must be odd, got {k}")
-    pad = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad))) if pad else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # (N,1,L,k)
-    kern = weight.data.reshape(k)
-    out = win @ kern
-    if bias is not None:
-        out = out + bias.data[0]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    wshape = weight.shape
-
-    def backward(g):
-        dw = np.tensordot(g, win, axes=[(0, 1, 2), (0, 1, 2)]).reshape(wshape)
-        dxp = np.zeros_like(xp)
-        for j in range(k):
-            dxp[:, :, j : j + length] += g * kern[j]
-        dx = dxp[:, :, pad : pad + length] if pad else dxp
-        if bias is None:
-            return np.ascontiguousarray(dx), dw
-        return np.ascontiguousarray(dx), dw, np.asarray([g.sum()], dtype=g.dtype)
-
-    return Tensor.from_op(out, parents, backward)
+    return _tap_conv(x, weight, bias, (0, (k - 1) // 2))
 
 
 # ---------------------------------------------------------------------------

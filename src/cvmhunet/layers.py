@@ -30,12 +30,6 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
 
-    def zero_(self) -> "Linear":
-        self.weight.data = np.zeros_like(self.weight.data)
-        if self.bias is not None:
-            self.bias.data = np.zeros_like(self.bias.data)
-        return self
-
 
 class Conv2d(Module):
     def __init__(
@@ -57,12 +51,6 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def zero_(self) -> "Conv2d":
-        self.weight.data = np.zeros_like(self.weight.data)
-        if self.bias is not None:
-            self.bias.data = np.zeros_like(self.bias.data)
-        return self
 
 
 class DepthwiseConv2d(Module):

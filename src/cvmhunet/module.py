@@ -75,6 +75,12 @@ class Module:
         for p in self.parameters():
             p.grad = None
 
+    def zero_(self) -> "Module":
+        """Swap in zeroed arrays for this module's own parameters (not its children's)."""
+        for p in self._parameters.values():
+            p.data = np.zeros_like(p.data)
+        return self
+
     def to_dtype(self, dtype) -> "Module":
         """In-place dtype conversion of all parameters and float buffers."""
         for _, p in self.named_parameters():

@@ -81,6 +81,11 @@ class NetworkConfig:
             raise ValueError("stage depths must be >= 1")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
+        for name in ("state_dim", "ca_reduction", "mfms_reduction"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.effn_ratio > 0:
+            raise ValueError(f"effn_ratio must be > 0, got {self.effn_ratio}")
         if self.scan_mode not in SCAN_MODES:
             raise ValueError(f"scan_mode must be one of {SCAN_MODES}, got {self.scan_mode!r}")
         h, w = self.input_size
@@ -165,10 +170,7 @@ class PatchEmbed(Module):
         self.norm = LayerNorm(dim, axis=1)
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        if h % 4 != 0 or w % 4 != 0:
-            raise ValueError(f"patch embedding needs H,W divisible by 4, got {h}x{w}")
-        return self.norm(self.conv(x))
+        return self.norm(self.conv(x))  # conv2d rejects sides that are not whole patches
 
 
 class PatchMerge(Module):

@@ -82,10 +82,10 @@ def test_linear(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (4, 0)])
+@pytest.mark.parametrize("stride,padding", [(1, 1), (1, 3), (4, 0)])
 def test_conv2d(seed, stride, padding):
     rng = np.random.default_rng(seed)
-    kh = 4 if (stride == 4) else 3
+    kh = stride if stride > 1 else 2 * padding + 1  # patches, or a same-padded 3x3 / 7x7
     x = leaf(rng, (2, 3, 8, 8))
     w = leaf(rng, (4, 3, kh, kh), scale=0.5)
     b = leaf(rng, (4,))

@@ -244,11 +244,12 @@ class TestTrain:
 
     def test_invalid_model_config_is_usage_error(self, dataset, capsys):
         cfg = write_config(dataset)
-        doc = json.loads(cfg.read_text())
-        doc["model"]["embed_dim"] = 6
-        cfg.write_text(json.dumps(doc))
-        assert main(["train", "--config", str(cfg)]) == 2
-        capsys.readouterr()
+        good = json.loads(cfg.read_text())
+        for field, value in [("embed_dim", 6), ("state_dim", 0), ("ca_reduction", 0), ("mfms_reduction", 0),
+                             ("effn_ratio", 0), ("effn_ratio", -1)]:
+            cfg.write_text(json.dumps({**good, "model": {**good["model"], field: value}}))
+            assert main(["train", "--config", str(cfg)]) == 2, (field, value)
+            assert field in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

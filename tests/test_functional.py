@@ -70,6 +70,23 @@ def depthwise_backward_naive(x, w, g, padding):
     return dxp[:, :, padding : padding + h, padding : padding + ww], dw, g.sum(axis=(0, 2, 3))
 
 
+def conv2d_backward_naive(x, w, g, stride, padding):
+    """dx, dw, db of ``conv2d_naive`` for the output grad ``g``, one output at a time."""
+    n, cin, h, ww = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for ni in range(n):
+        for oi in range(cout):
+            for yi in range(g.shape[2]):
+                for xi in range(g.shape[3]):
+                    rows, cols = slice(yi * stride, yi * stride + kh), slice(xi * stride, xi * stride + kw)
+                    dxp[ni, :, rows, cols] += g[ni, oi, yi, xi] * w[oi]
+                    dw[oi] += g[ni, oi, yi, xi] * xp[ni, :, rows, cols]
+    return dxp[:, :, padding : padding + h, padding : padding + ww], dw, g.sum(axis=(0, 2, 3))
+
+
 def conv1d_naive(x, w, b):
     n, _, length = x.shape
     k = w.shape[2]
@@ -85,14 +102,26 @@ def conv1d_naive(x, w, b):
 
 
 class TestConvOracles:
-    @pytest.mark.parametrize("stride,padding,kh", [(1, 0, 3), (1, 1, 3), (2, 1, 3), (4, 0, 4), (1, 3, 7)])
+    @pytest.mark.parametrize("stride,padding,kh", [(1, 0, 3), (1, 1, 3), (4, 0, 4), (1, 3, 7)])
     def test_conv2d_matches_naive(self, stride, padding, kh):
         rng = np.random.default_rng(42)
-        x = rng.normal(size=(2, 3, 9, 8))
+        x = rng.normal(size=(2, 3, 9, 8))[:, :, : 9 - 9 % stride]  # whole patches at stride 4
         w = rng.normal(size=(5, 3, kh, kh))
         b = rng.normal(size=(5,))
         got = F.conv2d(t(x), t(w), t(b), stride=stride, padding=padding)
         np.testing.assert_allclose(got.data, conv2d_naive(x, w, b, stride, padding), atol=1e-10)
+
+    @pytest.mark.parametrize("stride,padding,kh", [(1, 0, 3), (1, 3, 7), (4, 0, 4), (1, 0, 1)])
+    def test_conv2d_backward_matches_naive(self, stride, padding, kh):
+        rng = np.random.default_rng(6)
+        x = t(rng.normal(size=(2, 3, 8, 8)), rg=True)
+        w = t(rng.normal(size=(5, 3, kh, kh)), rg=True)
+        b = t(rng.normal(size=(5,)), rg=True)
+        out = F.conv2d(x, w, b, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        (out * t(g)).sum().backward()
+        for got, want in zip((x.grad, w.grad, b.grad), conv2d_backward_naive(x.data, w.data, g, stride, padding)):
+            np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_conv1x1_fast_path_matches_naive(self):
         rng = np.random.default_rng(1)
@@ -124,17 +153,27 @@ class TestConvOracles:
         for got, want in zip((x.grad, w.grad, b.grad), depthwise_backward_naive(x.data, w.data, g, padding)):
             np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_depthwise_backward_keeps_the_input_dtype(self):
+    @pytest.mark.parametrize(
+        "op,xshape,wshape",
+        [
+            (lambda x, w: F.depthwise_conv2d(x, w, padding=1), (1, 4, 5, 6), (4, 1, 3, 3)),
+            (lambda x, w: F.conv2d(x, w, padding=3), (1, 2, 8, 9), (1, 2, 7, 7)),
+            (F.conv1d, (2, 1, 9), (1, 1, 5)),
+        ],
+        ids=["depthwise", "conv2d", "conv1d"],
+    )
+    def test_backward_keeps_the_input_dtype(self, op, xshape, wshape):
         # a float64 output grad must not turn dx (and everything upstream of it) into float64
         rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(1, 4, 5, 6)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 1, 3, 3)).astype(np.float32), requires_grad=True)
-        out = F.depthwise_conv2d(x, w, padding=1)
+        x = Tensor(rng.normal(size=xshape).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=wshape).astype(np.float32), requires_grad=True)
+        out = op(x, w)
         assert out.dtype == np.float32
         g = rng.normal(size=out.shape)
         dx = out._backward(g)[0]
         assert dx.dtype == np.float32
-        want = depthwise_backward_naive(x.data.astype(np.float64), w.data.astype(np.float64), g, 1)[0]
+        # the float64 run of the same kernel, which the naive oracles above pin
+        want = op(t(x.data, rg=True), t(w.data, rg=True))._backward(g)[0]
         np.testing.assert_allclose(dx, want, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
@@ -151,6 +190,15 @@ class TestConvOracles:
             F.conv2d(t(np.zeros((1, 3, 8, 8))), t(np.zeros((4, 2, 3, 3))))
         with pytest.raises(ValueError, match="odd"):
             F.conv1d(t(np.zeros((1, 1, 8))), t(np.zeros((1, 1, 4))))
+        # only non-overlapping patches may be strided, and only over whole patches
+        with pytest.raises(ValueError, match="stride 2"):
+            F.conv2d(t(np.zeros((1, 3, 8, 8))), t(np.zeros((4, 3, 3, 3))), stride=2, padding=1)
+        with pytest.raises(ValueError, match="patches"):
+            F.conv2d(t(np.zeros((1, 3, 9, 8))), t(np.zeros((4, 3, 4, 4))), stride=4)
+        with pytest.raises(ValueError, match="larger"):
+            F.conv2d(t(np.zeros((1, 3, 4, 4))), t(np.zeros((4, 3, 7, 7))), padding=1)
+        with pytest.raises(ValueError, match="larger"):
+            F.depthwise_conv2d(t(np.zeros((1, 3, 4, 4))), t(np.zeros((3, 1, 7, 7))), padding=1)
 
 
 class TestLinear:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvmhunet.gradcheck import check_gradients
+from cvmhunet.layers import Conv2d, Linear
 from cvmhunet.network import (
     CVMHUNet,
     _Undrawn,
@@ -351,3 +352,15 @@ class TestUnseededInit:
         seeded, unseeded = CVMHUNet(TINY, seed=0), CVMHUNet(TINY, seed=None)
         want = [(n, p.data.shape, p.data.dtype) for n, p in seeded.named_parameters()]
         assert [(n, p.data.shape, p.data.dtype) for n, p in unseeded.named_parameters()] == want
+
+
+class TestModuleZero:
+    def test_zeroes_only_the_modules_own_parameters_in_fresh_arrays(self):
+        outer = Conv2d(3, 4, 1, rng=rng())
+        outer.inner = Linear(3, 2, rng=rng(1))
+        drawn, inner = outer.weight.data, outer.inner.weight.data.copy()
+        assert outer.zero_() is outer
+        assert not outer.weight.data.any() and not outer.bias.data.any()
+        assert outer.weight.data is not drawn and drawn.any()
+        np.testing.assert_array_equal(outer.inner.weight.data, inner)
+        assert Linear(3, 2, bias=False).zero_().bias is None

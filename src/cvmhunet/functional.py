@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .tensor import Tensor, logistic
+from .tensor import Tensor
 
 __all__ = [
     "linear",
@@ -40,6 +40,14 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """Stable ``1 / (1 + exp(-x))`` in the dtype of ``x``: one ``exp`` of ``-|x|``, never overflowing."""
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0)  # 1 where x >= 0 (e <= 1 there), else e: no data-dependent branch
+    out /= 1.0 + e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -257,34 +265,42 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _normalize(
+    x: Tensor, gamma: Tensor, beta: Tensor, stats_axes: tuple[int, ...], feature_axis: int, eps: float
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``(x - mean) / sqrt(var + eps) * gamma + beta``, the statistics over ``stats_axes``
+    and the affine along ``feature_axis``.  Returns the result and the mean and
+    variance (shaped for broadcasting against ``x``)."""
+    bshape = [1] * x.ndim
+    bshape[feature_axis] = x.shape[feature_axis]
+    gam = gamma.data.reshape(bshape)
+    bet = beta.data.reshape(bshape)
+    mu = x.data.mean(axis=stats_axes, keepdims=True)
+    xc = x.data - mu
+    var = np.mean(xc * xc, axis=stats_axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gam + bet
+    affine_axes = tuple(i for i in range(x.ndim) if i != feature_axis)
+
+    def backward(g):
+        dgamma = (g * xhat).sum(axis=affine_axes)
+        dbeta = g.sum(axis=affine_axes)
+        dxhat = g * gam
+        m1 = dxhat.mean(axis=stats_axes, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=stats_axes, keepdims=True)
+        return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
+
+    return Tensor.from_op(out, (x, gamma, beta), backward), mu, var
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     """Normalize over a single axis, then scale/shift by per-feature affine."""
     ax = axis % x.ndim
     c = x.shape[ax]
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match {c} features")
-    bshape = [1] * x.ndim
-    bshape[ax] = c
-    gam = gamma.data.reshape(bshape)
-    bet = beta.data.reshape(bshape)
-    mu = x.data.mean(axis=ax, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=ax, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gam + bet
-    reduce_axes = tuple(i for i in range(x.ndim) if i != ax)
-
-    def backward(g):
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes)
-        dxhat = g * gam
-        m1 = dxhat.mean(axis=ax, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgamma, dbeta
-
-    return Tensor.from_op(out, (x, gamma, beta), backward)
+    return _normalize(x, gamma, beta, (ax,), ax, eps)[0]
 
 
 def batch_norm(
@@ -298,37 +314,20 @@ def batch_norm(
     eps: float = 1e-5,
 ) -> Tensor:
     """2D batch norm over channel axis 1; running stats updated in train mode."""
-    n, c = x.shape[0], x.shape[1]
+    c = x.shape[1]
     _require(gamma.shape == (c,), f"batch_norm: affine shape {gamma.shape} does not match {c} channels")
     axes = (0,) + tuple(range(2, x.ndim))
+    if training:
+        out, mu, var = _normalize(x, gamma, beta, axes, 1, eps)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu.reshape(c).astype(running_mean.dtype)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.reshape(c).astype(running_var.dtype)
+        return out
+
     bshape = (1, c) + (1,) * (x.ndim - 2)
     gam = gamma.data.reshape(bshape)
     bet = beta.data.reshape(bshape)
-
-    if training:
-        mu = x.data.mean(axis=axes)
-        xc = x.data - mu.reshape(bshape)
-        var = np.mean(xc * xc, axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.astype(running_var.dtype)
-        inv = (1.0 / np.sqrt(var + eps)).reshape(bshape)
-        xhat = xc * inv
-        out = xhat * gam + bet
-        m = x.data.size // c
-
-        def backward(g):
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            dxhat = g * gam
-            s1 = dxhat.sum(axis=axes).reshape(bshape)
-            s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
-            dx = inv * (dxhat - s1 / m - xhat * (s2 / m))
-            return dx, dgamma, dbeta
-
-        return Tensor.from_op(out, (x, gamma, beta), backward)
-
     inv = (1.0 / np.sqrt(running_var + eps)).astype(x.dtype).reshape(bshape)
     mu = running_mean.astype(x.dtype).reshape(bshape)
     xhat = (x.data - mu) * inv
@@ -353,16 +352,21 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
+    data = _logistic(x.data)
+    return Tensor.from_op(data, (x,), lambda g: (g * data * (1.0 - data),))
 
 
 def softplus(x: Tensor) -> Tensor:
-    return x.softplus()
+    """``log(1 + e^x) = log1p(e^-|x|) + max(x, 0)``, never overflowing."""
+    a = x.data
+    data = np.log1p(np.exp(-np.abs(a)))
+    data += np.maximum(a, 0)
+    return Tensor.from_op(data, (x,), lambda g: (g * _logistic(a),))
 
 
 def silu(x: Tensor) -> Tensor:
     """``x * sigmoid(x)`` as a single fused op."""
-    s = logistic(x.data)
+    s = _logistic(x.data)
     out = x.data * s
     return Tensor.from_op(out, (x,), lambda g: (g * (s + out * (1.0 - s)),))
 
@@ -399,11 +403,9 @@ def log_softmax(x: Tensor, axis: int = 1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def permute_last(x: Tensor, perm: np.ndarray, inv: np.ndarray | None = None) -> Tensor:
-    """Reorder the last axis by a permutation; backward applies the inverse."""
+def permute_last(x: Tensor, perm: np.ndarray, inv: np.ndarray) -> Tensor:
+    """Reorder the last axis by a permutation; backward applies its inverse ``inv``."""
     length = x.shape[-1]
     _require(perm.shape == (length,), f"permute_last: permutation length {perm.shape} != axis length {length}")
-    if inv is None:
-        inv = np.argsort(perm)
     out = np.ascontiguousarray(x.data[..., perm])
     return Tensor.from_op(out, (x,), lambda g: (np.ascontiguousarray(g[..., inv]),))

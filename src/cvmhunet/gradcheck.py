@@ -145,7 +145,7 @@ def gradcheck_suite(seeds: int, tol: float) -> list[dict]:
         return lambda: (m(x) ** 2).sum(), [x]
 
     def mfms_global(rng):
-        m = GlobalFrequencyAttention(8, rng=rng).to_dtype(np.float64)
+        m = GlobalFrequencyAttention(8).to_dtype(np.float64)
         for p in m.parameters():
             p.data = rng.normal(size=p.data.shape) * 0.3
         x = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)

@@ -76,16 +76,11 @@ class DepthwiseConv2d(Module):
 
 
 class ChannelConv1d(Module):
-    """1D conv sliding over the channel axis of (N, C) vectors, same padding."""
+    """1D conv sliding over the channel axis of (N, C) vectors, same padding, zero-initialized."""
 
-    def __init__(self, kernel: int, zero_init: bool = True, rng: np.random.Generator | None = None):
+    def __init__(self, kernel: int):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
-        if zero_init:
-            w = np.zeros((1, 1, kernel), dtype=np.float32)
-        else:
-            w = rng.uniform(-1.0 / kernel, 1.0 / kernel, size=(1, 1, kernel)).astype(np.float32)
-        self.weight = Parameter(w)
+        self.weight = Parameter(np.zeros((1, 1, kernel), dtype=np.float32))
         self.bias = Parameter(np.zeros(1, dtype=np.float32), weight_decay_exempt=True)
 
     def forward(self, vec: Tensor) -> Tensor:

@@ -50,32 +50,15 @@ class FrequencySpec:
 
 @dataclass(frozen=True)
 class FrequencyConfig:
-    """Which frequencies to profile each channel with."""
+    """Profile each channel with the first ``k`` frequencies of the top-16 table."""
 
     k: int = 16
-    selection: tuple[FrequencySpec, ...] | None = None
-    basis_resolution: tuple[int, int] = (7, 7)
     specs: tuple[FrequencySpec, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"need at least one frequency, got k={self.k}")
-        if self.selection is not None:
-            specs = tuple(self.selection)
-            if len(specs) != self.k:
-                raise ValueError(f"selection has {len(specs)} specs but k={self.k}")
-        else:
-            if self.k > len(_TOP16_U):
-                raise ValueError(
-                    f"default selection provides up to {len(_TOP16_U)} frequencies, got k={self.k}"
-                )
-            specs = tuple(FrequencySpec(u, v) for u, v in zip(_TOP16_U[: self.k], _TOP16_V[: self.k]))
-        if len(set(specs)) != len(specs):
-            raise ValueError("frequency specs must be distinct")
-        hb, wb = self.basis_resolution
-        for s in specs:
-            if s.u >= hb or s.v >= wb:
-                raise ValueError(f"spec ({s.u},{s.v}) outside basis resolution {hb}x{wb}")
+        if not 1 <= self.k <= len(_TOP16_U):
+            raise ValueError(f"need at least one and up to {len(_TOP16_U)} frequencies, got k={self.k}")
+        specs = tuple(FrequencySpec(u, v) for u, v in zip(_TOP16_U[: self.k], _TOP16_V[: self.k]))
         object.__setattr__(self, "specs", specs)
 
 
@@ -145,14 +128,13 @@ class GlobalFrequencyAttention(Module):
         dim: int,
         freq: FrequencyConfig = FrequencyConfig(),
         kernel_cfg: AdaptiveKernelConfig = AdaptiveKernelConfig(),
-        rng: np.random.Generator | None = None,
     ):
         super().__init__()
         self.freq = freq
         self.kernel_size = adaptive_kernel_size(dim, kernel_cfg)
-        self.conv_avg = ChannelConv1d(self.kernel_size, zero_init=True, rng=rng)
-        self.conv_max = ChannelConv1d(self.kernel_size, zero_init=True, rng=rng)
-        self.conv_min = ChannelConv1d(self.kernel_size, zero_init=True, rng=rng)
+        self.conv_avg = ChannelConv1d(self.kernel_size)
+        self.conv_max = ChannelConv1d(self.kernel_size)
+        self.conv_min = ChannelConv1d(self.kernel_size)
 
     def forward(self, x: Tensor) -> Tensor:
         profile = compress_frequencies(x, self.freq)  # (N,C,K)
@@ -197,7 +179,7 @@ class MFMSBlock(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        self.global_attention = GlobalFrequencyAttention(dim, freq, kernel_cfg, rng=rng)
+        self.global_attention = GlobalFrequencyAttention(dim, freq, kernel_cfg)
         self.local_attention = LocalPointwiseAttention(dim, reduction, rng=rng)
 
     def fusion_weight(self, x: Tensor) -> Tensor:

@@ -1,9 +1,10 @@
 """Parameter-container base class with hierarchical naming.
 
-Assigning a ``Parameter``, ``Module``, or ``ModuleList`` onto an attribute
-registers it automatically; non-trainable state (e.g. batch-norm running
-stats) is registered explicitly via ``register_buffer``.  Iteration order is
-attribute-assignment order, which makes parameter traversal deterministic.
+Assigning a ``Parameter`` or a ``Module`` (a ``ModuleList`` is one) onto an
+attribute registers it automatically; non-trainable state (e.g. batch-norm
+running stats) is registered explicitly via ``register_buffer``.  Iteration
+order is attribute-assignment order, which makes parameter traversal
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Parameter, Tensor
+from .tensor import Parameter
 
 __all__ = ["Module", "ModuleList", "init_linear", "init_conv"]
 
@@ -27,7 +28,7 @@ class Module:
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value
-        elif isinstance(value, (Module, ModuleList)):
+        elif isinstance(value, Module):
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
@@ -71,10 +72,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def zero_(self) -> "Module":
         """Swap in zeroed arrays for this module's own parameters (not its children's)."""
         for p in self._parameters.values():
@@ -94,9 +91,6 @@ class Module:
                     object.__setattr__(mod, name, converted)
         return self
 
-    def num_parameters(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -104,35 +98,22 @@ class Module:
         raise NotImplementedError
 
 
-class ModuleList:
-    """Ordered list of sub-modules that participates in registration."""
+class ModuleList(Module):
+    """Ordered sub-modules, registered as children ``"0"``, ``"1"``, ... ."""
 
     def __init__(self, mods=()):
-        self._list: list[Module] = list(mods)
-
-    def append(self, mod: Module) -> None:
-        self._list.append(mod)
+        super().__init__()
+        for i, mod in enumerate(mods):
+            self._modules[str(i)] = mod
 
     def __iter__(self):
-        return iter(self._list)
+        return iter(self._modules.values())
 
     def __len__(self):
-        return len(self._list)
+        return len(self._modules)
 
     def __getitem__(self, idx: int) -> Module:
-        return self._list[idx]
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        for i, mod in enumerate(self._list):
-            yield from mod.named_parameters(prefix=f"{prefix}{i}.")
-
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for i, mod in enumerate(self._list):
-            yield from mod.named_buffers(prefix=f"{prefix}{i}.")
-
-    def modules(self) -> Iterator[Module]:
-        for mod in self._list:
-            yield from mod.modules()
+        return list(self._modules.values())[idx]
 
 
 def init_linear(rng: np.random.Generator, dout: int, din: int) -> np.ndarray:

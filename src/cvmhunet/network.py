@@ -81,9 +81,18 @@ class NetworkConfig:
             raise ValueError("stage depths must be >= 1")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        for name in ("state_dim", "ca_reduction", "mfms_reduction"):
+        for name in ("ssm_expand", "state_dim", "ca_reduction", "mfms_reduction"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.embed_dim % self.ca_reduction != 0:
+            raise ValueError(f"embed_dim {self.embed_dim} not divisible by ca_reduction {self.ca_reduction}")
+        if self.mfms_enabled:
+            if self.embed_dim % self.mfms_reduction != 0:
+                raise ValueError(f"embed_dim {self.embed_dim} not divisible by mfms_reduction {self.mfms_reduction}")
+            if not 1 <= self.freq_k <= 16:
+                raise ValueError(f"freq_k must lie in [1, 16] (the top-16 frequency table), got {self.freq_k}")
+            if not self.kernel_alpha > 0:
+                raise ValueError(f"kernel_alpha must be > 0, got {self.kernel_alpha}")
         if not self.effn_ratio > 0:
             raise ValueError(f"effn_ratio must be > 0, got {self.effn_ratio}")
         if self.scan_mode not in SCAN_MODES:

@@ -42,10 +42,6 @@ class AdamW:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self, loss: Tensor | None = None) -> None:
         """One in-place update, ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
 

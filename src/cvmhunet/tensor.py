@@ -36,7 +36,6 @@ __all__ = [
     "cat",
     "no_grad",
     "is_grad_enabled",
-    "logistic",
 ]
 
 _GRAD_ENABLED = True
@@ -57,14 +56,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def logistic(x: np.ndarray) -> np.ndarray:
-    """Stable ``1 / (1 + exp(-x))`` in the dtype of ``x``: one ``exp`` of ``-|x|``, never overflowing."""
-    e = np.exp(-np.abs(x))
-    out = np.maximum(e, x >= 0)  # 1 where x >= 0 (e <= 1 there), else e: no data-dependent branch
-    out /= 1.0 + e
-    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -175,9 +166,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- elementwise arithmetic -----------------------------------------------
 
     def __add__(self, other) -> "Tensor":
@@ -226,9 +214,6 @@ class Tensor:
             ),
         )
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor.as_tensor(other, like=self) / self
-
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("only scalar exponents are supported")
@@ -244,27 +229,6 @@ class Tensor:
     def exp(self) -> "Tensor":
         data = np.exp(self.data)
         return Tensor.from_op(data, (self,), lambda g: (g * data,))
-
-    def log(self) -> "Tensor":
-        return Tensor.from_op(np.log(self.data), (self,), lambda g: (g / self.data,))
-
-    def sqrt(self) -> "Tensor":
-        data = np.sqrt(self.data)
-        return Tensor.from_op(data, (self,), lambda g: (g * (0.5 / data),))
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-        return Tensor.from_op(data, (self,), lambda g: (g * (1.0 - data * data),))
-
-    def sigmoid(self) -> "Tensor":
-        data = logistic(self.data)
-        return Tensor.from_op(data, (self,), lambda g: (g * data * (1.0 - data),))
-
-    def softplus(self) -> "Tensor":
-        x = self.data
-        data = np.log1p(np.exp(-np.abs(x)))  # log(1 + e^x) = log1p(e^-|x|) + max(x, 0), never overflowing
-        data += np.maximum(x, 0)
-        return Tensor.from_op(data, (self,), lambda g: (g * logistic(x),))
 
     # -- reductions -------------------------------------------------------------
 
@@ -287,24 +251,16 @@ class Tensor:
     def _extremum(self, axis: int, keepdims: bool, mode: str) -> "Tensor":
         """Max/min over one axis; ties route gradient to the first element."""
         ax = axis % self.ndim
-        moved = np.moveaxis(self.data, ax, -1)
-        lead = moved.shape[:-1]
-        flat = moved.reshape(-1, moved.shape[-1])
-        idx = flat.argmax(axis=1) if mode == "max" else flat.argmin(axis=1)
-        vals = flat[np.arange(flat.shape[0]), idx].reshape(lead)
-        data = np.moveaxis(vals.reshape(lead + (1,)), -1, ax)
-        if not keepdims:
-            data = data.squeeze(ax)
-        flat_shape, moved_shape, dtype = flat.shape, moved.shape, flat.dtype
+        idx = (np.argmax if mode == "max" else np.argmin)(self.data, axis=ax, keepdims=True)
+        data = np.take_along_axis(self.data, idx, axis=ax)
+        shape, dtype = self.shape, self.dtype
 
         def backward(g):
-            gg = g if keepdims else np.expand_dims(g, ax)
-            gflat = np.moveaxis(gg, ax, -1).reshape(-1)
-            out = np.zeros(flat_shape, dtype)
-            out[np.arange(flat_shape[0]), idx] = gflat
-            return (np.moveaxis(out.reshape(moved_shape), -1, ax),)
+            out = np.zeros(shape, dtype)
+            np.put_along_axis(out, idx, g if keepdims else np.expand_dims(g, ax), axis=ax)
+            return (out,)
 
-        return Tensor.from_op(np.ascontiguousarray(data), (self,), backward)
+        return Tensor.from_op(data if keepdims else data.squeeze(ax), (self,), backward)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         return self._extremum(axis, keepdims, "max")
@@ -417,9 +373,6 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True, dtype=dtype)
         self.name = ""
         self.weight_decay_exempt = bool(weight_decay_exempt)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
 
 def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

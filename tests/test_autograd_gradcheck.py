@@ -29,7 +29,7 @@ def test_elementwise_ops(seed):
 
     def f():
         y = (a * b + c) / b - (a - c) * 2.0 + a**3
-        y = y.exp().sigmoid() + b.log() + b.sqrt() + a.tanh() + a.softplus()
+        y = F.sigmoid(y.exp()) + F.softplus(a)
         return (y * w).sum()
 
     res = check_gradients(f, [a, b, c])
@@ -221,7 +221,7 @@ def test_permute_last(seed):
     perm = np.random.default_rng(99).permutation(10)
 
     def f():
-        return weighted_sum(F.permute_last(x, perm), np.random.default_rng(seed))
+        return weighted_sum(F.permute_last(x, perm, np.argsort(perm)), np.random.default_rng(seed))
 
     res = check_gradients(f, [x])
     assert res.rel_error < DEFAULT_TOL, res

@@ -160,7 +160,7 @@ class TestCVSSBlock:
     def test_param_count_independent_of_scan_mode(self):
         a = CVSSBlock(small_cfg(scan_mode="ss2d"))
         b = CVSSBlock(small_cfg(scan_mode="cs2d"))
-        assert a.num_parameters() == b.num_parameters()
+        assert sum(p.size for p in a.parameters()) == sum(p.size for p in b.parameters())
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_gradcheck_full_block(self, seed):

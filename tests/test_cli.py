@@ -36,6 +36,9 @@ TINY_MODEL = {
     "scan_block": 16,
     "freq_k": 4,
 }
+# model fields from which no CVMHUNet can be built at embed_dim 8 or 16
+MODEL_BUILD_ERRORS = [("ca_reduction", 5), ("mfms_reduction", 3), ("freq_k", 17), ("freq_k", 0), ("ssm_expand", 0),
+                      ("kernel_alpha", 0)]
 # README desk config
 DESK_MODEL = {"embed_dim": 16, "input_size": [64, 64], "state_dim": 8, "scan_block": 32, "num_classes": 4}
 
@@ -246,7 +249,7 @@ class TestTrain:
         cfg = write_config(dataset)
         good = json.loads(cfg.read_text())
         for field, value in [("embed_dim", 6), ("state_dim", 0), ("ca_reduction", 0), ("mfms_reduction", 0),
-                             ("effn_ratio", 0), ("effn_ratio", -1)]:
+                             ("effn_ratio", 0), ("effn_ratio", -1), *MODEL_BUILD_ERRORS]:
             cfg.write_text(json.dumps({**good, "model": {**good["model"], field: value}}))
             assert main(["train", "--config", str(cfg)]) == 2, (field, value)
             assert field in capsys.readouterr().err
@@ -491,6 +494,24 @@ class TestReports:
         assert report["params"] == param_count(NetworkConfig.from_dict(TINY_MODEL))
         roles = [s["role"] for s in report["stages"]]
         assert roles[0] == "patch_embed" and roles[-1] == "head"
+
+    @pytest.mark.parametrize("field,value", MODEL_BUILD_ERRORS)
+    def test_inspect_rejects_configs_the_model_cannot_be_built_from(self, tmp_path, capsys, field, value):
+        unchecked = NetworkConfig.from_dict({**TINY_MODEL, "embed_dim": 16})
+        object.__setattr__(unchecked, field, value)  # past the config check, the model itself rejects it
+        with pytest.raises(ValueError):
+            CVMHUNet(unchecked)
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"model": {**TINY_MODEL, "embed_dim": 16, field: value}}))
+        assert main(["inspect", "--config", str(cfg)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_inspect_ignores_frequency_fields_without_fusion(self, tmp_path, capsys):
+        model = {**TINY_MODEL, "mfms_enabled": False, "freq_k": 0}
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"model": model}))
+        assert main(["inspect", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == param_count(NetworkConfig.from_dict(model))
 
     def test_gradcheck_command_passes(self, capsys):
         assert main(["gradcheck", "--seeds", "1"]) == 0

@@ -286,7 +286,7 @@ class TestCounters:
     )
     def test_param_count_matches_model_walk_exactly(self, cfg):
         model = CVMHUNet(cfg, seed=0)
-        assert param_count(cfg) == model.num_parameters()
+        assert param_count(cfg) == sum(p.size for p in model.parameters())
 
     def test_scan_mode_does_not_change_size(self):
         base = SMALL.to_dict()

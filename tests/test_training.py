@@ -263,7 +263,8 @@ class TestAdamW:
             for _ in range(3):
                 x = Tensor(data.normal(size=(2, 3, 64, 64)).astype(np.float32))
                 y = data.integers(0, 4, size=(2, 64, 64))
-                model.zero_grad()
+                for p in model.parameters():
+                    p.grad = None
                 total = segmentation_loss(model(x), y)[0]
                 if fused:
                     opt.step(total)

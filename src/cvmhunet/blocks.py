@@ -8,18 +8,20 @@ its input.  Training moves the blocks away from identity smoothly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import functional as F
 from .layers import Conv2d, DepthwiseConv2d, LayerNorm, Linear
 from .module import Module
-from .ssm import DEFAULT_SCAN_BLOCK, DEFAULT_STATE_DIM, DirectionalSSM, default_dt_rank
+from .ssm import DirectionalSSM, default_dt_rank
 from .tensor import Tensor, cat
 
+if TYPE_CHECKING:
+    from .network import NetworkConfig
+
 __all__ = [
-    "CVSSConfig",
     "CrossScanModule",
     "ChannelAttention",
     "SpatialAttention",
@@ -27,35 +29,6 @@ __all__ = [
     "CVSSBlock",
     "BlockPair",
 ]
-
-
-@dataclass(frozen=True)
-class CVSSConfig:
-    """Hyper-parameters of one block at a given stage width."""
-
-    dim: int
-    ssm_expand: int = 2
-    state_dim: int = DEFAULT_STATE_DIM
-    scan_mode: str = "cs2d"
-    scan_block: int = DEFAULT_SCAN_BLOCK
-    ca_reduction: int = 4
-    effn_ratio: float = 0.5
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.dim % self.ca_reduction != 0:
-            raise ValueError(f"dim {self.dim} not divisible by ca_reduction {self.ca_reduction}")
-        if self.ssm_expand < 1:
-            raise ValueError(f"ssm_expand must be >= 1, got {self.ssm_expand}")
-
-    @property
-    def inner_dim(self) -> int:
-        return self.ssm_expand * self.dim
-
-    @property
-    def effn_hidden(self) -> int:
-        return max(1, int(round(self.dim * self.effn_ratio)))
 
 
 class CrossScanModule(Module):
@@ -68,24 +41,16 @@ class CrossScanModule(Module):
     projection starts at zero, so the module starts as the identity.
     """
 
-    def __init__(self, cfg: CVSSConfig, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, cfg: NetworkConfig, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
-        d = cfg.inner_dim
-        self.norm = LayerNorm(cfg.dim, axis=1)
-        self.main_proj = Linear(cfg.dim, d, bias=False, rng=rng)
-        self.gate_proj = Linear(cfg.dim, d, bias=False, rng=rng)
-        self.dwconv = DepthwiseConv2d(d, kernel=3, padding=1, rng=rng)
-        self.ssm = DirectionalSSM(
-            d,
-            state_dim=cfg.state_dim,
-            dt_rank=default_dt_rank(cfg.dim),
-            scan_mode=cfg.scan_mode,
-            scan_block=cfg.scan_block,
-            rng=rng,
-        )
+        d = cfg.ssm_expand * dim
+        self.norm = LayerNorm(dim, axis=1)
+        self.main_proj = Linear(dim, d, bias=False, rng=rng)
+        self.gate_proj = Linear(dim, d, bias=False, rng=rng)
+        self.dwconv = DepthwiseConv2d(d, rng=rng)
+        self.ssm = DirectionalSSM(d, default_dt_rank(dim), cfg.state_dim, cfg.scan_mode, cfg.scan_block, rng=rng)
         self.out_norm = LayerNorm(d, axis=1)
-        self.out_proj = Linear(d, cfg.dim, bias=False, rng=rng).zero_()
+        self.out_proj = Linear(d, dim, bias=False, rng=rng).zero_()
 
     def forward(self, x: Tensor) -> Tensor:
         feats = self.norm(x)
@@ -97,9 +62,8 @@ class CrossScanModule(Module):
 class ChannelAttention(Module):
     """Per-channel gate from pooled statistics through a shared bottleneck MLP."""
 
-    def __init__(self, dim: int, reduction: int = 4, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, reduction: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         hidden = dim // reduction
         self.fc1 = Linear(dim, hidden, bias=False, rng=rng)
         self.fc2 = Linear(hidden, dim, bias=False, rng=rng).zero_()
@@ -116,9 +80,9 @@ class ChannelAttention(Module):
 class SpatialAttention(Module):
     """Per-position gate from channel mean/max maps through a 7x7 conv."""
 
-    def __init__(self, kernel: int = 7, rng: np.random.Generator | None = None):
+    def __init__(self, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(2, 1, kernel, padding=kernel // 2, rng=rng).zero_()
+        self.conv = Conv2d(2, 1, 7, padding=3, rng=rng).zero_()
 
     def forward(self, x: Tensor) -> Tensor:
         stats = cat([x.mean(axis=1, keepdims=True), x.max(axis=1, keepdims=True)], axis=1)
@@ -132,14 +96,13 @@ class EFFN(Module):
     trained (the caller adds the result residually).
     """
 
-    def __init__(self, cfg: CVSSConfig, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, cfg: NetworkConfig, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
-        h = cfg.effn_hidden
-        self.norm = LayerNorm(cfg.dim, axis=1)
-        self.pw1 = Conv2d(cfg.dim, h, 1, rng=rng)
-        self.dw = DepthwiseConv2d(h, kernel=3, padding=1, rng=rng)
-        self.pw2 = Conv2d(h, cfg.dim, 1, rng=rng).zero_()
+        h = max(1, int(round(dim * cfg.effn_ratio)))
+        self.norm = LayerNorm(dim, axis=1)
+        self.pw1 = Conv2d(dim, h, 1, rng=rng)
+        self.dw = DepthwiseConv2d(h, rng=rng)
+        self.pw2 = Conv2d(h, dim, 1, rng=rng).zero_()
 
     def forward(self, x: Tensor) -> Tensor:
         return self.pw2(F.gelu(self.dw(self.pw1(self.norm(x)))))
@@ -154,18 +117,16 @@ class CVSSBlock(Module):
     out = F_u + effn(F_u)
     """
 
-    def __init__(self, cfg: CVSSConfig, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, cfg: NetworkConfig, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.cfg = cfg
-        self.cross_scan = CrossScanModule(cfg, rng=rng)
-        self.channel_attention = ChannelAttention(cfg.dim, cfg.ca_reduction, rng=rng)
-        self.local_conv = DepthwiseConv2d(cfg.dim, kernel=3, padding=1, rng=rng)
-        self.spatial_attention = SpatialAttention(rng=rng)
-        self.fuse_dw = DepthwiseConv2d(cfg.dim, kernel=3, padding=1, rng=rng)
-        self.fuse_norm = LayerNorm(cfg.dim, axis=1)
-        self.fuse_pw = Conv2d(cfg.dim, cfg.dim, 1, rng=rng).zero_()
-        self.effn = EFFN(cfg, rng=rng)
+        self.cross_scan = CrossScanModule(dim, cfg, rng)
+        self.channel_attention = ChannelAttention(dim, cfg.ca_reduction, rng)
+        self.local_conv = DepthwiseConv2d(dim, rng=rng)
+        self.spatial_attention = SpatialAttention(rng)
+        self.fuse_dw = DepthwiseConv2d(dim, rng=rng)
+        self.fuse_norm = LayerNorm(dim, axis=1)
+        self.fuse_pw = Conv2d(dim, dim, 1, rng=rng).zero_()
+        self.effn = EFFN(dim, cfg, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         f_g = self.channel_attention(self.cross_scan(x))

@@ -62,6 +62,18 @@ TRAIN_DEFAULTS = {
     "steps": 300,
     "tile": None,  # None -> smaller edge of the model input size
 }
+# JSON types, and their description, that the run config's values accept; the sections are objects
+_VALUE_TYPES = {
+    "manifest": ((str, type(None)), "a path or null"),
+    "seed": (int, "an integer"),
+    "out_dir": (str, "a path"),
+    "lr": ((int, float), "a number"),
+    "weight_decay": ((int, float), "a number"),
+    "batch_size": (int, "an integer"),
+    "steps": (int, "an integer"),
+    "tile": ((int, type(None)), "an integer or null"),
+}
+_SECTIONS = ("model", "loss", "train", "augment")
 
 
 class CliError(Exception):
@@ -85,10 +97,15 @@ def _read_json(path: str | Path) -> dict:
 
 
 def _load_run_config(args: argparse.Namespace) -> dict:
-    """File config merged with flag overrides (flags win)."""
+    """File config merged with flag overrides (flags win); unknown keys and mistyped values raise ``CliError``."""
     doc = _read_json(args.config) if getattr(args, "config", None) else {}
     if not isinstance(doc, dict):
         raise CliError("config root must be a JSON object", EXIT_CONFIG)
+    _reject_unknown("run config", doc, {*_SECTIONS, "manifest", "seed", "out_dir"})
+    for key in _SECTIONS:
+        if not isinstance(doc.get(key, {}), dict):
+            raise CliError(f"run config '{key}' must be a JSON object, got {doc[key]!r}", EXIT_CONFIG)
+    _reject_unknown("run config 'train'", doc.get("train", {}), TRAIN_DEFAULTS)
     run = {
         "model": dict(doc.get("model", {})),
         "loss": dict(doc.get("loss", {})),
@@ -98,19 +115,26 @@ def _load_run_config(args: argparse.Namespace) -> dict:
         "seed": doc.get("seed", 0),
         "out_dir": doc.get("out_dir", "runs/default"),
     }
-    for flag, dest in (
-        ("manifest", "manifest"),
-        ("seed", "seed"),
-        ("out_dir", "out_dir"),
-    ):
+    for flag in ("manifest", "seed", "out_dir"):
         value = getattr(args, flag, None)
         if value is not None:
-            run[dest] = value
+            run[flag] = value
     for flag in ("steps", "batch_size", "lr", "weight_decay", "tile"):
         value = getattr(args, flag, None)
         if value is not None:
             run["train"][flag] = value
+    values = {**run, **run["train"]}
+    for key, (types, what) in _VALUE_TYPES.items():
+        value = values[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise CliError(f"run config '{key}' must be {what}, got {value!r}", EXIT_CONFIG)
     return run
+
+
+def _reject_unknown(where: str, doc: dict, known) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise CliError(f"unknown {where} keys: {unknown}", EXIT_CONFIG)
 
 
 def _build_network_config(model_doc: dict, num_classes: int | None = None) -> NetworkConfig:
@@ -240,12 +264,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise CliError(f"invalid augment config: {e}", EXIT_CONFIG) from e
 
     train = run["train"]
-    steps = int(train["steps"])
-    batch_size = int(train["batch_size"])
+    steps, batch_size = train["steps"], train["batch_size"]
     if steps < 1 or batch_size < 1:
         raise CliError(f"steps and batch_size must be >= 1, got {steps}/{batch_size}", EXIT_CONFIG)
-    tile = int(train["tile"] or min(net_cfg.input_size))
-    seed = int(run["seed"])
+    tile = train["tile"] or min(net_cfg.input_size)
+    seed = run["seed"]
 
     out_dir = Path(run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -440,8 +463,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    doc = _read_json(args.config)["model"] if args.config else {}
-    cfg = _build_network_config(doc)
+    cfg = _build_network_config(_load_run_config(args)["model"])
     size = tuple(args.input_size) if args.input_size else cfg.input_size
     try:
         plan = stage_plan(cfg, size)
@@ -488,6 +510,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cvmh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -510,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--checkpoint", help="training checkpoint (.cvck)")
     evalp.add_argument("--manifest", required=True)
     evalp.add_argument("--out", help="write the metrics JSON here as well")
-    evalp.add_argument("--batch-size", dest="batch_size", type=int, default=4)
+    evalp.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=4)
     evalp.add_argument(
         "--oracle",
         action="store_true",
@@ -524,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--out", required=True, help="output PPM path")
     predict.add_argument("--manifest", help="palette source (defaults to built-in)")
     predict.add_argument("--logits-out", dest="logits_out", help="optional CVTN logits dump")
-    predict.add_argument("--batch-size", dest="batch_size", type=int, default=4)
+    predict.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=4)
     predict.set_defaults(func=cmd_predict)
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of every block")

@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import functional as F
-from .blocks import CVSSBlock, CVSSConfig, CrossScanModule, EFFN
+from .blocks import CVSSBlock, CrossScanModule, EFFN
 from .mfms import GlobalFrequencyAttention, LocalPointwiseAttention, MFMSBlock
 from .network import CVMHUNet, NetworkConfig
-from .ssm import DirectionalSSM, selective_scan
+from .ssm import DirectionalSSM, default_dt_rank, selective_scan
 from .tensor import Tensor, no_grad
 
 __all__ = ["check_gradients", "GradCheckResult", "gradcheck_suite"]
@@ -120,18 +120,18 @@ def gradcheck_suite(seeds: int, tol: float) -> list[dict]:
         return lambda: (selective_scan(u, delta, a, b, c, d) ** 2).sum(), [u, delta, a, b, c, d]
 
     def directional(rng):
-        m = DirectionalSSM(4, state_dim=3, scan_mode="cs2d", rng=rng).to_dtype(np.float64)
+        m = DirectionalSSM(4, default_dt_rank(4), 3, "cs2d", 64, rng).to_dtype(np.float64)
         x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
         return lambda: (m(x) ** 2).sum(), [x, *m.parameters()]
 
     def cross_scan(rng):
-        m = CrossScanModule(CVSSConfig(dim=4, state_dim=3, scan_block=8), rng=rng).to_dtype(np.float64)
+        m = CrossScanModule(4, NetworkConfig(embed_dim=4, state_dim=3, scan_block=8), rng).to_dtype(np.float64)
         m.out_proj.weight.data += rng.normal(size=m.out_proj.weight.shape) * 0.2
         x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
         return lambda: (m(x) ** 2).sum(), [x]
 
     def cvss_block(rng):
-        m = CVSSBlock(CVSSConfig(dim=4, state_dim=3, scan_block=8), rng=rng).to_dtype(np.float64)
+        m = CVSSBlock(4, NetworkConfig(embed_dim=4, state_dim=3, scan_block=8), rng).to_dtype(np.float64)
         for p in m.parameters():
             if p.data.size and np.all(p.data == 0):
                 p.data = rng.normal(size=p.data.shape) * 0.2
@@ -139,26 +139,26 @@ def gradcheck_suite(seeds: int, tol: float) -> list[dict]:
         return lambda: (m(x) ** 2).sum(), [x]
 
     def effn(rng):
-        m = EFFN(CVSSConfig(dim=4, state_dim=3), rng=rng).to_dtype(np.float64)
+        m = EFFN(4, NetworkConfig(embed_dim=4), rng).to_dtype(np.float64)
         m.pw2.weight.data = rng.normal(size=m.pw2.weight.shape) * 0.3
         x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
         return lambda: (m(x) ** 2).sum(), [x]
 
     def mfms_global(rng):
-        m = GlobalFrequencyAttention(8).to_dtype(np.float64)
+        m = GlobalFrequencyAttention(8, NetworkConfig(embed_dim=8)).to_dtype(np.float64)
         for p in m.parameters():
             p.data = rng.normal(size=p.data.shape) * 0.3
         x = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
         return lambda: (m(x) ** 2).sum(), [x, *m.parameters()]
 
     def mfms_local(rng):
-        m = LocalPointwiseAttention(8, rng=rng).to_dtype(np.float64)
+        m = LocalPointwiseAttention(8, 4, rng).to_dtype(np.float64)
         m.pw2.weight.data = rng.normal(size=m.pw2.weight.shape) * 0.3
         x = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
         return lambda: (m(x) ** 2).sum(), [x]
 
     def mfms_fusion(rng):
-        m = MFMSBlock(8, rng=rng).to_dtype(np.float64)
+        m = MFMSBlock(8, NetworkConfig(embed_dim=8), rng).to_dtype(np.float64)
         f = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
         g = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
         return lambda: (m(f, g) ** 2).sum(), [f, g]

@@ -21,9 +21,8 @@ __all__ = [
 class Linear(Module):
     """Dense layer over the channel axis 1: (N, Din, *rest) -> (N, Dout, *rest)."""
 
-    def __init__(self, din: int, dout: int, bias: bool = True, rng: np.random.Generator | None = None):
+    def __init__(self, din: int, dout: int, bias: bool = True, *, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.weight = Parameter(init_linear(rng, dout, din))
         self.bias = Parameter(np.zeros(dout, dtype=np.float32), weight_decay_exempt=True) if bias else None
 
@@ -40,10 +39,10 @@ class Conv2d(Module):
         stride: int = 1,
         padding: int = 0,
         bias: bool = True,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.stride = stride
         self.padding = padding
         self.weight = Parameter(init_conv(rng, cout, cin, kernel, kernel))
@@ -54,25 +53,16 @@ class Conv2d(Module):
 
 
 class DepthwiseConv2d(Module):
-    def __init__(
-        self,
-        channels: int,
-        kernel: int = 3,
-        padding: int = 1,
-        bias: bool = True,
-        rng: np.random.Generator | None = None,
-    ):
+    """3x3 depthwise conv with bias, padded to keep the extent."""
+
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.padding = padding
-        bound = 1.0 / np.sqrt(kernel * kernel)
-        self.weight = Parameter(
-            rng.uniform(-bound, bound, size=(channels, 1, kernel, kernel)).astype(np.float32)
-        )
-        self.bias = Parameter(np.zeros(channels, dtype=np.float32), weight_decay_exempt=True) if bias else None
+        bound = 1.0 / 3.0  # 1/sqrt(fan-in), nine taps per channel
+        self.weight = Parameter(rng.uniform(-bound, bound, size=(channels, 1, 3, 3)).astype(np.float32))
+        self.bias = Parameter(np.zeros(channels, dtype=np.float32), weight_decay_exempt=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.depthwise_conv2d(x, self.weight, self.bias, padding=self.padding)
+        return F.depthwise_conv2d(x, self.weight, self.bias, padding=1)
 
 
 class ChannelConv1d(Module):

@@ -8,7 +8,7 @@ with weight exactly 0.5 (plain averaging) and learns to prefer one side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,10 +17,11 @@ from .layers import BatchNorm2d, ChannelConv1d, Conv2d
 from .module import Module
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .network import NetworkConfig
+
 __all__ = [
-    "FrequencySpec",
-    "FrequencyConfig",
-    "AdaptiveKernelConfig",
+    "TOP16_FREQUENCIES",
     "dct_basis",
     "frequency_bases",
     "compress_frequencies",
@@ -30,49 +31,16 @@ __all__ = [
     "MFMSBlock",
 ]
 
-# Frequency index pairs ranked by channel-attention usefulness on a 7x7 grid
-# (the published top-16 selection, lowest frequencies first).
-_TOP16_U = (0, 0, 6, 0, 0, 1, 1, 4, 5, 1, 3, 0, 0, 0, 2, 3)
-_TOP16_V = (0, 1, 0, 5, 2, 0, 2, 0, 0, 6, 0, 4, 6, 3, 2, 5)
+# (u, v) frequency index pairs ranked by channel-attention usefulness on a 7x7
+# grid (the published top-16 selection, lowest frequencies first); ``freq_k``
+# takes the first k.
+TOP16_FREQUENCIES = (
+    (0, 0), (0, 1), (6, 0), (0, 5), (0, 2), (1, 0), (1, 2), (4, 0),
+    (5, 0), (1, 6), (3, 0), (0, 4), (0, 6), (0, 3), (2, 2), (3, 5),
+)
 
 
-@dataclass(frozen=True)
-class FrequencySpec:
-    """One 2D frequency index pair."""
-
-    u: int
-    v: int
-
-    def __post_init__(self):
-        if self.u < 0 or self.v < 0:
-            raise ValueError(f"frequency indices must be >= 0, got ({self.u}, {self.v})")
-
-
-@dataclass(frozen=True)
-class FrequencyConfig:
-    """Profile each channel with the first ``k`` frequencies of the top-16 table."""
-
-    k: int = 16
-    specs: tuple[FrequencySpec, ...] = field(init=False)
-
-    def __post_init__(self):
-        if not 1 <= self.k <= len(_TOP16_U):
-            raise ValueError(f"need at least one and up to {len(_TOP16_U)} frequencies, got k={self.k}")
-        specs = tuple(FrequencySpec(u, v) for u, v in zip(_TOP16_U[: self.k], _TOP16_V[: self.k]))
-        object.__setattr__(self, "specs", specs)
-
-
-@dataclass(frozen=True)
-class AdaptiveKernelConfig:
-    alpha: float = 2.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-
-def dct_basis(h: int, w: int, spec: FrequencySpec) -> np.ndarray:
+def dct_basis(h: int, w: int, u: int, v: int) -> np.ndarray:
     """Cosine basis map ``cos(pi*h/H*(u+1/2)) * cos(pi*w/W*(v+1/2))``.
 
     The half-sample offset rides on the frequency index, not the spatial
@@ -80,36 +48,36 @@ def dct_basis(h: int, w: int, spec: FrequencySpec) -> np.ndarray:
     """
     if h < 1 or w < 1:
         raise ValueError(f"basis needs a positive grid, got {h}x{w}")
-    rows = np.cos(np.pi * np.arange(h) / h * (spec.u + 0.5))
-    cols = np.cos(np.pi * np.arange(w) / w * (spec.v + 0.5))
+    rows = np.cos(np.pi * np.arange(h) / h * (u + 0.5))
+    cols = np.cos(np.pi * np.arange(w) / w * (v + 0.5))
     return np.outer(rows, cols)
 
 
-_BASIS_CACHE: dict[tuple[int, int, tuple], np.ndarray] = {}
+_BASIS_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def frequency_bases(h: int, w: int, cfg: FrequencyConfig) -> np.ndarray:
-    """(K, H*W) stack of basis maps for the configured selection, cached."""
-    key = (h, w, cfg.specs)
+def frequency_bases(h: int, w: int, k: int) -> np.ndarray:
+    """(k, H*W) stack of the basis maps of the first ``k`` table frequencies, cached."""
+    key = (h, w, k)
     got = _BASIS_CACHE.get(key)
     if got is None:
-        got = np.stack([dct_basis(h, w, s).reshape(-1) for s in cfg.specs]).astype(np.float64)
+        got = np.stack([dct_basis(h, w, u, v).reshape(-1) for u, v in TOP16_FREQUENCIES[:k]]).astype(np.float64)
         _BASIS_CACHE[key] = got
     return got
 
 
-def compress_frequencies(x: Tensor, cfg: FrequencyConfig) -> Tensor:
-    """(N,C,H,W) -> (N,C,K): per-channel projection onto each basis map."""
+def compress_frequencies(x: Tensor, k: int) -> Tensor:
+    """(N,C,H,W) -> (N,C,k): per-channel projection onto each basis map."""
     n, c, h, w = x.shape
-    bases = Tensor(frequency_bases(h, w, cfg).astype(x.data.dtype))
+    bases = Tensor(frequency_bases(h, w, k).astype(x.data.dtype))
     return F.linear(x.reshape(n * c, h * w), bases).reshape(n, c, -1)
 
 
-def adaptive_kernel_size(channels: int, cfg: AdaptiveKernelConfig = AdaptiveKernelConfig()) -> int:
+def adaptive_kernel_size(channels: int, alpha: float, beta: float) -> int:
     """Nearest odd integer to ``log2(C)/alpha + beta/alpha`` (ties -> smaller)."""
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
-    lam = math.log2(channels) / cfg.alpha + cfg.beta / cfg.alpha
+    lam = math.log2(channels) / alpha + beta / alpha
     lower = 2 * math.floor((lam - 1.0) / 2.0) + 1
     upper = lower + 2
     phi = lower if (lam - lower) <= (upper - lam) else upper
@@ -123,21 +91,16 @@ class GlobalFrequencyAttention(Module):
     axis with the adaptive kernel size; the three results are summed.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        freq: FrequencyConfig = FrequencyConfig(),
-        kernel_cfg: AdaptiveKernelConfig = AdaptiveKernelConfig(),
-    ):
+    def __init__(self, dim: int, cfg: NetworkConfig):
         super().__init__()
-        self.freq = freq
-        self.kernel_size = adaptive_kernel_size(dim, kernel_cfg)
+        self.freq_k = cfg.freq_k
+        self.kernel_size = adaptive_kernel_size(dim, cfg.kernel_alpha, cfg.kernel_beta)
         self.conv_avg = ChannelConv1d(self.kernel_size)
         self.conv_max = ChannelConv1d(self.kernel_size)
         self.conv_min = ChannelConv1d(self.kernel_size)
 
     def forward(self, x: Tensor) -> Tensor:
-        profile = compress_frequencies(x, self.freq)  # (N,C,K)
+        profile = compress_frequencies(x, self.freq_k)  # (N,C,K)
         avg = profile.mean(axis=2)
         mx = profile.max(axis=2)
         mn = profile.min(axis=2)
@@ -147,10 +110,8 @@ class GlobalFrequencyAttention(Module):
 class LocalPointwiseAttention(Module):
     """Per-position channel bottleneck: BN(pw2(relu(BN(pw1(x)))))."""
 
-    def __init__(self, dim: int, reduction: int = 4, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, reduction: int, rng: np.random.Generator):
         super().__init__()
-        if dim % reduction != 0:
-            raise ValueError(f"dim {dim} not divisible by reduction {reduction}")
         hidden = dim // reduction
         self.pw1 = Conv2d(dim, hidden, 1, bias=False, rng=rng)
         self.bn1 = BatchNorm2d(hidden)
@@ -170,17 +131,10 @@ class MFMSBlock(Module):
     ``F~ + w*(F-F~)`` so equal inputs pass through bit-exactly).
     """
 
-    def __init__(
-        self,
-        dim: int,
-        freq: FrequencyConfig = FrequencyConfig(),
-        kernel_cfg: AdaptiveKernelConfig = AdaptiveKernelConfig(),
-        reduction: int = 4,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, dim: int, cfg: NetworkConfig, rng: np.random.Generator):
         super().__init__()
-        self.global_attention = GlobalFrequencyAttention(dim, freq, kernel_cfg)
-        self.local_attention = LocalPointwiseAttention(dim, reduction, rng=rng)
+        self.global_attention = GlobalFrequencyAttention(dim, cfg)
+        self.local_attention = LocalPointwiseAttention(dim, cfg.mfms_reduction, rng)
 
     def fusion_weight(self, x: Tensor) -> Tensor:
         n, c = x.shape[0], x.shape[1]

@@ -22,17 +22,16 @@ elementwise arithmetic are excluded.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blocks import BlockPair, CVSSBlock, CVSSConfig
+from .blocks import BlockPair, CVSSBlock
 from .layers import Conv2d, LayerNorm, Linear
-from .mfms import AdaptiveKernelConfig, FrequencyConfig, MFMSBlock, adaptive_kernel_size
+from .mfms import MFMSBlock, adaptive_kernel_size
 from .module import Module, ModuleList
 from .scan import SCAN_MODES
-from .ssm import DEFAULT_SCAN_BLOCK, DEFAULT_STATE_DIM, default_dt_rank
+from .ssm import DEFAULT_SCAN_BLOCK, default_dt_rank
 from .tensor import Tensor, cat
 
 __all__ = [
@@ -59,7 +58,7 @@ class NetworkConfig:
     input_size: tuple[int, int] = (256, 256)
     effn_ratio: float = 0.5
     ssm_expand: int = 2
-    state_dim: int = DEFAULT_STATE_DIM
+    state_dim: int = 16
     scan_block: int = DEFAULT_SCAN_BLOCK
     ca_reduction: int = 4
     freq_k: int = 16
@@ -105,23 +104,6 @@ class NetworkConfig:
 
     def stage_dim(self, i: int) -> int:
         return self.embed_dim * (1 << i)
-
-    def block_config(self, dim: int) -> CVSSConfig:
-        return CVSSConfig(
-            dim=dim,
-            ssm_expand=self.ssm_expand,
-            state_dim=self.state_dim,
-            scan_mode=self.scan_mode,
-            scan_block=self.scan_block,
-            ca_reduction=self.ca_reduction,
-            effn_ratio=self.effn_ratio,
-        )
-
-    def frequency_config(self) -> FrequencyConfig:
-        return FrequencyConfig(k=self.freq_k)
-
-    def kernel_config(self) -> AdaptiveKernelConfig:
-        return AdaptiveKernelConfig(alpha=self.kernel_alpha, beta=self.kernel_beta)
 
     # -- serialization -------------------------------------------------------------
 
@@ -226,13 +208,13 @@ class PatchExpand(Module):
 class BlockSequence(Module):
     """Stage body: pairs of blocks under outer residuals, plus one odd block."""
 
-    def __init__(self, cfg: CVSSConfig, depth: int, rng: np.random.Generator):
+    def __init__(self, dim: int, cfg: NetworkConfig, depth: int, rng: np.random.Generator):
         super().__init__()
         mods: list[Module] = []
         for _ in range(depth // 2):
-            mods.append(BlockPair(CVSSBlock(cfg, rng=rng), CVSSBlock(cfg, rng=rng)))
+            mods.append(BlockPair(CVSSBlock(dim, cfg, rng), CVSSBlock(dim, cfg, rng)))
         if depth % 2:
-            mods.append(CVSSBlock(cfg, rng=rng))
+            mods.append(CVSSBlock(dim, cfg, rng))
         self.blocks = ModuleList(mods)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -281,29 +263,18 @@ class CVMHUNet(Module):
 
         self.patch_embed = PatchEmbed(self.IN_CHANNELS, c, rng)
         self.enc_stages = ModuleList(
-            [BlockSequence(config.block_config(config.stage_dim(i)), config.enc_depths[i], rng) for i in range(4)]
+            [BlockSequence(config.stage_dim(i), config, config.enc_depths[i], rng) for i in range(4)]
         )
         self.merges = ModuleList([PatchMerge(config.stage_dim(i), rng) for i in range(3)])
 
-        self.dec_bridge = BlockSequence(config.block_config(config.stage_dim(3)), config.dec_depths[0], rng)
+        self.dec_bridge = BlockSequence(config.stage_dim(3), config, config.dec_depths[0], rng)
         expands, fusions, dec_stages = [], [], []
         for j in range(1, 4):
             i = 3 - j  # target stage index after expanding
             dim = config.stage_dim(i)
             expands.append(PatchExpand(2 * dim, rng))
-            if config.mfms_enabled:
-                fusions.append(
-                    MFMSBlock(
-                        dim,
-                        freq=config.frequency_config(),
-                        kernel_cfg=config.kernel_config(),
-                        reduction=config.mfms_reduction,
-                        rng=rng,
-                    )
-                )
-            else:
-                fusions.append(AddFusion())
-            dec_stages.append(BlockSequence(config.block_config(dim), config.dec_depths[j], rng))
+            fusions.append(MFMSBlock(dim, config, rng) if config.mfms_enabled else AddFusion())
+            dec_stages.append(BlockSequence(dim, config, config.dec_depths[j], rng))
         self.expands = ModuleList(expands)
         self.fusions = ModuleList(fusions)
         self.dec_stages = ModuleList(dec_stages)
@@ -362,7 +333,7 @@ def _block_params(cfg: NetworkConfig, c: int) -> int:
 
 
 def _mfms_params(cfg: NetworkConfig, c: int) -> int:
-    phi = adaptive_kernel_size(c, cfg.kernel_config())
+    phi = adaptive_kernel_size(c, cfg.kernel_alpha, cfg.kernel_beta)
     p = 3 * (phi + 1)  # three channel convs with bias
     cr = c // cfg.mfms_reduction
     p += c * cr + 2 * cr  # pw1 + bn1 affine
@@ -413,7 +384,7 @@ def _block_flops(cfg: NetworkConfig, c: int, positions: int) -> int:
 
 
 def _mfms_flops(cfg: NetworkConfig, c: int, positions: int) -> int:
-    phi = adaptive_kernel_size(c, cfg.kernel_config())
+    phi = adaptive_kernel_size(c, cfg.kernel_alpha, cfg.kernel_beta)
     cr = c // cfg.mfms_reduction
     f = c * cfg.freq_k * positions  # frequency compression
     f += 3 * phi * c  # channel convs

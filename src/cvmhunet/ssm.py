@@ -40,7 +40,6 @@ __all__ = [
     "default_dt_rank",
 ]
 
-DEFAULT_STATE_DIM = 16
 DEFAULT_SCAN_BLOCK = 64
 # Bytes of (steps, N, S, D) data one tile of the scan may span: the tile's
 # propagators, states and adjoints then stay in a 2 MB L2 between passes.
@@ -231,19 +230,12 @@ class DirectionalSSM(Module):
     """
 
     def __init__(
-        self,
-        dim: int,
-        state_dim: int = DEFAULT_STATE_DIM,
-        dt_rank: int | None = None,
-        scan_mode: str = "cs2d",
-        scan_block: int = DEFAULT_SCAN_BLOCK,
-        rng: np.random.Generator | None = None,
+        self, dim: int, dt_rank: int, state_dim: int, scan_mode: str, scan_block: int, rng: np.random.Generator
     ):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.dim = dim
         self.state_dim = state_dim
-        self.dt_rank = r = dt_rank if dt_rank is not None else default_dt_rank(dim)
+        self.dt_rank = r = dt_rank
         self.scan_mode = scan_mode
         self.scan_block = scan_block
 

@@ -19,17 +19,11 @@ import pytest
 
 import cvmhunet
 from cvmhunet import ssm
-from cvmhunet.blocks import BlockPair, CVSSBlock, CVSSConfig
+from cvmhunet.blocks import BlockPair, CVSSBlock
 from cvmhunet.cli import main
 from cvmhunet.losses import LossConfig, ce_loss
 from cvmhunet.metrics import ConfusionMatrix, compute_metrics
-from cvmhunet.mfms import (
-    AdaptiveKernelConfig,
-    FrequencyConfig,
-    MFMSBlock,
-    adaptive_kernel_size,
-    compress_frequencies,
-)
+from cvmhunet.mfms import MFMSBlock, adaptive_kernel_size, compress_frequencies
 from cvmhunet.network import NetworkConfig, flops_count, param_count
 from cvmhunet.scan import SCAN_MODES, scan_orders
 from cvmhunet.ssm import sequential_scan
@@ -218,12 +212,12 @@ def test_07_fusion_properties():
     g = Tensor(rng.normal(size=(2, dim, 4, 4)).astype(np.float32))
 
     # zero-init gates -> w = 0.5 midpoint blend; equal inputs pass bit-exactly
-    fresh = MFMSBlock(dim, freq=FrequencyConfig(k=4), rng=np.random.default_rng(0))
+    fresh = MFMSBlock(dim, NetworkConfig(embed_dim=8, freq_k=4), np.random.default_rng(0))
     mid_dev = float(np.abs(fresh(f, g).data - 0.5 * (f.data + g.data)).max())
     passthrough_exact = bool(np.array_equal(fresh(f, f).data, f.data))
 
     fused = randomize(
-        MFMSBlock(dim, freq=FrequencyConfig(k=4), rng=np.random.default_rng(1)), seed=2
+        MFMSBlock(dim, NetworkConfig(embed_dim=8, freq_k=4), np.random.default_rng(1)), seed=2
     )
     out = fused(f, g).data
     lo = np.minimum(f.data, g.data) - 1e-6
@@ -231,16 +225,15 @@ def test_07_fusion_properties():
     convex = bool(np.all(out >= lo) and np.all(out <= hi))
     swap_dev = float(np.abs(fused(f, g).data + fused(g, f).data - (f.data + g.data)).max())
 
-    cfg = FrequencyConfig(k=4)
     x = Tensor(rng.normal(size=(2, dim, 5, 5)).astype(np.float64))
     y = Tensor(rng.normal(size=(2, dim, 5, 5)).astype(np.float64))
     lin_dev = float(
         np.abs(
-            compress_frequencies(x * 0.7 + y * (-1.3), cfg).data
-            - (0.7 * compress_frequencies(x, cfg).data - 1.3 * compress_frequencies(y, cfg).data)
+            compress_frequencies(x * 0.7 + y * (-1.3), 4).data
+            - (0.7 * compress_frequencies(x, 4).data - 1.3 * compress_frequencies(y, 4).data)
         ).max()
     )
-    kernels = (adaptive_kernel_size(96), adaptive_kernel_size(512), adaptive_kernel_size(2))
+    kernels = tuple(adaptive_kernel_size(c, 2.0, 1.0) for c in (96, 512, 2))
     elapsed = time.monotonic() - t0
     ok = (
         mid_dev < 1e-6
@@ -366,16 +359,16 @@ def test_09_desk_scale_training(tmp_path):
 
 
 def test_10_identity_at_init():
-    cfg = CVSSConfig(dim=8, state_dim=4, scan_block=16)
+    cfg = NetworkConfig(embed_dim=8, state_dim=4, scan_block=16)
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 8, 6, 6)).astype(np.float32))
 
-    block = CVSSBlock(cfg, rng=np.random.default_rng(1))
+    block = CVSSBlock(8, cfg, np.random.default_rng(1))
     block_dev = float(np.abs(block(x).data - x.data).max())
 
     pair = BlockPair(
-        CVSSBlock(cfg, rng=np.random.default_rng(2)),
-        CVSSBlock(cfg, rng=np.random.default_rng(3)),
+        CVSSBlock(8, cfg, np.random.default_rng(2)),
+        CVSSBlock(8, cfg, np.random.default_rng(3)),
     )
     pair_dev = float(np.abs(pair(x).data - 2.0 * x.data).max())
     verdict(

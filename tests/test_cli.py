@@ -36,7 +36,7 @@ TINY_MODEL = {
     "scan_block": 16,
     "freq_k": 4,
 }
-# model fields from which no CVMHUNet can be built at embed_dim 8 or 16
+# model fields that NetworkConfig rejects at embed_dim 8 or 16
 MODEL_BUILD_ERRORS = [("ca_reduction", 5), ("mfms_reduction", 3), ("freq_k", 17), ("freq_k", 0), ("ssm_expand", 0),
                       ("kernel_alpha", 0)]
 # README desk config
@@ -254,6 +254,29 @@ class TestTrain:
             assert main(["train", "--config", str(cfg)]) == 2, (field, value)
             assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,doc,key",
+        [
+            ("train", {"manfest": "data/manifest.json"}, "manfest"),
+            ("train", {"train": {"bogus": 3}}, "bogus"),
+            ("train", {"train": []}, "train"),
+            ("train", {"augment": [1]}, "augment"),
+            ("train", {"train": {"steps": None}}, "steps"),
+            ("train", {"train": {"lr": None}}, "lr"),
+            ("train", {"seed": None}, "seed"),
+            ("train", {"manifest": 5}, "manifest"),
+            ("inspect", [1], "config root"),
+        ],
+        ids=["top-level-typo", "train-key", "train-list", "augment-list", "steps-null", "lr-null", "seed-null",
+             "manifest-number", "inspect-list"],
+    )
+    def test_run_config_rejects_unknown_keys_and_wrong_types(self, dataset, capsys, command, doc, key):
+        good = json.loads(write_config(dataset).read_text())
+        cfg = dataset / "bad.json"
+        cfg.write_text(json.dumps({**good, **doc} if isinstance(doc, dict) else doc))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -300,6 +323,19 @@ class TestEvalPredict:
                          "--out", str(trained / "pred.ppm"), "--logits-out", str(logits)]) == 0
             outputs.append((capsys.readouterr().out, logits.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_batch_size_below_one_exits_2(self, trained, capsys, command, size):
+        data = trained / "data"
+        args = {
+            "eval": ["--manifest", str(data / "manifest.json")],
+            "predict": ["--image", str(data / "img_0000.ppm"), "--out", str(trained / "pred.ppm")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--checkpoint", str(trained / "run" / "best.cvck"), *args, "--batch-size", size])
+        assert exc.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
 
     def test_oracle_eval_is_perfect(self, dataset, capsys):
         code = main(
@@ -497,14 +533,22 @@ class TestReports:
 
     @pytest.mark.parametrize("field,value", MODEL_BUILD_ERRORS)
     def test_inspect_rejects_configs_the_model_cannot_be_built_from(self, tmp_path, capsys, field, value):
-        unchecked = NetworkConfig.from_dict({**TINY_MODEL, "embed_dim": 16})
-        object.__setattr__(unchecked, field, value)  # past the config check, the model itself rejects it
-        with pytest.raises(ValueError):
-            CVMHUNet(unchecked)
         cfg = tmp_path / "m.json"
         cfg.write_text(json.dumps({"model": {**TINY_MODEL, "embed_dim": 16, field: value}}))
         assert main(["inspect", "--config", str(cfg)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_inspect_reads_the_run_config(self, tmp_path, capsys):
+        # every section is optional: an empty document is the default model, as with no --config
+        assert main(["inspect"]) == 0
+        default = capsys.readouterr().out
+        cfg = tmp_path / "m.json"
+        cfg.write_text("{}")
+        assert main(["inspect", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == default
+        cfg.write_text(json.dumps({"model": TINY_MODEL, "train": {"steps": 2}, "seed": 1, "out_dir": "x"}))
+        assert main(["inspect", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == param_count(NetworkConfig.from_dict(TINY_MODEL))
 
     def test_inspect_ignores_frequency_fields_without_fusion(self, tmp_path, capsys):
         model = {**TINY_MODEL, "mfms_enabled": False, "freq_k": 0}

@@ -1,10 +1,12 @@
 """Network assembly: shape contracts, counters, and structural invariants."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from cvmhunet.checkpoint import model_state
 from cvmhunet.gradcheck import check_gradients
 from cvmhunet.layers import Conv2d, Linear
 from cvmhunet.network import (
@@ -339,6 +341,46 @@ class TestCounters:
         assert delta > 0 and delta2 > delta  # wider stage => bigger block
 
 
+class TestSeededInit:
+    @pytest.mark.parametrize(
+        "cfg,digest",
+        [
+            (
+                NetworkConfig(embed_dim=16, input_size=(64, 64), state_dim=8, scan_block=32),
+                "34f545da5271be70cfee8934af88666f3b1797ee0463de9c8a59f6bb3e7c8e66",
+            ),
+            (
+                NetworkConfig(
+                    embed_dim=12,
+                    enc_depths=(1, 2, 1, 1),
+                    dec_depths=(1, 1, 2, 1),
+                    num_classes=3,
+                    scan_mode="ss2d",
+                    input_size=(32, 64),
+                    effn_ratio=0.75,
+                    ssm_expand=3,
+                    state_dim=5,
+                    scan_block=7,
+                    ca_reduction=2,
+                    freq_k=5,
+                    kernel_alpha=1.25,
+                    kernel_beta=2.5,
+                    mfms_reduction=3,
+                ),
+                "b4129116dd50f973fe0969b2b013714cdab39ee95d3568836bc4be50736936d8",
+            ),
+        ],
+        ids=["readme-desk", "every-field-set"],
+    )
+    def test_seed_zero_init_is_pinned_bitwise(self, cfg, digest):
+        # SHA-256 over every state entry's name, dtype, shape and bytes, in model_state order
+        h = hashlib.sha256()
+        for name, arr in model_state(CVMHUNet(cfg, seed=0)).items():
+            h.update(f"{name}:{arr.dtype.str}:{arr.shape};".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
+
+
 class TestUnseededInit:
     def test_placeholder_draws_nothing_and_offers_only_uniform(self):
         rng = _Undrawn()
@@ -363,4 +405,4 @@ class TestModuleZero:
         assert not outer.weight.data.any() and not outer.bias.data.any()
         assert outer.weight.data is not drawn and drawn.any()
         np.testing.assert_array_equal(outer.inner.weight.data, inner)
-        assert Linear(3, 2, bias=False).zero_().bias is None
+        assert Linear(3, 2, bias=False, rng=rng()).zero_().bias is None

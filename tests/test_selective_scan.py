@@ -346,7 +346,7 @@ class TestS6Modules:
         assert default_dt_rank(1) == 1
 
     def test_initialization_contracts(self):
-        m = DirectionalSSM(8, state_dim=5, rng=np.random.default_rng(0))
+        m = DirectionalSSM(8, default_dt_rank(8), 5, "cs2d", 64, rng=np.random.default_rng(0))
         r = default_dt_rank(8)
         assert [p.shape for p in m.parameters()] == [(4, r + 10, 8), (4, 8, r), (4, 8), (4, 8, 5), (4, 8)]
         for k in range(4):
@@ -359,7 +359,7 @@ class TestS6Modules:
 
     def test_rows_drawn_one_direction_after_another(self):
         # row k holds the draws a separate module for direction k made, in the same RNG order
-        m = DirectionalSSM(6, state_dim=3, rng=np.random.default_rng(4))
+        m = DirectionalSSM(6, default_dt_rank(6), 3, "cs2d", 64, rng=np.random.default_rng(4))
         rng = np.random.default_rng(4)
         r = default_dt_rank(6)
         for k in range(4):
@@ -374,7 +374,7 @@ class TestS6Modules:
         x = rng.normal(size=(2, 8, 3, 5)).astype(np.float64)
         out = []
         for block in (1, 15, 64):
-            m = DirectionalSSM(8, state_dim=4, scan_block=block, rng=np.random.default_rng(11))
+            m = DirectionalSSM(8, default_dt_rank(8), 4, "cs2d", block, rng=np.random.default_rng(11))
             m.to_dtype(np.float64)
             y = m(Tensor(x))
             assert y.shape == (2, 8, 3, 5)
@@ -383,13 +383,13 @@ class TestS6Modules:
         np.testing.assert_allclose(out[0], out[2], atol=1e-12)
 
     def test_channel_mismatch_raises(self):
-        m = DirectionalSSM(8, rng=np.random.default_rng(0))
+        m = DirectionalSSM(8, default_dt_rank(8), 16, "cs2d", 64, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="channels"):
             m(Tensor(np.zeros((1, 4, 2, 5))))
 
     def test_directional_ssm_shape_and_param_count(self):
         dim, s = 6, 4
-        m = DirectionalSSM(dim, state_dim=s, scan_mode="cs2d", rng=np.random.default_rng(0))
+        m = DirectionalSSM(dim, default_dt_rank(dim), s, "cs2d", 64, rng=np.random.default_rng(0))
         r = default_dt_rank(dim)
         per_dir = (r + 2 * s) * dim + dim * r + dim + dim * s + dim
         assert sum(p.size for p in m.parameters()) == 4 * per_dir
@@ -403,7 +403,7 @@ class TestS6Modules:
         # directions, each mapped back through its own traversal order
         for mode in ("ss2d", "cs2d"):
             rng = np.random.default_rng(5)
-            m = DirectionalSSM(3, state_dim=2, scan_mode=mode, scan_block=5, rng=rng)
+            m = DirectionalSSM(3, default_dt_rank(3), 2, mode, 5, rng=rng)
             for p in m.parameters():  # make every row differ
                 p.data = p.data + rng.normal(size=p.shape).astype(np.float32) * 0.1
             x_data = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
@@ -427,11 +427,11 @@ class TestS6Modules:
     def test_old_direction_keys_load(self):
         # a state saved when each direction was its own module holds directions.{k}.<name>
         rng = np.random.default_rng(7)
-        m = DirectionalSSM(6, state_dim=3, rng=rng)
+        m = DirectionalSSM(6, default_dt_rank(6), 3, "cs2d", 64, rng=rng)
         for p in m.parameters():
             p.data = rng.normal(size=p.shape).astype(np.float32)
         old = {f"directions.{k}.{name}": arr[k].copy() for name, arr in model_state(m).items() for k in range(4)}
-        fresh = DirectionalSSM(6, state_dim=3, rng=np.random.default_rng(99))
+        fresh = DirectionalSSM(6, default_dt_rank(6), 3, "cs2d", 64, rng=np.random.default_rng(99))
         apply_model_state(fresh, old)
         x = Tensor(rng.normal(size=(2, 6, 3, 4)).astype(np.float32))
         with no_grad():
@@ -443,7 +443,7 @@ class TestS6Modules:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_directional_ssm_gradcheck(self, seed):
         rng = np.random.default_rng(seed)
-        m = DirectionalSSM(4, state_dim=3, scan_mode="cs2d", scan_block=3, rng=rng)
+        m = DirectionalSSM(4, default_dt_rank(4), 3, "cs2d", 3, rng=rng)
         m.to_dtype(np.float64)
         x = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
         w = rng.normal(size=(1, 4, 3, 3))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +137,14 @@ def _reject_unknown(where: str, doc: dict, known) -> None:
         raise CliError(f"unknown {where} keys: {unknown}", EXIT_CONFIG)
 
 
+def _checked(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a value it rejects exits 2 as an invalid ``section`` config."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError) as e:
+        raise CliError(f"invalid {section} config: {e}", EXIT_CONFIG) from e
+
+
 def _build_network_config(model_doc: dict, num_classes: int | None = None) -> NetworkConfig:
     doc = dict(model_doc)
     if num_classes is not None:
@@ -147,17 +155,7 @@ def _build_network_config(model_doc: dict, num_classes: int | None = None) -> Ne
                 EXIT_CONFIG,
             )
         doc["num_classes"] = num_classes
-    try:
-        return NetworkConfig.from_dict(doc)
-    except (ValueError, TypeError) as e:
-        raise CliError(f"invalid model config: {e}", EXIT_CONFIG) from e
-
-
-def _build_loss_config(loss_doc: dict) -> LossConfig:
-    try:
-        return LossConfig(**loss_doc)
-    except (ValueError, TypeError) as e:
-        raise CliError(f"invalid loss config: {e}", EXIT_CONFIG) from e
+    return _checked("model", NetworkConfig.from_dict, doc)
 
 
 def _load_manifest(path: str | None) -> DatasetManifest:
@@ -234,140 +232,138 @@ def _model_from_checkpoint(path: Path) -> tuple[CVMHUNet, dict]:
 
 
 # ---------------------------------------------------------------------------
-# train
+# train: the config, one run state, one step
 # ---------------------------------------------------------------------------
 
 
-def _collect_tiles(manifest: DatasetManifest, tile: int) -> list[dict]:
-    spec = TileSpec(size=tile)
-    tiles = []
-    for img_path, lab_path in manifest.pairs:
-        image, label = load_pair(
-            img_path, lab_path, manifest.num_classes, manifest.ignore_index
-        )
-        tiles.extend(tile_image(image, label, spec, manifest.ignore_index))
-    return tiles
+@dataclass(frozen=True)
+class _TrainConfig:
+    manifest: DatasetManifest
+    model: NetworkConfig
+    loss: LossConfig
+    augment: AugmentConfig
+    tile: TileSpec
+    train: dict  # steps, batch_size, lr, weight_decay
+    seed: int
+    out_dir: Path
+
+
+def _train_config(args: argparse.Namespace) -> _TrainConfig:
+    """The whole ``train`` config, read and checked before anything is built or written."""
+    run = _load_run_config(args)
+    manifest = _load_manifest(run["manifest"])
+    model = _build_network_config(run["model"], manifest.num_classes)
+    loss = _checked("loss", LossConfig, **{"ignore_index": manifest.ignore_index, **run["loss"]})
+    augment = _checked("augment", AugmentConfig, **run["augment"])
+    train = run["train"]
+    if train["steps"] < 1 or train["batch_size"] < 1:
+        raise CliError(f"steps and batch_size must be >= 1, got {train['steps']}/{train['batch_size']}", EXIT_CONFIG)
+    tile = _checked("train", TileSpec, size=min(model.input_size) if train["tile"] is None else train["tile"])
+    return _TrainConfig(manifest, model, loss, augment, tile, train, run["seed"], Path(run["out_dir"]))
+
+
+# the resume record that last.json carries, with the JSON type of each entry
+_RESUME_TYPES = {"step": int, "rng_state": dict, "best_total": (int, float), "best_step": int}
+
+
+class _RunState:
+    """Where a training run stands: the step, the batch RNG, and the best loss so far with its weights."""
+
+    def __init__(self, seed: int):
+        self.step = 0
+        self.rng = np.random.default_rng(seed)
+        self.best_total, self.best_step = np.inf, 0
+        self.best_weights: dict[str, np.ndarray] | None = None  # set once a step of this run sets the best
+
+    def resume(self, path: Path, model: CVMHUNet, optimizer: AdamW) -> None:
+        """Continue the run saved in ``path`` (a ``last.cvck``): weights, moments, step, batch RNG, best."""
+        meta = _read_sidecar(path)
+        if meta.get("model") != model.config.to_dict():
+            raise CliError(f"{path}: checkpoint model config differs from the requested one", EXIT_CONFIG)
+        try:
+            _restore(path, model, optimizer)
+        except (CheckpointError, ValueError) as e:
+            raise CliError(str(e), EXIT_IO) from e
+        try:
+            for key, types in _RESUME_TYPES.items():
+                if isinstance(meta[key], bool) or not isinstance(meta[key], types):
+                    raise TypeError(f"{key} is {meta[key]!r}")
+            step, best_step = meta["step"], meta["best_step"]
+            if step != optimizer.step_count or not 1 <= best_step <= step:
+                raise ValueError(f"step {step}, best_step {best_step}, optim.step {optimizer.step_count}")
+            self.rng.bit_generator.state = meta["rng_state"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise CliError(f"{path}: malformed resume state in its sidecar: {e!r}", EXIT_IO) from e
+        self.step, self.best_total, self.best_step = step, float(meta["best_total"]), best_step
+
+    def advance(self, total: float, model: CVMHUNet) -> None:
+        """Count the step just taken; copy the model's weights if its loss is the best so far."""
+        self.step += 1
+        if total < self.best_total:
+            self.best_total, self.best_step = total, self.step
+            current = model_state(model)
+            if self.best_weights is None:  # allocated once; later improvements overwrite it in place
+                self.best_weights = {k: np.empty_like(v) for k, v in current.items()}
+            for k, v in current.items():
+                np.copyto(self.best_weights[k], v)
+
+    def save(self, out_dir: Path, model: CVMHUNet, optimizer: AdamW, run_meta: dict) -> None:
+        """``last.cvck`` with the resume record; ``best.cvck`` if a step of this run set the best."""
+        record = {"step": self.step, "rng_state": self.rng.bit_generator.state,
+                  "best_total": self.best_total, "best_step": self.best_step}
+        _save_run_checkpoint(out_dir / "last.cvck", model, None, optimizer, {**run_meta, **record})
+        if self.best_weights is not None:  # else no step of this run beat the restored best: keep best.cvck
+            best_meta = {**run_meta, "step": self.best_step}
+            _save_run_checkpoint(out_dir / "best.cvck", model, self.best_weights, None, best_meta)
+
+
+def _train_step(
+    model: CVMHUNet, optimizer: AdamW, tiles: list[dict], cfg: _TrainConfig, state: _RunState
+) -> tuple[float, float, float]:
+    """One update on a batch of augmented tiles drawn with the run's RNG; returns (ce, dice, total)."""
+    images, labels = [], []
+    for i in state.rng.integers(0, len(tiles), size=cfg.train["batch_size"]):
+        img, lab = augment_pair(tiles[i]["image"], tiles[i]["label"], cfg.augment, state.rng)
+        images.append(normalize_image(img, cfg.augment))
+        labels.append(lab)
+    total, ce, dice = segmentation_loss(model(Tensor(np.stack(images))), np.stack(labels), cfg.loss)
+    ce_v, dice_v, total_v = float(ce.data), float(dice.data), float(total.data)
+    if not np.isfinite(total_v):
+        raise CliError(f"non-finite loss at step {state.step + 1} (ce={ce_v!r}, dice={dice_v!r})", EXIT_NUMERIC)
+    optimizer.step(total)  # backward and update in one sweep; its return ends the step
+    return ce_v, dice_v, total_v
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = _load_run_config(args)
-    manifest = _load_manifest(run["manifest"])
-    net_cfg = _build_network_config(run["model"], manifest.num_classes)
-    loss_cfg = _build_loss_config(
-        {**run["loss"], "ignore_index": manifest.ignore_index}
-        if "ignore_index" not in run["loss"]
-        else run["loss"]
-    )
-    try:
-        aug_cfg = AugmentConfig(**run["augment"])
-    except (ValueError, TypeError) as e:
-        raise CliError(f"invalid augment config: {e}", EXIT_CONFIG) from e
+    cfg = _train_config(args)
+    model = CVMHUNet(cfg.model, seed=None if args.resume else cfg.seed)  # a resume overwrites every parameter
+    optimizer = AdamW(model.parameters(), lr=float(cfg.train["lr"]), weight_decay=float(cfg.train["weight_decay"]))
+    state = _RunState(cfg.seed)
+    if args.resume:
+        state.resume(Path(args.resume), model, optimizer)
+    manifest, tiles = cfg.manifest, []  # a manifest lists an image, and every image gives a tile
+    for img_path, lab_path in manifest.pairs:
+        image, label = load_pair(img_path, lab_path, manifest.num_classes, manifest.ignore_index)
+        tiles.extend(tile_image(image, label, cfg.tile, manifest.ignore_index))
 
-    train = run["train"]
-    steps, batch_size = train["steps"], train["batch_size"]
-    if steps < 1 or batch_size < 1:
-        raise CliError(f"steps and batch_size must be >= 1, got {steps}/{batch_size}", EXIT_CONFIG)
-    tile = train["tile"] or min(net_cfg.input_size)
-    seed = run["seed"]
-
-    out_dir = Path(run["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    meta = _read_sidecar(Path(args.resume)) if getattr(args, "resume", None) else None
-    if meta is not None and meta.get("model") != net_cfg.to_dict():
-        raise CliError(
-            f"{args.resume}: checkpoint model config differs from the requested one",
-            EXIT_CONFIG,
-        )
-    model = CVMHUNet(net_cfg, seed=None if meta is not None else seed)
-    optimizer = AdamW(
-        model.parameters(),
-        lr=float(train["lr"]),
-        weight_decay=float(train["weight_decay"]),
-    )
-    rng = np.random.default_rng(seed)
-    best_total, best_step, start_step = np.inf, 0, 0
-    if meta is not None:
-        try:
-            _restore(Path(args.resume), model, optimizer)
-        except (CheckpointError, ValueError) as e:
-            raise CliError(str(e), EXIT_IO) from e
-        # continue the step count, the batch stream and the best-so-far where the saved run stopped
-        try:
-            start_step = int(meta.get("step", optimizer.step_count))
-            if "rng_state" in meta:
-                rng.bit_generator.state = meta["rng_state"]
-            best_total = float(meta.get("best_total", np.inf))
-            best_step = int(meta.get("best_step", start_step))
-        except (KeyError, TypeError, ValueError) as e:
-            raise CliError(f"{args.resume}: malformed resume state in its sidecar: {e!r}", EXIT_IO) from e
-
-    tiles = _collect_tiles(manifest, tile)
-    if not tiles:
-        raise CliError("dataset produced no tiles", EXIT_CONFIG)
-
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = cfg.out_dir / "loss.csv"
+    append = state.step > 0 and csv_path.exists()
     model.train()
-    csv_path = out_dir / "loss.csv"
-    mode = "a" if start_step > 0 and csv_path.exists() else "w"
-    best_state: dict[str, np.ndarray] | None = None
-
-    with open(csv_path, mode) as csv_file:
-        if mode == "w":
+    with open(csv_path, "a" if append else "w") as csv_file:
+        if not append:
             csv_file.write("step,ce,dice,total\n")
-        for step in range(start_step + 1, start_step + steps + 1):
-            idx = rng.integers(0, len(tiles), size=batch_size)
-            images, labels = [], []
-            for i in idx:
-                img, lab = augment_pair(tiles[i]["image"], tiles[i]["label"], aug_cfg, rng)
-                images.append(normalize_image(img, aug_cfg))
-                labels.append(lab)
-            x = Tensor(np.stack(images))
-            y = np.stack(labels)
+        for _ in range(cfg.train["steps"]):
+            ce, dice, total = _train_step(model, optimizer, tiles, cfg, state)
+            state.advance(total, model)
+            csv_file.write(f"{state.step},{ce!r},{dice!r},{total!r}\n")
+            if args.log_every and state.step % args.log_every == 0:
+                print(f"step {state.step}: total {total:.4f} (ce {ce:.4f}, dice {dice:.4f})")
 
-            total, ce, dice = segmentation_loss(model(x), y, loss_cfg)
-            total_v = float(total.data)
-            if not np.isfinite(total_v):
-                print(
-                    f"error: non-finite loss at step {step} "
-                    f"(ce={float(ce.data)!r}, dice={float(dice.data)!r})",
-                    file=sys.stderr,
-                )
-                return EXIT_NUMERIC
-            csv_file.write(f"{step},{float(ce.data)!r},{float(dice.data)!r},{total_v!r}\n")
-
-            optimizer.step(total)  # backward and update in one sweep; its return ends the step
-
-            if total_v < best_total:
-                best_total = total_v
-                best_step = step
-                current = model_state(model)
-                if best_state is None:  # allocated once; later improvements overwrite it in place
-                    best_state = {k: np.empty_like(v) for k, v in current.items()}
-                for k, v in current.items():
-                    np.copyto(best_state[k], v)
-            if args.log_every and step % args.log_every == 0:
-                print(f"step {step}: total {total_v:.4f} (ce {float(ce.data):.4f}, dice {float(dice.data):.4f})")
-
-    run_meta = {"seed": seed, "loss": asdict(loss_cfg)}
-    resume = {"rng_state": rng.bit_generator.state, "best_total": best_total, "best_step": best_step}
-    _save_run_checkpoint(
-        out_dir / "last.cvck", model, None, optimizer, {**run_meta, **resume, "step": start_step + steps}
-    )
-    if best_state is not None:  # else no step of this run beat the restored best: keep best.cvck
-        _save_run_checkpoint(out_dir / "best.cvck", model, best_state, None, {**run_meta, "step": best_step})
-    print(
-        json.dumps(
-            {
-                "steps": steps,
-                "final_step": start_step + steps,
-                "best_total": best_total,
-                "best_step": best_step,
-                "loss_csv": str(csv_path),
-                "last": str(out_dir / "last.cvck"),
-                "best": str(out_dir / "best.cvck"),
-            }
-        )
-    )
+    state.save(cfg.out_dir, model, optimizer, {"seed": cfg.seed, "loss": asdict(cfg.loss)})
+    last, best = cfg.out_dir / "last.cvck", cfg.out_dir / "best.cvck"
+    print(json.dumps({"steps": cfg.train["steps"], "final_step": state.step, "best_total": state.best_total,
+                      "best_step": state.best_step, "loss_csv": str(csv_path), "last": str(last), "best": str(best)}))
     return EXIT_OK
 
 

@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+def _checked_size(h: int, w: int) -> tuple[int, int]:
+    """``(h, w)``, which the patch embed (4x) and the three merges (8x) divide to at least one position."""
+    if h < 32 or w < 32 or h % 32 or w % 32:
+        raise ValueError(f"input size must be a multiple of 32, at least 32, on each side, got {h}x{w}")
+    return h, w
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     embed_dim: int = 96
@@ -96,9 +103,7 @@ class NetworkConfig:
             raise ValueError(f"effn_ratio must be > 0, got {self.effn_ratio}")
         if self.scan_mode not in SCAN_MODES:
             raise ValueError(f"scan_mode must be one of {SCAN_MODES}, got {self.scan_mode!r}")
-        h, w = self.input_size
-        if h % 32 != 0 or w % 32 != 0:
-            raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
+        _checked_size(*self.input_size)
 
     # -- derived -----------------------------------------------------------------
 
@@ -134,9 +139,7 @@ class StageInfo:
 
 def stage_plan(cfg: NetworkConfig, input_size: tuple[int, int] | None = None) -> list[StageInfo]:
     """Resolution/width/depth of every stage for a given input size."""
-    h, w = input_size or cfg.input_size
-    if h % 32 != 0 or w % 32 != 0:
-        raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
+    h, w = _checked_size(*(input_size or cfg.input_size))
     plan = [StageInfo("patch_embed", cfg.embed_dim, h // 4, w // 4, 0)]
     for i in range(4):
         plan.append(StageInfo(f"encoder_{i}", cfg.stage_dim(i), h // (4 << i), w // (4 << i), cfg.enc_depths[i]))
@@ -287,8 +290,7 @@ class CVMHUNet(Module):
         n, c, h, w = x.shape
         if c != self.IN_CHANNELS:
             raise ValueError(f"expected {self.IN_CHANNELS}-channel input, got {c}")
-        if h % 32 != 0 or w % 32 != 0:
-            raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
+        _checked_size(h, w)
 
         e = self.patch_embed(x)
         skips = []
@@ -394,9 +396,7 @@ def _mfms_flops(cfg: NetworkConfig, c: int, positions: int) -> int:
 
 def flops_count(cfg: NetworkConfig, input_size: tuple[int, int] | None = None) -> int:
     """MAC count for one sample at the given spatial size (see module docstring)."""
-    h, w = input_size or cfg.input_size
-    if h % 32 != 0 or w % 32 != 0:
-        raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
+    h, w = _checked_size(*(input_size or cfg.input_size))
     c = cfg.embed_dim
     p = [(h // (4 << i)) * (w // (4 << i)) for i in range(4)]
     total = 48 * c * p[0]  # patch embed conv

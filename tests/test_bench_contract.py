@@ -99,3 +99,36 @@ def test_one_op_boundary_per_training_step(tmp_path, capsys):
         t.restore()
     capsys.readouterr()
     assert len(t.op_ends) == 3
+
+
+def test_cli_spans_fire_in_train_and_eval(tmp_path, capsys):
+    # run.py's per-layer report reads these spans unconditionally, so a cvmh train or
+    # cvmh eval that stops calling one of them through cli's namespace fails every traced op
+    synth_generate(tmp_path / "data", seed=1, n_images=2, size=32, n_classes=4)
+    manifest = tmp_path / "data" / "manifest.json"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"embed_dim": 8, "input_size": [32, 32], "state_dim": 4, "scan_block": 16, "freq_k": 4},
+        "train": {"steps": 2, "batch_size": 1, "lr": 0.003},
+        "manifest": str(manifest),
+        "seed": 0,
+        "out_dir": str(tmp_path / "run"),
+    }))
+    commands = {
+        "wide_train": ["train", "--config", str(config)],
+        "tile_eval": ["eval", "--checkpoint", str(tmp_path / "run" / "best.cvck"), "--manifest", str(manifest)],
+    }
+    calls: dict[str, int] = {}
+    for name, argv in commands.items():
+        t = Tracer(spans=True)
+        try:
+            workloads.install(t, workloads.WORKLOADS[name])
+            assert cli.main(argv) == 0, name
+        finally:
+            t.restore()
+        for span, stats in t.summary().items():
+            calls[span] = calls.get(span, 0) + stats["calls"]
+    capsys.readouterr()
+    for span in ("losses.segmentation_loss", "data.augment_pair", "data.load_pair", "data.tile_image",
+                 "data.stitch_tiles", "checkpoint.save_tensors", "checkpoint.load_tensors"):
+        assert calls.get(span, 0) >= 1, span

@@ -144,15 +144,18 @@ class TestTrain:
         assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
 
     def test_resume_equals_uninterrupted_run(self, dataset, capsys):
+        # every split point k + (6 - k) of a 6-step run
         cfg = write_config(dataset)
-        whole, split = dataset / "whole", dataset / "split"
+        whole = dataset / "whole"
         assert main(["train", "--config", str(cfg), "--out-dir", str(whole), "--steps", "6"]) == 0
-        assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", "3"]) == 0
-        assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", "3",
-                     "--resume", str(split / "last.cvck")]) == 0
+        for k in range(1, 6):
+            split = dataset / f"split{k}"
+            assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", str(k)]) == 0
+            assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", str(6 - k),
+                         "--resume", str(split / "last.cvck")]) == 0
+            for name in ("loss.csv", "last.cvck", "last.json", "best.cvck", "best.json"):
+                assert (whole / name).read_bytes() == (split / name).read_bytes(), (k, name)
         capsys.readouterr()
-        for name in ("loss.csv", "last.cvck", "last.json", "best.cvck", "best.json"):
-            assert (whole / name).read_bytes() == (split / name).read_bytes(), name
 
     def test_resume_keeps_best_when_not_beaten(self, dataset, capsys):
         cfg = write_config(dataset)
@@ -189,6 +192,42 @@ class TestTrain:
                      "--resume", str(out / "last.cvck")])
         assert code == 4
         assert "malformed resume state" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("step", None), ("rng_state", None), ("best_total", None), ("best_step", None),
+         ("step", 2), ("step", 1.0), ("best_step", 0), ("best_step", 2), ("best_total", True)],
+    )
+    def test_resume_record_must_be_whole_and_consistent(self, dataset, capsys, key, value):
+        # the saved run took one step, so its optimizer state is at step 1
+        cfg = write_config(dataset)
+        out = dataset / "r"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
+        meta = json.loads((out / "last.json").read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        (out / "last.json").write_text(json.dumps(meta))
+        code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
+                     "--resume", str(out / "last.cvck")])
+        assert code == 4
+        assert "malformed resume state" in capsys.readouterr().err
+
+    def test_resume_from_best_checkpoint_exits_4_and_writes_nothing(self, dataset, capsys):
+        # best.json holds no resume record: continuing from it would restart the batch stream
+        # and the best loss, repeat steps in loss.csv and overwrite best.cvck with a worse model
+        cfg = write_config(dataset)
+        out = dataset / "r"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "2"]) == 0
+        names = ("loss.csv", "last.cvck", "last.json", "best.cvck", "best.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "2",
+                     "--resume", str(out / "best.cvck")])
+        assert code == 4
+        assert "malformed resume state" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
     def test_best_checkpoint_keeps_the_best_step(self, dataset, capsys):
         # at this lr the loss improves over the first steps and then rises, so the best
@@ -266,9 +305,11 @@ class TestTrain:
             ("train", {"seed": None}, "seed"),
             ("train", {"manifest": 5}, "manifest"),
             ("inspect", [1], "config root"),
+            ("train", {"train": {"tile": 0}}, "tile"),
+            ("train", {"train": {"tile": -32}}, "tile"),
         ],
         ids=["top-level-typo", "train-key", "train-list", "augment-list", "steps-null", "lr-null", "seed-null",
-             "manifest-number", "inspect-list"],
+             "manifest-number", "inspect-list", "tile-zero", "tile-negative"],
     )
     def test_run_config_rejects_unknown_keys_and_wrong_types(self, dataset, capsys, command, doc, key):
         good = json.loads(write_config(dataset).read_text())
@@ -276,6 +317,7 @@ class TestTrain:
         cfg.write_text(json.dumps({**good, **doc} if isinstance(doc, dict) else doc))
         assert main([command, "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+        assert not Path(good["out_dir"]).exists()  # the config is checked before anything is written
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -537,6 +579,11 @@ class TestReports:
         cfg.write_text(json.dumps({"model": {**TINY_MODEL, "embed_dim": 16, field: value}}))
         assert main(["inspect", "--config", str(cfg)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [("0", "0"), ("-32", "64")])
+    def test_inspect_rejects_input_sizes_below_32(self, capsys, size):
+        assert main(["inspect", "--input-size", *size]) == 2
+        assert "input size" in capsys.readouterr().err
 
     def test_inspect_reads_the_run_config(self, tmp_path, capsys):
         # every section is optional: an empty document is the default model, as with no --config

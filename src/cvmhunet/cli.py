@@ -203,7 +203,7 @@ def _read_sidecar(path: Path) -> dict:
     if not side.exists():
         raise CliError(f"{path}: missing sidecar {side.name} (not a training checkpoint?)", EXIT_IO)
     meta = _read_json(side)
-    if not isinstance(meta, dict) or not isinstance(meta.get("model", {}), dict):
+    if not isinstance(meta, dict) or not isinstance(meta.get("model"), dict):
         raise CliError(f"{side}: sidecar must be a JSON object with an object 'model'", EXIT_IO)
     return meta
 
@@ -225,7 +225,7 @@ def _restore(path: Path, model: CVMHUNet, optimizer: AdamW | None = None) -> Non
 
 def _model_from_checkpoint(path: Path) -> tuple[CVMHUNet, dict]:
     meta = _read_sidecar(path)
-    cfg = _build_network_config(meta.get("model", {}))
+    cfg = _build_network_config(meta["model"])
     model = CVMHUNet(cfg, seed=None)  # the strict load overwrites every parameter
     _restore(path, model)
     return model, meta
@@ -278,7 +278,7 @@ class _RunState:
     def resume(self, path: Path, model: CVMHUNet, optimizer: AdamW) -> None:
         """Continue the run saved in ``path`` (a ``last.cvck``): weights, moments, step, batch RNG, best."""
         meta = _read_sidecar(path)
-        if meta.get("model") != model.config.to_dict():
+        if meta["model"] != model.config.to_dict():
             raise CliError(f"{path}: checkpoint model config differs from the requested one", EXIT_CONFIG)
         try:
             _restore(path, model, optimizer)
@@ -324,7 +324,7 @@ def _train_step(
     images, labels = [], []
     for i in state.rng.integers(0, len(tiles), size=cfg.train["batch_size"]):
         img, lab = augment_pair(tiles[i]["image"], tiles[i]["label"], cfg.augment, state.rng)
-        images.append(normalize_image(img, cfg.augment))
+        images.append(normalize_image(img))
         labels.append(lab)
     total, ce, dice = segmentation_loss(model(Tensor(np.stack(images))), np.stack(labels), cfg.loss)
     ce_v, dice_v, total_v = float(ce.data), float(dice.data), float(total.data)
@@ -372,11 +372,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _predict_logits(model: CVMHUNet, image: np.ndarray, aug: AugmentConfig, batch: int) -> np.ndarray:
+def _predict_logits(model: CVMHUNet, image: np.ndarray, batch: int) -> np.ndarray:
     """Tile, forward, stitch back to the original extent; returns (K, H, W)."""
     tile = min(model.config.input_size)
     spec = TileSpec(size=tile)
-    tiles = tile_image(normalize_image(image, aug), None, spec)
+    tiles = tile_image(normalize_image(image), None, spec)
     logits: list[np.ndarray] = []
     with no_grad():
         for i in range(0, len(tiles), batch):
@@ -390,7 +390,6 @@ def _predict_logits(model: CVMHUNet, image: np.ndarray, aug: AugmentConfig, batc
 
 def cmd_eval(args: argparse.Namespace) -> int:
     manifest = _load_manifest(args.manifest)
-    aug = AugmentConfig()  # normalization constants only; no geometric noise
     if args.oracle:
         model = None
         num_classes = manifest.num_classes
@@ -411,7 +410,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             safe = np.where(label < num_classes, label, 0)
             logits = np.eye(num_classes, dtype=np.float32)[safe].transpose(2, 0, 1)
         else:
-            logits = _predict_logits(model, image, aug, args.batch_size)
+            logits = _predict_logits(model, image, args.batch_size)
         cm.update(np.argmax(logits, axis=0), label)
 
     try:
@@ -428,7 +427,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model, _ = _model_from_checkpoint(Path(args.checkpoint))
     model.eval()
-    logits = _predict_logits(model, load_image(args.image), AugmentConfig(), args.batch_size)
+    logits = _predict_logits(model, load_image(args.image), args.batch_size)
     k = logits.shape[0]
     if args.manifest:
         palette = _load_manifest(args.manifest).palette

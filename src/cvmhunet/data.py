@@ -194,7 +194,6 @@ class DatasetManifest:
     num_classes: int
     palette: tuple[tuple[int, int, int], ...]
     ignore_index: int | None = None
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -220,14 +219,12 @@ class DatasetManifest:
                 (path.parent / p["image"], path.parent / p["label"]) for p in doc["pairs"]
             )
             palette = tuple(tuple(int(c) for c in rgb) for rgb in doc["palette"])
-            names = tuple(doc["class_names"]) if "class_names" in doc else None
             return DatasetManifest(
                 root=path.parent,
                 pairs=pairs,
                 num_classes=int(doc["num_classes"]),
                 palette=palette,
                 ignore_index=doc.get("ignore_index"),
-                class_names=names,
             )
         except (KeyError, TypeError) as e:
             raise DataError(f"{path}: malformed manifest ({e})") from e
@@ -243,8 +240,6 @@ class DatasetManifest:
             "palette": [list(rgb) for rgb in self.palette],
             "ignore_index": self.ignore_index,
         }
-        if self.class_names is not None:
-            doc["class_names"] = list(self.class_names)
         path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -396,16 +391,12 @@ class AugmentConfig:
     hflip: float = 0.5
     vflip: float = 0.5
     rot90: float = 0.5
-    mean: tuple[float, float, float] = (0.5, 0.5, 0.5)
-    std: tuple[float, float, float] = (0.25, 0.25, 0.25)
 
     def __post_init__(self):
         for name in ("hflip", "vflip", "rot90"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} probability must lie in [0,1], got {p}")
-        if any(s <= 0 for s in self.std):
-            raise ValueError("std must be positive")
 
 
 def augment_pair(
@@ -428,10 +419,13 @@ def augment_pair(
     return np.ascontiguousarray(image), np.ascontiguousarray(label)
 
 
-def normalize_image(image: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
-    mean = np.asarray(cfg.mean, dtype=np.float32).reshape(3, 1, 1)
-    std = np.asarray(cfg.std, dtype=np.float32).reshape(3, 1, 1)
-    return (image.astype(np.float32) - mean) / std
+# per-channel input normalization; train, eval and predict all use these
+_MEAN = np.full((3, 1, 1), 0.5, dtype=np.float32)
+_STD = np.full((3, 1, 1), 0.25, dtype=np.float32)
+
+
+def normalize_image(image: np.ndarray) -> np.ndarray:
+    return (image.astype(np.float32) - _MEAN) / _STD
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ Layout (stage widths C, 2C, 4C, 8C):
       3 x [patch_expand -> fuse with skip (frequency fusion or add) -> blocks]
       final: two patch_expands + 1x1 conv to classes at full resolution
 
-``param_count``/``flops_count`` are closed-form walks over the same layout
-and are asserted (in tests) to agree exactly with instantiated models.
+``param_count``/``flops_count`` sum the two columns of one closed-form walk
+that yields (params, MACs) per layer over the ``stage_plan`` layout; tests
+assert both agree exactly with instantiated models and a counted forward.
 FLOPs are multiply-accumulate counts: one MAC per weight tap per output for
 convolutions and dense layers, plus ``L * D_inner * N_state`` per scan
 direction for the selective scan; normalizations, activations, pooling and
@@ -135,6 +136,10 @@ class StageInfo:
     height: int
     width: int
     depth: int
+
+    @property
+    def positions(self) -> int:
+        return self.height * self.width
 
 
 def stage_plan(cfg: NetworkConfig, input_size: tuple[int, int] | None = None) -> list[StageInfo]:
@@ -315,106 +320,74 @@ class CVMHUNet(Module):
 # ---------------------------------------------------------------------------
 
 
-def _block_params(cfg: NetworkConfig, c: int) -> int:
+def _block_cost(cfg: NetworkConfig, c: int, positions: int) -> tuple[int, int]:
+    """(params, MACs) of one ``CVSSBlock`` of width ``c`` over ``positions`` spatial positions."""
     d = cfg.ssm_expand * c
     r = default_dt_rank(c)
     s = cfg.state_dim
     h = max(1, int(round(c * cfg.effn_ratio)))
-    p = 2 * c  # cross-scan pre-norm
-    p += 2 * (d * c)  # main + gate projections
-    p += 9 * d + d  # depthwise conv
-    p += 4 * (d * (r + 2 * s) + d * r + d + d * s + d)  # four scan directions
-    p += 2 * d  # scan output norm
-    p += d * c  # out projection
-    p += 2 * (c * (c // cfg.ca_reduction))  # channel-attention MLP
-    p += 2 * 49 + 1  # spatial-attention conv
-    p += 9 * c + c  # local depthwise conv
-    p += 9 * c + c + 2 * c + c * c + c  # fusion dw conv + norm + 1x1
-    p += 2 * c + (c * h + h) + (9 * h + h) + (h * c + c)  # effn
-    return p
+    cr = c // cfg.ca_reduction
+    p = positions
+    layers = [
+        (2 * c, 0),  # cross-scan pre-norm
+        (2 * d * c, 2 * d * c * p),  # main + gate projections
+        (9 * d + d, 9 * d * p),  # depthwise conv
+        (4 * (d * (r + 2 * s) + d * r + d), 4 * (d * (r + 2 * s) + d * r) * p),  # per-direction x/dt projections
+        (4 * (d * s + d), 4 * d * s * p),  # A and D per direction; scan: one MAC per (step, channel, state)
+        (2 * d, 0),  # scan output norm
+        (d * c, d * c * p),  # out projection
+        (2 * c * cr, 2 * 2 * c * cr),  # channel-attention MLP on two pooled vectors
+        (2 * 49 + 1, 2 * 49 * p),  # spatial-attention conv
+        (9 * c + c, 9 * c * p),  # local depthwise conv
+        (9 * c + c + 2 * c + c * c + c, (9 * c + c * c) * p),  # fusion dw conv + norm + 1x1
+        (2 * c + c * h + h + 9 * h + h + h * c + c, (c * h + 9 * h + h * c) * p),  # effn
+    ]
+    return sum(a for a, _ in layers), sum(m for _, m in layers)
 
 
-def _mfms_params(cfg: NetworkConfig, c: int) -> int:
+def _mfms_cost(cfg: NetworkConfig, c: int, positions: int) -> tuple[int, int]:
+    """(params, MACs) of one ``MFMSBlock`` of width ``c`` over ``positions`` spatial positions."""
     phi = adaptive_kernel_size(c, cfg.kernel_alpha, cfg.kernel_beta)
-    p = 3 * (phi + 1)  # three channel convs with bias
     cr = c // cfg.mfms_reduction
-    p += c * cr + 2 * cr  # pw1 + bn1 affine
-    p += cr * c + 2 * c  # pw2 + bn2 affine
-    return p
+    layers = [
+        (0, c * cfg.freq_k * positions),  # frequency compression against fixed bases
+        (3 * (phi + 1), 3 * phi * c),  # three channel convs with bias
+        (c * cr + 2 * cr, c * cr * positions),  # local bottleneck pw1 + bn1 affine
+        (cr * c + 2 * c, cr * c * positions),  # local bottleneck pw2 + bn2 affine
+    ]
+    return sum(a for a, _ in layers), sum(m for _, m in layers)
+
+
+def _layer_costs(cfg: NetworkConfig, input_size: tuple[int, int] | None = None):
+    """Yield (params, MACs) of every layer, in forward order, for one sample at ``input_size``."""
+    plan = stage_plan(cfg, input_size)
+    embed, enc, dec, head = plan[0], plan[1:5], plan[5:9], plan[9]
+    c = embed.dim
+
+    def blocks(st: StageInfo) -> list[tuple[int, int]]:
+        return [_block_cost(cfg, st.dim, st.positions)] * st.depth
+
+    yield 48 * c + c + 2 * c, 48 * c * embed.positions  # patch embed: 4x4x3 conv + bias, norm
+    yield from blocks(enc[0])
+    for st, lower in zip(enc, enc[1:]):
+        yield 8 * st.dim + 8 * st.dim**2, 8 * st.dim**2 * lower.positions  # merge: norm(4D), linear 4D->2D at half size
+        yield from blocks(lower)
+    yield from blocks(dec[0])
+    for src, st in zip(dec, dec[1:]):
+        yield 2 * src.dim**2 + src.dim, 2 * src.dim**2 * src.positions  # expand: linear D->2D, then norm(D/2)
+        if cfg.mfms_enabled:
+            yield _mfms_cost(cfg, st.dim, st.positions)
+        yield from blocks(st)
+    for dim, positions in ((c, embed.positions), (c // 2, 4 * embed.positions)):
+        yield 2 * dim * dim + dim, 2 * dim * dim * positions  # final expands at H/4 and H/2
+    yield (c // 4 + 1) * head.dim, (c // 4) * head.dim * head.positions  # head: 1x1 conv + bias
 
 
 def param_count(cfg: NetworkConfig) -> int:
     """Exact number of trainable parameters for a model built from ``cfg``."""
-    c = cfg.embed_dim
-    total = 48 * c + c + 2 * c  # patch embed conv+bias, norm
-    for i in range(4):
-        total += cfg.enc_depths[i] * _block_params(cfg, cfg.stage_dim(i))
-    for i in range(3):
-        di = cfg.stage_dim(i)
-        total += 8 * di + 8 * di * di  # merge: norm(4D) + linear 4D->2D
-    total += cfg.dec_depths[0] * _block_params(cfg, cfg.stage_dim(3))
-    for j in range(1, 4):
-        dim = cfg.stage_dim(3 - j)
-        src = 2 * dim
-        total += 2 * src * src + src // 2 * 2  # expand: linear D->2D + norm(D/2)
-        if cfg.mfms_enabled:
-            total += _mfms_params(cfg, dim)
-        total += cfg.dec_depths[j] * _block_params(cfg, dim)
-    for dim in (c, c // 2):
-        total += 2 * dim * dim + dim // 2 * 2  # final expands
-    total += (c // 4) * cfg.num_classes + cfg.num_classes  # head
-    return total
-
-
-def _block_flops(cfg: NetworkConfig, c: int, positions: int) -> int:
-    d = cfg.ssm_expand * c
-    r = default_dt_rank(c)
-    s = cfg.state_dim
-    h = max(1, int(round(c * cfg.effn_ratio)))
-    p = positions
-    f = 2 * (c * d) * p  # main + gate projections
-    f += 9 * d * p  # depthwise conv
-    f += 4 * (d * (r + 2 * s) * p + d * r * p)  # per-direction projections
-    f += 4 * (p * d * s)  # selective scan, one MAC per (step, channel, state)
-    f += d * c * p  # out projection
-    f += 2 * 2 * (c * (c // cfg.ca_reduction))  # CA MLP on two pooled vectors
-    f += 2 * 49 * p  # spatial-attention conv
-    f += 9 * c * p  # local depthwise conv
-    f += 9 * c * p + c * c * p  # fusion dw + 1x1
-    f += c * h * p + 9 * h * p + h * c * p  # effn
-    return f
-
-
-def _mfms_flops(cfg: NetworkConfig, c: int, positions: int) -> int:
-    phi = adaptive_kernel_size(c, cfg.kernel_alpha, cfg.kernel_beta)
-    cr = c // cfg.mfms_reduction
-    f = c * cfg.freq_k * positions  # frequency compression
-    f += 3 * phi * c  # channel convs
-    f += 2 * (c * cr) * positions  # local bottleneck 1x1 convs
-    return f
+    return sum(params for params, _ in _layer_costs(cfg))
 
 
 def flops_count(cfg: NetworkConfig, input_size: tuple[int, int] | None = None) -> int:
     """MAC count for one sample at the given spatial size (see module docstring)."""
-    h, w = _checked_size(*(input_size or cfg.input_size))
-    c = cfg.embed_dim
-    p = [(h // (4 << i)) * (w // (4 << i)) for i in range(4)]
-    total = 48 * c * p[0]  # patch embed conv
-    for i in range(4):
-        total += cfg.enc_depths[i] * _block_flops(cfg, cfg.stage_dim(i), p[i])
-    for i in range(3):
-        di = cfg.stage_dim(i)
-        total += 8 * di * di * p[i + 1]  # merge linear at the reduced resolution
-    total += cfg.dec_depths[0] * _block_flops(cfg, cfg.stage_dim(3), p[3])
-    for j in range(1, 4):
-        i = 3 - j
-        dim = cfg.stage_dim(i)
-        src = 2 * dim
-        total += 2 * src * src * p[i + 1]  # expand linear runs before upsampling
-        if cfg.mfms_enabled:
-            total += _mfms_flops(cfg, dim, p[i])
-        total += cfg.dec_depths[j] * _block_flops(cfg, dim, p[i])
-    total += 2 * c * c * p[0]  # final expand 1 at H/4
-    total += 2 * (c // 2) * (c // 2) * (4 * p[0])  # final expand 2 at H/2
-    total += (c // 4) * cfg.num_classes * (h * w)  # head
-    return total
+    return sum(macs for _, macs in _layer_costs(cfg, input_size))

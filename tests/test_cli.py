@@ -16,7 +16,6 @@ import cvmhunet
 from cvmhunet.checkpoint import apply_model_state, load_tensors, model_state, save_tensors
 from cvmhunet.cli import _model_from_checkpoint, _predict_logits, _save_run_checkpoint, main
 from cvmhunet.data import (
-    AugmentConfig,
     DataError,
     DatasetManifest,
     load_pair,
@@ -307,9 +306,10 @@ class TestTrain:
             ("inspect", [1], "config root"),
             ("train", {"train": {"tile": 0}}, "tile"),
             ("train", {"train": {"tile": -32}}, "tile"),
+            ("train", {"augment": {"mean": [0.3, 0.3, 0.3]}}, "mean"),
         ],
         ids=["top-level-typo", "train-key", "train-list", "augment-list", "steps-null", "lr-null", "seed-null",
-             "manifest-number", "inspect-list", "tile-zero", "tile-negative"],
+             "manifest-number", "inspect-list", "tile-zero", "tile-negative", "augment-mean"],
     )
     def test_run_config_rejects_unknown_keys_and_wrong_types(self, dataset, capsys, command, doc, key):
         good = json.loads(write_config(dataset).read_text())
@@ -469,7 +469,7 @@ class TestEvalPredict:
         capsys.readouterr()
         assert (trained / "ppm.cvtn").read_bytes() == (trained / "cvtn.cvtn").read_bytes()
 
-    @pytest.mark.parametrize("sidecar", ["[1]", '{"model": 5}'])
+    @pytest.mark.parametrize("sidecar", ["[1]", '{"model": 5}', '{"seed": 0}'])
     def test_malformed_sidecar_exits_4(self, trained, capsys, sidecar):
         (trained / "run" / "last.json").write_text(sidecar)
         ckpt = str(trained / "run" / "last.cvck")
@@ -559,7 +559,7 @@ class TestRestore:
         image = np.random.default_rng(0).random((3, 64, 96)).astype(np.float32)
         restored.eval()
         seeded.eval()
-        logits = [_predict_logits(m, image, AugmentConfig(), 2) for m in (restored, seeded)]
+        logits = [_predict_logits(m, image, 2) for m in (restored, seeded)]
         assert logits[0].tobytes() == logits[1].tobytes()
 
 class TestReports:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cvmhunet import functional, ssm
 from cvmhunet.checkpoint import model_state
 from cvmhunet.gradcheck import check_gradients
 from cvmhunet.layers import Conv2d, Linear
@@ -20,7 +21,7 @@ from cvmhunet.network import (
     param_count,
     stage_plan,
 )
-from cvmhunet.tensor import Tensor
+from cvmhunet.tensor import Tensor, no_grad
 
 TINY = NetworkConfig(
     embed_dim=8,
@@ -266,29 +267,64 @@ class TestForward:
 # ---------------------------------------------------------------------------
 
 
+# every layer kind, odd depths, both fusion modes, and the paper widths at a small size
+COUNTER_CONFIGS = pytest.mark.parametrize(
+    "cfg",
+    [
+        TINY,
+        SMALL,
+        NetworkConfig(**{**SMALL.to_dict(), "mfms_enabled": False}),
+        NetworkConfig(**{**SMALL.to_dict(), "scan_mode": "ss2d"}),
+        NetworkConfig(
+            embed_dim=8,
+            enc_depths=(1, 2, 1, 3),
+            dec_depths=(2, 1, 2, 1),
+            num_classes=5,
+            input_size=(32, 32),
+            state_dim=4,
+            effn_ratio=2.0,
+        ),
+        NetworkConfig(input_size=(64, 64)),
+    ],
+    ids=["tiny", "small", "no-fusion", "ss2d", "odd-depths", "paper-64"],
+)
+
+
 class TestCounters:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            TINY,
-            SMALL,
-            NetworkConfig(**{**SMALL.to_dict(), "mfms_enabled": False}),
-            NetworkConfig(**{**SMALL.to_dict(), "scan_mode": "ss2d"}),
-            NetworkConfig(
-                embed_dim=8,
-                enc_depths=(1, 2, 1, 3),
-                dec_depths=(2, 1, 2, 1),
-                num_classes=5,
-                input_size=(32, 32),
-                state_dim=4,
-                effn_ratio=2.0,
-            ),
-        ],
-        ids=["tiny", "small", "no-fusion", "ss2d", "odd-depths"],
-    )
+    @COUNTER_CONFIGS
     def test_param_count_matches_model_walk_exactly(self, cfg):
         model = CVMHUNet(cfg, seed=0)
         assert param_count(cfg) == sum(p.size for p in model.parameters())
+
+    @COUNTER_CONFIGS
+    def test_flops_count_matches_model_macs_exactly(self, cfg, monkeypatch):
+        # count every MAC-bearing op where the model looks it up: weight taps per output
+        # times outputs for the dense and conv ops, N*D*S*L for the selective scan
+        macs = [0]
+
+        def counted(fn, count):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                macs[0] += count(args, out)
+                return out
+
+            return wrapper
+
+        def weight_taps(args, out):
+            return out.data.size * int(np.prod(args[1].shape[1:]))
+
+        for name in ("linear", "conv2d", "depthwise_conv2d", "conv1d"):
+            monkeypatch.setattr(functional, name, counted(getattr(functional, name), weight_taps))
+        monkeypatch.setattr(
+            ssm, "selective_scan", counted(ssm.selective_scan, lambda args, out: args[0].data.size * args[2].shape[1])
+        )
+        model = CVMHUNet(cfg, seed=0)
+        h, w = cfg.input_size
+        for n, size in ((1, (h, w)), (2, (h, 2 * w))):
+            macs[0] = 0
+            with no_grad():
+                model(Tensor(np.zeros((n, 3, *size), dtype=np.float32)))
+            assert macs[0] == n * flops_count(cfg, size), (n, size)
 
     def test_scan_mode_does_not_change_size(self):
         base = SMALL.to_dict()

@@ -178,17 +178,9 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".json")
 
 
-def _save_run_checkpoint(
-    path: Path,
-    model: CVMHUNet,
-    state: dict[str, np.ndarray] | None,
-    optimizer: AdamW | None,
-    meta: dict,
-) -> None:
+def _save_run_checkpoint(path: Path, model: CVMHUNet, optimizer: AdamW | None, meta: dict) -> None:
     """Model (and optimizer) tensors to ``path``; ``meta`` plus the model config to its sidecar."""
-    tensors = {}
-    for k, v in (state or model_state(model)).items():
-        tensors[f"model.{k}"] = v
+    tensors = {f"model.{k}": v for k, v in model_state(model).items()}
     if optimizer is not None:
         for k, v in optimizer.state_tensors().items():
             tensors[f"optim.{k}"] = v
@@ -267,13 +259,12 @@ _RESUME_TYPES = {"step": int, "rng_state": dict, "best_total": (int, float), "be
 
 
 class _RunState:
-    """Where a training run stands: the step, the batch RNG, and the best loss so far with its weights."""
+    """Where a training run stands: the step, the batch RNG, and the best loss so far with its step."""
 
     def __init__(self, seed: int):
         self.step = 0
         self.rng = np.random.default_rng(seed)
         self.best_total, self.best_step = np.inf, 0
-        self.best_weights: dict[str, np.ndarray] | None = None  # set once a step of this run sets the best
 
     def resume(self, path: Path, model: CVMHUNet, optimizer: AdamW) -> None:
         """Continue the run saved in ``path`` (a ``last.cvck``): weights, moments, step, batch RNG, best."""
@@ -296,25 +287,22 @@ class _RunState:
             raise CliError(f"{path}: malformed resume state in its sidecar: {e!r}", EXIT_IO) from e
         self.step, self.best_total, self.best_step = step, float(meta["best_total"]), best_step
 
-    def advance(self, total: float, model: CVMHUNet) -> None:
-        """Count the step just taken; copy the model's weights if its loss is the best so far."""
+    def advance(self, total: float, model: CVMHUNet, out_dir: Path, run_meta: dict) -> None:
+        """Count the step just taken; if its loss is the best so far, write ``best.cvck`` from the live model.
+
+        It runs after the step's update and before the next forward moves the BatchNorm running
+        statistics, so the file holds that step's state without a copy of the weights.
+        """
         self.step += 1
         if total < self.best_total:
             self.best_total, self.best_step = total, self.step
-            current = model_state(model)
-            if self.best_weights is None:  # allocated once; later improvements overwrite it in place
-                self.best_weights = {k: np.empty_like(v) for k, v in current.items()}
-            for k, v in current.items():
-                np.copyto(self.best_weights[k], v)
+            _save_run_checkpoint(out_dir / "best.cvck", model, None, {**run_meta, "step": self.step})
 
     def save(self, out_dir: Path, model: CVMHUNet, optimizer: AdamW, run_meta: dict) -> None:
-        """``last.cvck`` with the resume record; ``best.cvck`` if a step of this run set the best."""
+        """``last.cvck`` with the resume record; ``best.cvck`` is written by ``advance``."""
         record = {"step": self.step, "rng_state": self.rng.bit_generator.state,
                   "best_total": self.best_total, "best_step": self.best_step}
-        _save_run_checkpoint(out_dir / "last.cvck", model, None, optimizer, {**run_meta, **record})
-        if self.best_weights is not None:  # else no step of this run beat the restored best: keep best.cvck
-            best_meta = {**run_meta, "step": self.best_step}
-            _save_run_checkpoint(out_dir / "best.cvck", model, self.best_weights, None, best_meta)
+        _save_run_checkpoint(out_dir / "last.cvck", model, optimizer, {**run_meta, **record})
 
 
 def _train_step(
@@ -347,6 +335,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         tiles.extend(tile_image(image, label, cfg.tile, manifest.ignore_index))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    run_meta = {"seed": cfg.seed, "loss": asdict(cfg.loss)}
     csv_path = cfg.out_dir / "loss.csv"
     append = state.step > 0 and csv_path.exists()
     model.train()
@@ -355,15 +344,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             csv_file.write("step,ce,dice,total\n")
         for _ in range(cfg.train["steps"]):
             ce, dice, total = _train_step(model, optimizer, tiles, cfg, state)
-            state.advance(total, model)
+            state.advance(total, model, cfg.out_dir, run_meta)
             csv_file.write(f"{state.step},{ce!r},{dice!r},{total!r}\n")
             if args.log_every and state.step % args.log_every == 0:
                 print(f"step {state.step}: total {total:.4f} (ce {ce:.4f}, dice {dice:.4f})")
 
-    state.save(cfg.out_dir, model, optimizer, {"seed": cfg.seed, "loss": asdict(cfg.loss)})
+    state.save(cfg.out_dir, model, optimizer, run_meta)
     last, best = cfg.out_dir / "last.cvck", cfg.out_dir / "best.cvck"
     print(json.dumps({"steps": cfg.train["steps"], "final_step": state.step, "best_total": state.best_total,
-                      "best_step": state.best_step, "loss_csv": str(csv_path), "last": str(last), "best": str(best)}))
+                      "best_step": state.best_step, "loss_csv": str(csv_path), "last": str(last),
+                      "best": str(best) if best.exists() else None}))
     return EXIT_OK
 
 

@@ -69,7 +69,7 @@ def test_checkpoint_spans_record_the_file_size(tmp_path):
     t = Tracer(spans=True)
     try:
         workloads.install(t, workloads.WORKLOADS["tile_eval"])
-        cli._save_run_checkpoint(path, CVMHUNet(cfg, seed=0), None, None, {"seed": 0})
+        cli._save_run_checkpoint(path, CVMHUNet(cfg, seed=0), None, {"seed": 0})
         cli._model_from_checkpoint(path)
     finally:
         t.restore()

@@ -27,6 +27,7 @@ from cvmhunet.data import (
     write_ppm,
 )
 from cvmhunet.network import CVMHUNet, NetworkConfig, param_count
+from cvmhunet.tensor import Tensor
 
 TINY_MODEL = {
     "embed_dim": 8,
@@ -170,6 +171,21 @@ class TestTrain:
         assert summary["best_total"] == -1.0 and summary["best_step"] == meta["best_step"]
         assert {name: (out / name).read_bytes() for name in before} == before
 
+    def test_summary_names_no_best_checkpoint_when_none_is_written(self, dataset, capsys):
+        # a run resumed into a fresh directory whose steps never beat the restored best
+        cfg = write_config(dataset)
+        a, b = dataset / "a", dataset / "b"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(a), "--steps", "2"]) == 0
+        meta = json.loads((a / "last.json").read_text())
+        meta["best_total"] = -1.0  # no loss can beat this
+        (a / "last.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out-dir", str(b), "--steps", "1",
+                     "--resume", str(a / "last.cvck")]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["best"] is None and summary["last"] == str(b / "last.cvck")
+        assert sorted(p.name for p in b.iterdir()) == ["last.cvck", "last.json", "loss.csv"]
+
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -277,6 +293,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 3
         assert "step 1" in err
+
+    def test_non_finite_loss_keeps_the_best_so_far(self, dataset, capsys, monkeypatch):
+        # best.cvck is written by the step that sets the best, so exit 3 at step k + 1
+        # leaves the files of an uninterrupted k-step run, except last.cvck
+        k = 3
+        cfg = write_config(dataset)
+        whole, failed = dataset / "whole", dataset / "failed"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(whole), "--steps", str(k)]) == 0
+        real, calls = cvmhunet.cli.segmentation_loss, []
+
+        def nan_at_step_k_plus_1(*args, **kwargs):
+            total, ce, dice = real(*args, **kwargs)
+            calls.append(None)
+            return (Tensor(np.array(np.nan, dtype=np.float32)) if len(calls) == k + 1 else total), ce, dice
+
+        monkeypatch.setattr(cvmhunet.cli, "segmentation_loss", nan_at_step_k_plus_1)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out-dir", str(failed), "--steps", str(k + 2)]) == 3
+        assert f"non-finite loss at step {k + 1}" in capsys.readouterr().err
+        for name in ("best.cvck", "best.json", "loss.csv"):
+            assert (failed / name).read_bytes() == (whole / name).read_bytes(), name
+        assert len((failed / "loss.csv").read_text().splitlines()) == 1 + k
+        assert sorted(p.name for p in failed.iterdir()) == ["best.cvck", "best.json", "loss.csv"]
 
     def test_missing_manifest_is_io_error(self, dataset, capsys):
         cfg = write_config(dataset, manifest=str(dataset / "nope.json"))
@@ -531,7 +570,7 @@ class TestEvalPredict:
 class TestRestore:
     def checkpoint(self, tmp_path, seed=3):
         model = CVMHUNet(NetworkConfig.from_dict(DESK_MODEL), seed=seed)
-        _save_run_checkpoint(tmp_path / "best.cvck", model, None, None, {"seed": seed})
+        _save_run_checkpoint(tmp_path / "best.cvck", model, None, {"seed": seed})
         return model, tmp_path / "best.cvck"
 
     def test_restore_holds_the_weights_about_once(self, tmp_path):

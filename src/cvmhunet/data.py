@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -146,40 +147,50 @@ def save_cvtn(path: str | Path, array: np.ndarray) -> None:
 
 
 def load_cvtn(path: str | Path) -> np.ndarray:
+    """Read a CVTN file; any malformed or truncated content raises ``DataError``.
+
+    The header is checked against the file's size before the array is
+    allocated, and the payload is read straight into that array, so a load
+    holds one copy of the tensor.
+    """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        fh = open(path, "rb")
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
-    if raw[:4] != _CVTN_MAGIC:
-        raise DataError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 9:
-        raise DataError(f"{path}: truncated header")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _CVTN_VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
-    rank = raw[8]
-    pos = 9
-    if len(raw) < pos + 4 * rank + 1:
-        raise DataError(f"{path}: truncated header")
-    dims = struct.unpack_from(f"<{rank}I", raw, pos) if rank else ()
-    pos += 4 * rank
-    code = raw[pos]
-    pos += 1
-    dtype = _CVTN_DTYPES.get(code)
-    if dtype is None:
-        raise DataError(f"{path}: unknown dtype code {code}")
-    count = math.prod(dims)  # exact: np.prod would wrap around on large dims
-    need = count * dtype.itemsize
-    if len(raw) - pos < need:
-        raise DataError(f"{path}: truncated payload ({len(raw) - pos} of {need} bytes)")
-    if len(raw) - pos > need:
-        raise DataError(f"{path}: {len(raw) - pos - need} trailing bytes")
-    try:
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(dims)
-    except ValueError as e:  # e.g. an empty array whose other dims overflow numpy's size limit
-        raise DataError(f"{path}: shape {dims} is not a valid array shape ({e})") from e
-    return arr.astype(np.float32) if code == 0 else arr.copy()
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(9)
+        if head[:4] != _CVTN_MAGIC:
+            raise DataError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 9:
+            raise DataError(f"{path}: truncated header")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != _CVTN_VERSION:
+            raise DataError(f"{path}: unsupported version {version}")
+        rank = head[8]
+        rest = fh.read(4 * rank + 1)
+        if len(rest) < 4 * rank + 1:
+            raise DataError(f"{path}: truncated header")
+        dims = struct.unpack_from(f"<{rank}I", rest) if rank else ()
+        code = rest[-1]
+        dtype = _CVTN_DTYPES.get(code)
+        if dtype is None:
+            raise DataError(f"{path}: unknown dtype code {code}")
+        count = math.prod(dims)  # exact: np.prod would wrap around on large dims
+        need, have = count * dtype.itemsize, size - len(head) - len(rest)
+        if have < need:
+            raise DataError(f"{path}: truncated payload ({have} of {need} bytes)")
+        if have > need:
+            raise DataError(f"{path}: {have - need} trailing bytes")
+        try:
+            arr = np.empty(dims, dtype=dtype)
+        except ValueError as e:  # e.g. an empty array whose other dims overflow numpy's size limit
+            raise DataError(f"{path}: shape {dims} is not a valid array shape ({e})") from e
+        got = fh.readinto(arr)
+        if got != need:  # the file shrank since fstat
+            raise DataError(f"{path}: truncated payload ({got} of {need} bytes)")
+    return arr.astype(np.float32, copy=False) if code == 0 else arr
 
 
 # ---------------------------------------------------------------------------

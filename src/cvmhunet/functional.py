@@ -13,7 +13,6 @@ Dtype follows the inputs, so every op runs in float64 when gradient checking.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 from .tensor import Tensor
 
@@ -36,6 +35,24 @@ __all__ = [
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# erf by the rational forms of Cephes ``ndtr.c`` (S. L. Moshier), the ones
+# scipy.special.erf evaluates: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, else
+# 1 - erfc(|x|) with erfc(x) = exp(-x^2) P(x) / Q(x).  Leading coefficient
+# first; U and Q are monic, their leading 1 left out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+
+# Float64 bytes of one ``_erf`` block: its few temporaries then stay in a 2 MB L2.
+ERF_BLOCK_BYTES = 1 << 18
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -47,6 +64,53 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     out = np.maximum(e, x >= 0)  # 1 where x >= 0 (e <= 1 there), else e: no data-dependent branch
     out /= 1.0 + e
+    return out
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule from the leading coefficient, rounding as Cephes ``polevl`` does."""
+    p = coef[0] * x
+    p += coef[1]
+    for c in coef[2:]:
+        p *= x
+        p += c
+    return p
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """``_polevl`` with a leading coefficient of 1 that ``coef`` leaves out (Cephes ``p1evl``)."""
+    p = x + coef[0]
+    for c in coef[1:]:
+        p *= x
+        p += c
+    return p
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``erf(x)`` in the dtype of ``x``, evaluated in float64 blocks of ``ERF_BLOCK_BYTES``.
+
+    Each float64 value takes the steps of Cephes ``erf`` in the same order, so a
+    float32 result is scipy.special.erf's bit for bit; a float64 result can
+    differ from it by 1 ulp where ``np.exp`` and libm's ``exp`` round apart.
+    Cephes switches ``erfc`` to another rational form (R/S) from |x| = 8 and to
+    0 past its ``exp`` underflow, but 1 - erfc(|x|) already rounds to exactly 1
+    from |x| = 5.922, so |x| is clamped to 8 for P/Q instead.  Odd symmetry by
+    ``copysign`` keeps -0 and nan as they are.
+    """
+    out = np.empty(x.shape, x.dtype)
+    src, dst = x.reshape(-1), out.reshape(-1)
+    block = ERF_BLOCK_BYTES // 8
+    for i in range(0, src.size, block):
+        xi = src[i : i + block]
+        a = np.abs(xi, dtype=np.float64)
+        s = np.minimum(a, 1.0)
+        z = s * s
+        y = s * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+        tail = np.flatnonzero(a > 1.0)
+        if tail.size:
+            t = np.minimum(a[tail], 8.0)
+            y[tail] = 1.0 - np.exp(-(t * t)) * _polevl(t, _ERF_P) / _p1evl(t, _ERF_Q)
+        dst[i : i + block] = np.copysign(y, xi, out=y)
     return out
 
 
@@ -190,7 +254,8 @@ def _tap_conv(x: Tensor, weight: Tensor, bias: Tensor | None, padding: tuple[int
     cropped.  The backward runs the same kernel with the taps mirrored and each
     group's in/out channels swapped on ``g`` laid out in rows of stride ``wp``,
     which gathers into ``dx`` what each tap scattered, and takes ``dw`` as one
-    dot product per weight.
+    dot product per weight.  The graph keeps the unpadded input; the backward
+    pads it again for ``dw``.
     """
     n, c = x.shape[:2]
     o, cg = weight.shape[:2]
@@ -201,12 +266,17 @@ def _tap_conv(x: Tensor, weight: Tensor, bias: Tensor | None, padding: tuple[int
     _require(hp >= kh and wp >= kw, f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho, wo = hp - kh + 1, wp - kw + 1
     m = ho * wp - kw + 1  # flat outputs whose taps all stay inside the padded row
-    xp = np.zeros((n, c, hp * wp), x.dtype)
-    xp.reshape(n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w] = x.data.reshape(n, c, h, w)
+    xd = x.data
+
+    def padded_rows():
+        xp = np.zeros((n, c, hp * wp), xd.dtype)
+        xp.reshape(n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w] = xd.reshape(n, c, h, w)
+        return xp
+
     k = weight.data.reshape(o, cg, kh, kw)
-    dtype = np.result_type(xp, k)
+    dtype = np.result_type(xd, k)
     flat = np.empty((n, o, ho * wp), dtype)
-    _correlate_rows(xp, k, wp, 0, flat[..., :m])
+    _correlate_rows(padded_rows(), k, wp, 0, flat[..., :m])
     out = np.ascontiguousarray(flat.reshape(n, o, ho, wp)[..., :wo])
     if bias is not None:
         out += bias.data[:, None, None]
@@ -226,8 +296,8 @@ def _tap_conv(x: Tensor, weight: Tensor, bias: Tensor | None, padding: tuple[int
         dflat = np.empty((n, c, h * wp), dtype)
         span = (h - 1) * wp + w  # padded flat positions of the unpadded input, from its first
         _correlate_rows(gbuf, kt[..., ::-1, ::-1], wp, ph * wp + pw, dflat[..., :span])
-        dx = dflat.reshape(n, c, h, wp)[..., :w].astype(xp.dtype).reshape(xshape)
-        taps = _taps(xp, 0, wp, kh, kw, m).reshape(n, groups, 1, cg, kh, kw, m)
+        dx = dflat.reshape(n, c, h, wp)[..., :w].astype(xd.dtype).reshape(xshape)
+        taps = _taps(padded_rows(), 0, wp, kh, kw, m).reshape(n, groups, 1, cg, kh, kw, m)
         gm = gflat[..., :m].reshape(n, groups, o // groups, 1, 1, 1, m)
         dw = np.vecdot(taps, gm).sum(axis=0).reshape(wshape)
         if bias is None:
@@ -365,16 +435,22 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    """``x * sigmoid(x)`` as a single fused op."""
-    s = _logistic(x.data)
-    out = x.data * s
-    return Tensor.from_op(out, (x,), lambda g: (g * (s + out * (1.0 - s)),))
+    """``x * sigmoid(x)`` as a single fused op; the backward recomputes ``sigmoid(x)``
+    and the output from the input, so the graph holds no array of its own for it."""
+    a = x.data
+
+    def backward(g):
+        s = _logistic(a)
+        out = a * s
+        return (g * (s + out * (1.0 - s)),)
+
+    return Tensor.from_op(a * _logistic(a), (x,), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, ``0.5 x (1 + erf(x / sqrt(2)))``, in the input's dtype."""
     inv_sqrt2, inv_sqrt2pi = (x.dtype.type(v) for v in (_INV_SQRT2, _INV_SQRT2PI))
-    phi = 0.5 * (1.0 + erf(x.data * inv_sqrt2))
+    phi = 0.5 * (1.0 + _erf(x.data * inv_sqrt2))
     out = x.data * phi
 
     def backward(g):

@@ -716,3 +716,11 @@ class TestThreadCap:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "3"
+
+
+def test_cli_import_needs_no_scipy():
+    # the runtime depends on numpy alone; scipy is only the tests' oracle
+    code = "import sys\nimport cvmhunet.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    out = subprocess.run([sys.executable, "-c", code], env=_stripped_child_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

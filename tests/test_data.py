@@ -1,6 +1,7 @@
 """Dataset IO: codecs, manifests, tiling, augmentation, synthesis, emission."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ class TestCvtn:
         out = load_cvtn(tmp_path / "b.cvtn")
         assert out.dtype == np.uint8
         assert np.array_equal(out, arr)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_load_peak_is_one_payload(self, tmp_path, dtype):
+        arr = np.ones((3, 256, 512), dtype=dtype)
+        save_cvtn(tmp_path / "p.cvtn", arr)
+        tracemalloc.start()
+        try:
+            out = load_cvtn(tmp_path / "p.cvtn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, arr)
+        assert peak <= 1.1 * arr.nbytes, f"{peak} bytes at peak for a {arr.nbytes}-byte payload"
 
     def test_rejects_other_dtypes(self, tmp_path):
         with pytest.raises(ValueError, match="float32 or uint8"):

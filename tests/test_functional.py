@@ -1,10 +1,10 @@
 """Neural-net ops against naive loop oracles and hand-computed values."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 import cvmhunet.functional as F
 from cvmhunet.tensor import Tensor
@@ -306,6 +306,7 @@ class TestActivations:
 
     @pytest.mark.parametrize("name", ["silu", "softplus", "sigmoid"])
     def test_float32_extremes_finite_and_correct(self, name):
+        expit = pytest.importorskip("scipy.special").expit
         values = np.array([-1000.0, -500.0, 0.0, 500.0, 1000.0])
         s = expit(values)  # float64 reference
         want = {
@@ -353,6 +354,90 @@ class TestActivations:
         # stability: huge logits must not overflow
         big = F.log_softmax(t(np.array([[1000.0, 0.0]])), axis=1)
         assert np.all(np.isfinite(big.data))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+class TestErf:
+    """``F._erf`` against scipy.special.erf, whose Cephes evaluation it repeats."""
+
+    @pytest.fixture(scope="class")
+    def erf(self):
+        return pytest.importorskip("scipy.special").erf
+
+    def test_float32_bitwise_on_a_sweep_of_bit_patterns(self, erf):
+        # every 509th float32 pattern from +0 to 10, and the same with the sign bit set
+        bits = np.arange(0, int(_bits(np.float32(10.0))) + 1, 509, dtype=np.uint32)
+        x = np.concatenate([bits, bits | np.uint32(1 << 31)]).view(np.float32)
+        got, want = F._erf(x), erf(x)
+        assert got.dtype == np.float32
+        bad = np.flatnonzero(_bits(got) != _bits(want))
+        assert bad.size == 0, f"{bad.size} of {x.size} differ, first at x = {x[bad[:5]]}"
+
+    def test_float32_bitwise_on_special_values(self, erf):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        values = [0.0, np.inf, tiny, 3 * tiny, np.finfo(np.float32).smallest_normal * 0.5,
+                  1.0, 8.0, 1e30, np.finfo(np.float32).max]
+        x = np.array(values + [-v for v in values] + [np.nan], dtype=np.float32)
+        np.testing.assert_array_equal(_bits(F._erf(x)), _bits(erf(x)))
+
+    def test_float64_within_one_ulp(self, erf):
+        # np.exp and libm's exp may round apart for 1 < |x| < 8
+        rng = np.random.default_rng(29)
+        x = np.concatenate([
+            rng.uniform(-10.0, 10.0, 200_000),
+            rng.uniform(0.99, 1.01, 10_000),
+            np.exp(rng.uniform(-700.0, 700.0, 10_000)) * rng.choice([-1.0, 1.0], 10_000),
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0, 8.0, -8.0],
+        ])
+        got, want = F._erf(x), erf(x)
+        assert got.dtype == np.float64
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 1
+        assert np.isnan(F._erf(np.array([np.nan])))[0]
+
+    def test_gelu_bitwise_against_the_scipy_formula(self, erf):
+        rng = np.random.default_rng(31)
+        x = (rng.normal(size=(2, 8, 16, 16)) * 3).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        inv_sqrt2, inv_sqrt2pi = np.float32(1.0 / np.sqrt(2.0)), np.float32(1.0 / np.sqrt(2.0 * np.pi))
+        phi = 0.5 * (1.0 + erf(x * inv_sqrt2))
+        want_dx = g * (phi + x * (inv_sqrt2pi * np.exp(-0.5 * x * x)))
+        xt = Tensor(x, requires_grad=True)
+        y = F.gelu(xt)
+        (y * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(_bits(y.data), _bits(x * phi))
+        np.testing.assert_array_equal(_bits(xt.grad), _bits(want_dx))
+
+
+class TestSavedArrays:
+    """What an op's backward keeps between forward and backward: nothing new but the
+    output, where the backward can rebuild the rest from the input."""
+
+    @pytest.mark.parametrize("op", ["silu", "depthwise_conv2d", "conv2d_3x3"])
+    def test_forward_keeps_only_its_output(self, op):
+        rng = np.random.default_rng(37)
+        x = Tensor(rng.normal(size=(2, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 1 if op == "depthwise_conv2d" else 16, 3, 3)).astype(np.float32))
+        run = {
+            "silu": lambda: F.silu(x),
+            "depthwise_conv2d": lambda: F.depthwise_conv2d(x, w, padding=1),
+            "conv2d_3x3": lambda: F.conv2d(x, w, padding=1),
+        }[op]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the output is as large as the input; a second such array (sigmoid(x), the
+        # padded input) would double what is held
+        assert held < y.data.nbytes + (8 << 10), f"{held} bytes held for a {y.data.nbytes}-byte output"
+        y.sum().backward()
+        assert x.grad is not None and np.all(np.isfinite(x.grad))
 
 
 class TestPools:

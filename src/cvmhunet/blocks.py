@@ -37,8 +37,10 @@ class CrossScanModule(Module):
     ``out = x + out_proj( norm(ssm(silu(dwconv(main(x̂))))) * silu(gate(x̂)) )``
     with ``x̂ = layer_norm(x)``.  Every step runs on the (N, C, H, W) map: the
     three projections are ``linear`` over the channel axis, and the scan
-    takes its (N, C, L) sequences from the same layout.  The output
-    projection starts at zero, so the module starts as the identity.
+    takes its (N, C, L) sequences from the same layout.  The output norm
+    and the gate are one op, ``gated_layer_norm``, so the graph holds neither
+    operand of their product.  The output projection starts at zero, so the
+    module starts as the identity.
     """
 
     def __init__(self, dim: int, cfg: NetworkConfig, rng: np.random.Generator):
@@ -55,8 +57,9 @@ class CrossScanModule(Module):
     def forward(self, x: Tensor) -> Tensor:
         feats = self.norm(x)
         main = self.ssm(F.silu(self.dwconv(self.main_proj(feats))))
-        gate = F.silu(self.gate_proj(feats))
-        return x + self.out_proj(self.out_norm(main) * gate)
+        norm = self.out_norm
+        gated = F.gated_layer_norm(main, norm.gamma, norm.beta, self.gate_proj(feats), axis=norm.axis, eps=norm.eps)
+        return x + self.out_proj(gated)
 
 
 class ChannelAttention(Module):

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "linear",
+    "linear_softplus",
     "conv2d",
     "depthwise_conv2d",
     "conv1d",
     "layer_norm",
+    "gated_layer_norm",
     "batch_norm",
     "relu",
     "silu",
@@ -129,24 +131,35 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and patch ``conv2d``.
+    """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and patch ``conv2d``."""
+    forward, grads = _dense_kernel(x, weight, bias)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor.from_op(forward(), parents, grads)
+
+
+def _dense_kernel(x: Tensor, weight: Tensor, bias: Tensor | None):
+    """The two halves of the channel GEMM: ``forward()`` -> the output array and
+    ``grads(g)`` -> the grads of ``x``, ``weight`` (and ``bias``) for an output grad ``g``.
 
     ``weight`` is (O, I) or (O, C, s, s) with I = C * s * s.  Each sample is one
     (O, I) @ (I, rest) GEMM; an input with nothing after the channel axis, such as
     (N, I), is one (N, I) @ (I, O) GEMM instead of N matrix-vector products.
+    Both halves read only views of the input and weight arrays.
     """
     n, din = x.shape[:2]
     dout = weight.shape[0]
     w2 = weight.data.reshape(dout, din)
     rows = x.data.size == n * din
     xr = x.data.reshape(n, din) if rows else x.data.reshape(n, din, -1)
-    out = xr @ w2.T if rows else np.matmul(w2, xr)
-    if bias is not None:
-        out += bias.data if rows else bias.data[:, None]
-    parents = (x, weight) if bias is None else (x, weight, bias)
     xshape, wshape = x.shape, weight.shape
 
-    def backward(g):
+    def forward():
+        out = xr @ w2.T if rows else np.matmul(w2, xr)
+        if bias is not None:
+            out += bias.data if rows else bias.data[:, None]
+        return out.reshape((n, dout) + xshape[2:])
+
+    def grads(g):
         if rows:
             g2 = g.reshape(n, dout)
             dx, dw, db = g2 @ w2, g2.T @ xr, g2.sum(axis=0)
@@ -159,7 +172,21 @@ def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
             return dx.reshape(xshape), dw.reshape(wshape)
         return dx.reshape(xshape), dw.reshape(wshape), db
 
-    return Tensor.from_op(out.reshape((n, dout) + x.shape[2:]), parents, backward)
+    return forward, grads
+
+
+def linear_softplus(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``softplus(linear(x, weight, bias))`` as one op that keeps no array of its own.
+
+    The forward is that composition (under ``no_grad``); the graph keeps only
+    what ``linear`` keeps, views of ``x`` and ``weight``.  The backward rebuilds
+    the pre-activation with the same GEMM, so every result is bitwise that of
+    the composition, without its (N, Dout, *rest) softplus input held in between.
+    """
+    with no_grad():
+        out = softplus(linear(x, weight, bias)).data
+    pre, grads = _dense_kernel(x, weight, bias)
+    return Tensor.from_op(out, (x, weight, bias), lambda g: grads(g * _logistic(pre())))
 
 
 def _space_to_depth(x: Tensor, s: int) -> Tensor:
@@ -341,6 +368,14 @@ def _normalize(
     """``(x - mean) / sqrt(var + eps) * gamma + beta``, the statistics over ``stats_axes``
     and the affine along ``feature_axis``.  Returns the result and the mean and
     variance (shaped for broadcasting against ``x``)."""
+    mu, var, affine, grads = _norm_kernel(x, gamma, beta, stats_axes, feature_axis, eps)
+    return Tensor.from_op(affine(), (x, gamma, beta), grads), mu, var
+
+
+def _norm_kernel(x: Tensor, gamma: Tensor, beta: Tensor, stats_axes: tuple[int, ...], feature_axis: int, eps: float):
+    """Statistics of ``_normalize`` and the two halves of its op: returns the mean, the
+    variance, ``affine()`` -> ``xhat * gamma + beta`` and ``grads(g)`` -> the grads of
+    ``x``, ``gamma`` and ``beta``.  Both halves read only ``xhat`` and ``1 / std``."""
     bshape = [1] * x.ndim
     bshape[feature_axis] = x.shape[feature_axis]
     gam = gamma.data.reshape(bshape)
@@ -350,10 +385,12 @@ def _normalize(
     var = np.mean(xc * xc, axis=stats_axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gam + bet
     affine_axes = tuple(i for i in range(x.ndim) if i != feature_axis)
 
-    def backward(g):
+    def affine():
+        return xhat * gam + bet
+
+    def grads(g):
         dgamma = (g * xhat).sum(axis=affine_axes)
         dbeta = g.sum(axis=affine_axes)
         dxhat = g * gam
@@ -361,7 +398,7 @@ def _normalize(
         m2 = (dxhat * xhat).mean(axis=stats_axes, keepdims=True)
         return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
 
-    return Tensor.from_op(out, (x, gamma, beta), backward), mu, var
+    return mu, var, affine, grads
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
@@ -371,6 +408,33 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: floa
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match {c} features")
     return _normalize(x, gamma, beta, (ax,), ax, eps)[0]
+
+
+def gated_layer_norm(
+    x: Tensor, gamma: Tensor, beta: Tensor, gate: Tensor, axis: int = -1, eps: float = 1e-5
+) -> Tensor:
+    """``layer_norm(x, gamma, beta, axis, eps) * silu(gate)`` as one op.
+
+    The graph keeps what ``layer_norm`` keeps (``xhat`` and ``1 / std``) and
+    ``gate``; the backward rebuilds the normalized output and ``silu(gate)``
+    from them, so neither operand of the product is held in between.  Every
+    result is bitwise that of the composition.
+    """
+    ax = axis % x.ndim
+    c = x.shape[ax]
+    _require(gamma.shape == (c,) and beta.shape == (c,),
+             f"gated_layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match {c} features")
+    _require(gate.shape == x.shape, f"gated_layer_norm: gate shape {gate.shape} != input shape {x.shape}")
+    _, _, affine, grads = _norm_kernel(x, gamma, beta, (ax,), ax, eps)
+    z = gate.data
+
+    def backward(g):
+        s = _logistic(z)
+        act = z * s
+        dz = (g * affine()) * (s + act * (1.0 - s))
+        return (*grads(g * act), dz)
+
+    return Tensor.from_op(affine() * (z * _logistic(z)), (x, gamma, beta, gate), backward)
 
 
 def batch_norm(

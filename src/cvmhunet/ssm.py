@@ -17,9 +17,9 @@ updates a contiguous (N, S, D) slice per step for the forward and the
 reversed adjoint.  Every pass runs over a tile of at most
 ``TILE_BYTES``, so a tile's data stays in L2 from one pass to the next, and
 the tile buffers are reused.  A forward that a backward can follow keeps
-only the state entering each chunk of ``block`` steps; the backward rebuilds
-each chunk's states from it (``block`` is the checkpoint interval), so the
-state trajectory is never materialized.
+only the state entering each chunk of ``block`` steps but the first; the
+backward rebuilds each chunk's states from it (``block`` is the checkpoint
+interval), so the state trajectory is never materialized.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ def selective_scan(
     runs in tiles of at most ``TILE_BYTES``, so a tile's propagators, states
     and adjoints stay in cache from one pass to the next.  When a backward
     can follow, the forward keeps only the state entering each chunk of
-    ``block`` steps, a (ceil(L / block), N, S, D) array; the backward walks
+    ``block`` steps after the first (which enters from zero), a
+    (ceil(L / block) - 1, N, S, D) array; the backward walks
     the chunks in reverse, rebuilds each chunk's propagators and states from
     its carry with the forward's own ops (so bitwise the same), and then
     forms every gradient tile by tile, last tile first.  No (L, N, S, D)
@@ -157,11 +158,11 @@ def selective_scan(
     dtu = dt * ut
     abar = np.empty((tile, n, s, d), dtype)
     h = np.zeros((tile + 1, n, s, d), dtype)  # h[0]: the state entering the tile
-    carries = np.empty((len(starts) if keep else 0, n, s, d), dtype)
+    carries = np.empty((len(starts) - 1 if keep else 0, n, s, d), dtype)  # chunk 0 enters from zero
     yt = np.empty((length, n, 1, d), dtype)
     for k in range(len(starts)):
-        if keep:
-            carries[k] = h[0]
+        if keep and k:
+            carries[k - 1] = h[0]
         for tc in tiles(k):
             hc = tile_states(tc, dt, dtu, bt, abar, h)
             np.matmul(ct[tc, :, None, :], hc, out=yt[tc])
@@ -182,7 +183,7 @@ def selective_scan(
         dC = np.empty((length, n, s, 1), dtype)
         dA = np.zeros((s, d), dtype)
         for k in reversed(range(len(starts))):
-            h[0] = carries[k]
+            h[0] = carries[k - 1] if k else 0
             for tc in tiles(k):
                 o = tc.start - starts[k]
                 tile_states(tc, dt, dtu, bt, abar[o:], h[o:])
@@ -265,7 +266,7 @@ class DirectionalSSM(Module):
         for k, order in enumerate(scan_orders(h, w, self.scan_mode)):
             seq = flatten_spatial(x, order)  # (N, C, L)
             projected = F.linear(seq, self.x_proj_weight[k])  # (N, r + 2S, L)
-            dt = F.softplus(F.linear(projected[:, :r], self.dt_weight[k], self.dt_bias[k]))  # (N, C, L)
+            dt = F.linear_softplus(projected[:, :r], self.dt_weight[k], self.dt_bias[k])  # (N, C, L)
             b_seq, c_seq = projected[:, r : r + s], projected[:, r + s :]  # (N, S, L) each
             yseq = selective_scan(seq, dt, a[k], b_seq, c_seq, self.D_skip[k], block=self.scan_block)
             ymap = unflatten_spatial(yseq, order)

@@ -244,6 +244,28 @@ def test_small_mlp_composite(seed):
     assert res.rel_error < DEFAULT_TOL, res
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fused_ops(seed):
+    # linear_softplus on a (N, r, L) code as the scan's dt projection uses it, and
+    # gated_layer_norm over the channel axis of a map as the cross-scan output does
+    rng = np.random.default_rng(seed)
+    code = leaf(rng, (2, 3, 7))
+    w = leaf(rng, (5, 3), scale=0.5)
+    b = leaf(rng, (5,))
+    x = leaf(rng, (2, 4, 3, 3))
+    g = leaf(rng, (4,), shift=1.0)
+    beta = leaf(rng, (4,))
+    z = leaf(rng, (2, 4, 3, 3), scale=2.0)
+
+    def f():
+        wsum = np.random.default_rng(seed)
+        return (weighted_sum(F.linear_softplus(code, w, b), wsum)
+                + weighted_sum(F.gated_layer_norm(x, g, beta, z, axis=1), wsum))
+
+    res = check_gradients(f, [code, w, b, x, g, beta, z])
+    assert res.rel_error < DEFAULT_TOL, res
+
+
 def test_negative_control_detects_corrupted_backward():
     """A deliberately wrong backward must fail the check (guards the harness)."""
     rng = np.random.default_rng(0)

@@ -17,9 +17,10 @@ import pytest
 from cvmhunet import cli
 from cvmhunet.data import synth_generate
 from cvmhunet.network import CVMHUNet, NetworkConfig
-from cvmhunet.tensor import Tensor
+from cvmhunet.tensor import Tensor, no_grad
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
@@ -59,6 +60,32 @@ def test_traced_forward_covers_the_analytic_macs():
     # (five per forward) is all; run.py's per-layer report reads this span unconditionally
     moves = t.summary().get("tensor.moveaxis", {"calls": 0})["calls"]
     assert 1 <= moves <= 5, f"{moves} moveaxis calls in one forward"
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["train", "eval"])
+def test_traced_forward_fires_every_benchmarked_op(grad):
+    # run.py's per-layer report reads a span for each functional.* and ssm.selective_scan
+    # op BENCHMARK.json names, so a fused op that stops calling one of them by name, in
+    # a training forward or a no_grad one, fails here and not only in a traced benchmark run
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    ops = {".".join(n.split(".")[:2]) for n in names if n.startswith(("functional.", "ssm.selective_scan."))}
+    assert ops
+    cfg = NetworkConfig(embed_dim=8, num_classes=3, input_size=(32, 32), state_dim=4, scan_block=16, freq_k=4)
+    model = CVMHUNet(cfg, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 32, 32)).astype(np.float32))
+    t = Tracer(spans=True)
+    try:
+        workloads.install(t, workloads.WORKLOADS["wide_train" if grad else "tile_eval"])
+        if grad:
+            model(x)
+        else:
+            with no_grad():
+                model(x)
+    finally:
+        t.restore()
+    summary = t.summary()
+    missing = sorted(op for op in ops if summary.get(f"{op}.fwd", {"calls": 0})["calls"] < 1)
+    assert not missing, f"no forward span for {missing}"
 
 
 def test_checkpoint_spans_record_the_file_size(tmp_path):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import cvmhunet.functional as F
-from cvmhunet.tensor import Tensor
+from cvmhunet.optim import AdamW
+from cvmhunet.tensor import Parameter, Tensor, no_grad
 
 
 def t(data, rg=False):
@@ -438,6 +439,102 @@ class TestSavedArrays:
         assert held < y.data.nbytes + (8 << 10), f"{held} bytes held for a {y.data.nbytes}-byte output"
         y.sum().backward()
         assert x.grad is not None and np.all(np.isfinite(x.grad))
+
+
+def _dt_composition(code, w, b):
+    return F.softplus(F.linear(code, w, b))
+
+
+def _gate_composition(x, gamma, beta, z):
+    return F.layer_norm(x, gamma, beta, axis=1) * F.silu(z)
+
+
+def _gate_fused(x, gamma, beta, z):
+    return F.gated_layer_norm(x, gamma, beta, z, axis=1)
+
+
+def _fused_operands(rng, dtype, n=2, d=12, r=3, length=40, hw=(5, 8)):
+    """Operands of each op: (code, W, b) of a dt projection, (x, gamma, beta, z) of a gated output norm."""
+    dt_ops = (rng.normal(size=(n, r, length)), 0.5 * rng.normal(size=(d, r)), rng.normal(size=d))
+    gate_ops = (rng.normal(size=(n, d) + hw), 1.0 + 0.3 * rng.normal(size=d), 0.3 * rng.normal(size=d),
+                2.0 * rng.normal(size=(n, d) + hw))
+    return {"dt": [v.astype(dtype) for v in dt_ops], "gate": [v.astype(dtype) for v in gate_ops]}
+
+
+class TestFusedOps:
+    """``linear_softplus`` and ``gated_layer_norm`` against the compositions they replace:
+    the same arithmetic in the same order, so every result is bitwise the same."""
+
+    PAIRS = {"dt": (F.linear_softplus, _dt_composition), "gate": (_gate_fused, _gate_composition)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["dt", "gate"])
+    def test_bitwise_equal_to_the_composition(self, op, dtype):
+        fused, oracle = self.PAIRS[op]
+        operands = _fused_operands(np.random.default_rng(41), dtype)[op]
+        w = np.random.default_rng(42).normal(size=oracle(*(Tensor(v) for v in operands)).shape).astype(dtype)
+        results = []
+        for fn in (fused, oracle):
+            ts = [Tensor(v.copy(), requires_grad=True) for v in operands]
+            y = fn(*ts)
+            (y * Tensor(w)).sum().backward()
+            with no_grad():
+                y_eval = fn(*(Tensor(v) for v in operands))
+            results.append([y.data, y_eval.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("op", ["dt", "gate"])
+    def test_in_sweep_update_equals_update_after_the_sweep(self, op):
+        # AdamW.step(loss) updates each parameter as soon as its grad is final; the fused
+        # backward reads the weight, bias and affine arrays, so they must still be parents
+        # then, or the sweep would update them before the backward reads them
+        fused, _ = self.PAIRS[op]
+        operands = _fused_operands(np.random.default_rng(43), np.float32)[op]
+        states = []
+        for in_sweep in (True, False):
+            params = [Parameter(v.copy()) for v in operands]
+            opt = AdamW(params, lr=0.1, weight_decay=0.1)
+            for _ in range(3):
+                loss = (fused(*params) ** 2).mean()
+                if in_sweep:
+                    opt.step(loss)
+                else:
+                    loss.backward()
+                    opt.step()
+                    for p in params:
+                        p.grad = None
+            states.append([p.data for p in params])
+        for got, want in zip(*states):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("op", ["dt", "gate"])
+    def test_graph_keeps_no_product_operand(self, op):
+        # at scan-sized shapes: the dt projection holds only its output (its
+        # softplus input is rebuilt); the gated norm holds xhat besides its output, where the
+        # composition holds four such maps (xhat, the two product operands, the product)
+        fused, _ = self.PAIRS[op]
+        rng = np.random.default_rng(44)
+        operands = _fused_operands(rng, np.float32, n=1, d=64, r=6, length=1024, hw=(32, 32))[op]
+        ts = [Tensor(v, requires_grad=True) for v in operands]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = fused(*ts)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arrays = 1 if op == "dt" else 2
+        assert held < arrays * y.data.nbytes + (8 << 10), f"{held} bytes held for a {y.data.nbytes}-byte output"
+        y.sum().backward()
+        assert all(t.grad is not None and np.all(np.isfinite(t.grad)) for t in ts)
+
+    def test_gate_shape_mismatch_raises(self):
+        x = Tensor(np.zeros((1, 4, 2, 2)))
+        gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        with pytest.raises(ValueError, match="gate shape"):
+            F.gated_layer_norm(x, gamma, beta, Tensor(np.zeros((1, 4, 2, 3))), axis=1)
 
 
 class TestPools:

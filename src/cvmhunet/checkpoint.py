@@ -1,30 +1,34 @@
-"""Binary checkpoint format for named tensors.
+"""CVCK, the one binary container for named tensors: checkpoints and ``.cvtn`` tensor files.
 
-Layout (all integers little-endian):
+Layout of version 2 (all integers little-endian):
 
     magic   4 bytes  b"CVCK"
-    version u32      currently 1
+    version u32      2
+    meta    u32 length, UTF-8 JSON object ({} for a plain tensor file)
     count   u32      number of entries
-    entry*  u16 name length, UTF-8 name bytes,
-            u8 rank, u32 dims[rank], float32 payload (row major)
+    entry*  u16 name length, UTF-8 name bytes, u8 dtype (0 = float32, 1 = uint8),
+            u8 rank, u32 dims[rank], payload (row major)
 
-Model checkpoints store every parameter plus every persistent buffer
-(batch-norm running statistics) under their hierarchical names.  Loading is
-strict: unknown names, missing names, or shape mismatches raise
-``CheckpointError``.  Per-direction scan entries of older checkpoints are
-stacked into the current parameters first.  A restore passes the model's
-own arrays to ``load_tensors(path, into=...)``, so each entry is read once,
-straight into the array it fills.
+uint8 arrays are stored as uint8, every other array as float32.  A training
+checkpoint holds every parameter and persistent buffer under its hierarchical
+name, with the run metadata in its header; a ``.cvtn`` file holds one entry.
+Older layouts are read, never written: version 1 CVCK (no dtype byte, the
+metadata in a ``<name>.json`` sidecar, per-direction scan entries that a model
+load stacks) and version 1 CVTN (magic ``CVTN``, u32 version, u8 rank, u32
+dims, u8 dtype, payload).  Every header becomes the same (name, dtype, dims)
+entries, which one reader streams, each straight into the array it fills.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import re
 import struct
-from typing import IO, Iterator, Mapping
+from pathlib import Path
+from typing import IO, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -33,25 +37,35 @@ from .module import Module
 __all__ = ["CheckpointError", "save_tensors", "load_tensors"]
 
 MAGIC = b"CVCK"
-VERSION = 1
-_ENTRY_DTYPE = np.dtype("<f4")
+VERSION = 2
+_DTYPES = (np.dtype("<f4"), np.dtype("u1"))  # indexed by the entry's dtype code
 
 
 class CheckpointError(IOError):
     pass
 
 
-@contextlib.contextmanager
-def replacing(path: str | os.PathLike, mode: str = "wb") -> Iterator[IO]:
-    """Open ``<path>.tmp`` for writing; it replaces ``path`` on success and is removed on error.
+def save_tensors(path: str, tensors: Mapping[str, np.ndarray], meta: dict | None = None) -> None:
+    """Write ``tensors`` and ``meta`` to ``path``, one entry at a time (no second copy of the payload).
 
+    The file is written to ``<path>.tmp`` and moved over ``path`` once complete.
     ``os.replace`` within one directory is atomic, so a reader (or a crash
     mid-write) sees either the old file or the whole new one, never a torn one.
     """
+    header = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, mode) as fh:
-            yield fh
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack(f"<II{len(header)}sI", VERSION, len(header), header, len(tensors)))
+            for name, arr in tensors.items():
+                encoded = name.encode("utf-8")
+                code = int(np.asarray(arr).dtype == np.uint8)
+                arr = np.asarray(arr, dtype=_DTYPES[code])
+                if not arr.flags["C_CONTIGUOUS"]:  # np.ascontiguousarray would store a 0-d array as shape (1,)
+                    arr = np.ascontiguousarray(arr)
+                fh.write(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded, code, arr.ndim,
+                                     *arr.shape))
+                fh.write(arr.data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -59,76 +73,104 @@ def replacing(path: str | os.PathLike, mode: str = "wb") -> Iterator[IO]:
         raise
 
 
-def save_tensors(path: str, tensors: Mapping[str, np.ndarray]) -> None:
-    """Write ``tensors`` to ``path``, one entry at a time (no second copy of the payload).
-
-    The file is written next to ``path`` and moved over it once complete.
-    """
-    with replacing(path) as fh:
-        fh.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            encoded = name.encode("utf-8")
-            arr = np.asarray(arr, dtype=_ENTRY_DTYPE)
-            if not arr.flags["C_CONTIGUOUS"]:  # np.ascontiguousarray would store a 0-d array as shape (1,)
-                arr = np.ascontiguousarray(arr)
-            fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
-            fh.write(arr.data)
-
-
 def _read(fh: IO, fmt: str) -> tuple:
     return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
 
 
-def load_tensors(path: str, into: Mapping[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Read a CVCK file; any malformed or truncated content raises ``CheckpointError``.
+def _cvck_entries(fh: IO, typed: bool) -> Iterator[tuple[str, int, tuple]]:
+    (count,) = _read(fh, "<I")
+    for _ in range(count):
+        (name_len,) = _read(fh, "<H")
+        name = fh.read(name_len).decode("utf-8")
+        code = _read(fh, "<B")[0] if typed else 0
+        (rank,) = _read(fh, "<B")
+        yield name, code, _read(fh, f"<{rank}I")
 
-    The file is streamed entry by entry.  An entry whose name, shape and dtype
-    match an array of ``into`` is read straight into that array, which the
-    result then holds; every other entry gets a fresh array.  On error the
-    arrays of ``into`` may hold part of the file.
+
+def _cvtn_entries(fh: IO) -> Iterator[tuple[str, int, tuple]]:
+    (rank,) = _read(fh, "<B")
+    dims = _read(fh, f"<{rank}I")
+    (code,) = _read(fh, "<B")
+    yield "", code, dims
+
+
+def _header(fh: IO, path: str, size: int) -> tuple[dict, Iterator[tuple[str, int, tuple]]]:
+    """The metadata, and the (name, dtype code, dims) of each entry as the reader reaches it."""
+    magic = fh.read(4)
+    if magic not in (MAGIC, b"CVTN"):
+        raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    (version,) = _read(fh, "<I")
+    if magic == b"CVTN" and version == 1:
+        return {}, _cvtn_entries(fh)
+    if magic != MAGIC or version not in (1, 2):
+        raise CheckpointError(f"{path}: unsupported {magic.decode()} version {version}")
+    if version == 1:
+        sidecar = Path(path).with_suffix(".json")
+        meta = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
+    else:
+        (meta_len,) = _read(fh, "<I")
+        if fh.tell() + meta_len > size:  # before anything of that size is allocated
+            raise CheckpointError(f"{path}: truncated metadata ({meta_len} bytes claimed)")
+        meta = json.loads(fh.read(meta_len).decode("utf-8"))
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata must be a JSON object, got {type(meta).__name__}")
+    return meta, _cvck_entries(fh, typed=version == 2)
+
+
+@contextlib.contextmanager
+def _malformed(path: str) -> Iterator[None]:
+    """Raise every way a malformed file can fail to parse as ``CheckpointError``."""
+    try:
+        yield
+    except struct.error as exc:
+        raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: a name or the metadata is not UTF-8 ({exc})") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: metadata is not JSON ({exc})") from exc
+    except ValueError as exc:  # an empty entry whose other dims overflow numpy's size limit
+        raise CheckpointError(f"{path}: impossible tensor shape ({exc})") from exc
+
+
+def load_tensors(path: str, into: Callable[[dict], Mapping[str, np.ndarray]] | None = None) -> dict[str, np.ndarray]:
+    """Read a tensor file of any supported layout; any malformed or truncated content raises ``CheckpointError``.
+
+    The file is streamed entry by entry.  ``into`` gets the file's metadata,
+    read before any entry, and returns target arrays by name.  An entry whose
+    name, shape and dtype match a target is read straight into that array,
+    which the result then holds; every other entry gets a fresh array.  On
+    error the targets may hold part of the file.
     """
-    into = into or {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        try:
-            version, count = _read(fh, "<II")
-            if version != VERSION:
-                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-            offset = 12
-            out: dict[str, np.ndarray] = {}
-            for _ in range(count):
-                (name_len,) = _read(fh, "<H")
-                name = fh.read(name_len).decode("utf-8")
-                (rank,) = _read(fh, "<B")
-                dims = _read(fh, f"<{rank}I")
-                offset += 3 + name_len + 4 * rank
-                nbytes = 4 * math.prod(dims)
-                if offset + nbytes > size:  # before anything of that size is allocated
+        with _malformed(path):
+            meta, entries = _header(fh, path, size)
+        targets = into(meta) if into else {}
+        out: dict[str, np.ndarray] = {}
+        with _malformed(path):
+            for name, code, dims in entries:
+                if code >= len(_DTYPES):
+                    raise CheckpointError(f"{path}: entry {name!r} has unknown dtype code {code}")
+                if name in out:
+                    raise CheckpointError(f"{path}: entry {name!r} appears twice")
+                dtype = _DTYPES[code]
+                nbytes = dtype.itemsize * math.prod(dims)
+                if fh.tell() + nbytes > size:  # before anything of that size is allocated
                     raise CheckpointError(f"{path}: truncated checkpoint (entry {name!r} of shape {dims})")
-                arr = into.get(name)
+                arr = targets.get(name)
                 if not (
                     arr is not None
                     and arr.shape == dims
-                    and arr.dtype == _ENTRY_DTYPE
+                    and arr.dtype == dtype
                     and arr.flags.c_contiguous
                     and arr.flags.writeable
                 ):
-                    arr = np.empty(dims, dtype=_ENTRY_DTYPE)
+                    arr = np.empty(dims, dtype=dtype)
                 if fh.readinto(arr) != nbytes:  # the file shrank since fstat
                     raise CheckpointError(f"{path}: truncated checkpoint (entry {name!r} of shape {dims})")
                 out[name] = arr
-                offset += nbytes
-            if offset != size:
-                raise CheckpointError(f"{path}: {size - offset} trailing bytes after last entry")
-        except struct.error as exc:
-            raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from exc
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: entry name is not UTF-8 ({exc})") from exc
-        except ValueError as exc:  # an empty entry whose other dims overflow numpy's size limit
-            raise CheckpointError(f"{path}: impossible tensor shape ({exc})") from exc
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes after last entry")
     return out
 
 

@@ -20,14 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (
-    CheckpointError,
-    apply_model_state,
-    load_tensors,
-    model_state,
-    replacing,
-    save_tensors,
-)
+from .checkpoint import CheckpointError, apply_model_state, load_tensors, model_state, save_tensors
 from .data import (
     AugmentConfig,
     DataError,
@@ -38,7 +31,6 @@ from .data import (
     load_image,
     load_pair,
     normalize_image,
-    save_cvtn,
     stitch_tiles,
     synth_generate,
     tile_image,
@@ -174,38 +166,35 @@ def _load_manifest(path: str | None) -> DatasetManifest:
 # ---------------------------------------------------------------------------
 
 
-def _sidecar(path: Path) -> Path:
-    return path.with_suffix(".json")
-
-
 def _save_run_checkpoint(path: Path, model: CVMHUNet, optimizer: AdamW | None, meta: dict) -> None:
-    """Model (and optimizer) tensors to ``path``; ``meta`` plus the model config to its sidecar."""
+    """Model (and optimizer) tensors to ``path``, with ``meta`` and the model config in its header."""
     tensors = {f"model.{k}": v for k, v in model_state(model).items()}
     if optimizer is not None:
         for k, v in optimizer.state_tensors().items():
             tensors[f"optim.{k}"] = v
-    save_tensors(str(path), tensors)
-    meta = {**meta, "model": model.config.to_dict()}
-    with replacing(_sidecar(path), "w") as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    save_tensors(str(path), tensors, {**meta, "model": model.config.to_dict()})
 
 
-def _read_sidecar(path: Path) -> dict:
-    side = _sidecar(path)
-    if not side.exists():
-        raise CliError(f"{path}: missing sidecar {side.name} (not a training checkpoint?)", EXIT_IO)
-    meta = _read_json(side)
-    if not isinstance(meta, dict) or not isinstance(meta.get("model"), dict):
-        raise CliError(f"{side}: sidecar must be a JSON object with an object 'model'", EXIT_IO)
-    return meta
+def _restore(path: Path, build) -> tuple[dict, CVMHUNet]:
+    """Read a train checkpoint in one pass; returns its metadata and the model.
 
+    ``build(meta)`` gets the metadata before any entry is read and returns the
+    model and optimizer (or None) whose arrays the entries are read into.
+    """
+    built = []
 
-def _restore(path: Path, model: CVMHUNet, optimizer: AdamW | None = None) -> None:
-    """Read a train checkpoint into ``model`` (and ``optimizer``), each entry straight into its array."""
-    into = {f"model.{k}": v for k, v in model_state(model).items()}
-    if optimizer is not None:
-        into.update((f"optim.{k}", v) for k, v in optimizer.state_tensors().items())
-    tensors = load_tensors(str(path), into=into)
+    def targets(meta: dict) -> dict:
+        if not isinstance(meta.get("model"), dict):
+            raise CliError(f"{path}: metadata must be a JSON object with an object 'model'", EXIT_IO)
+        model, optimizer = build(meta)
+        built.extend((meta, model, optimizer))
+        into = {f"model.{k}": v for k, v in model_state(model).items()}
+        if optimizer is not None:
+            into.update((f"optim.{k}", v) for k, v in optimizer.state_tensors().items())
+        return into
+
+    tensors = load_tensors(str(path), targets)
+    meta, model, optimizer = built
     model_part = {k[len("model.") :]: v for k, v in tensors.items() if k.startswith("model.")}
     optim_part = {k[len("optim.") :]: v for k, v in tensors.items() if k.startswith("optim.")}
     if not model_part:
@@ -213,14 +202,12 @@ def _restore(path: Path, model: CVMHUNet, optimizer: AdamW | None = None) -> Non
     apply_model_state(model, model_part, source=str(path))
     if optimizer is not None and optim_part:
         optimizer.load_state_tensors(optim_part)
+    return meta, model
 
 
-def _model_from_checkpoint(path: Path) -> tuple[CVMHUNet, dict]:
-    meta = _read_sidecar(path)
-    cfg = _build_network_config(meta["model"])
-    model = CVMHUNet(cfg, seed=None)  # the strict load overwrites every parameter
-    _restore(path, model)
-    return model, meta
+def _model_from_checkpoint(path: Path) -> CVMHUNet:
+    # the strict load overwrites every parameter, so the model skips its random init
+    return _restore(path, lambda meta: (CVMHUNet(_build_network_config(meta["model"]), seed=None), None))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +241,7 @@ def _train_config(args: argparse.Namespace) -> _TrainConfig:
     return _TrainConfig(manifest, model, loss, augment, tile, train, run["seed"], Path(run["out_dir"]))
 
 
-# the resume record that last.json carries, with the JSON type of each entry
+# the resume record in the metadata of last.cvck, with the JSON type of each entry
 _RESUME_TYPES = {"step": int, "rng_state": dict, "best_total": (int, float), "best_step": int}
 
 
@@ -268,11 +255,13 @@ class _RunState:
 
     def resume(self, path: Path, model: CVMHUNet, optimizer: AdamW) -> None:
         """Continue the run saved in ``path`` (a ``last.cvck``): weights, moments, step, batch RNG, best."""
-        meta = _read_sidecar(path)
-        if meta["model"] != model.config.to_dict():
-            raise CliError(f"{path}: checkpoint model config differs from the requested one", EXIT_CONFIG)
+        def same_model(meta: dict) -> tuple[CVMHUNet, AdamW]:
+            if meta["model"] != model.config.to_dict():
+                raise CliError(f"{path}: checkpoint model config differs from the requested one", EXIT_CONFIG)
+            return model, optimizer
+
         try:
-            _restore(path, model, optimizer)
+            meta, _ = _restore(path, same_model)
         except (CheckpointError, ValueError) as e:
             raise CliError(str(e), EXIT_IO) from e
         try:
@@ -284,7 +273,7 @@ class _RunState:
                 raise ValueError(f"step {step}, best_step {best_step}, optim.step {optimizer.step_count}")
             self.rng.bit_generator.state = meta["rng_state"]
         except (KeyError, TypeError, ValueError) as e:
-            raise CliError(f"{path}: malformed resume state in its sidecar: {e!r}", EXIT_IO) from e
+            raise CliError(f"{path}: malformed resume state in its metadata: {e!r}", EXIT_IO) from e
         self.step, self.best_total, self.best_step = step, float(meta["best_total"]), best_step
 
     def advance(self, total: float, model: CVMHUNet, out_dir: Path, run_meta: dict) -> None:
@@ -338,6 +327,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     run_meta = {"seed": cfg.seed, "loss": asdict(cfg.loss)}
     csv_path = cfg.out_dir / "loss.csv"
     append = state.step > 0 and csv_path.exists()
+    if append:  # a run that stopped before its final save left rows of steps this run takes again
+        rows = csv_path.read_text().splitlines(keepends=True)
+        if len(rows) > 1 + state.step:
+            csv_path.write_text("".join(rows[: 1 + state.step]))
     model.train()
     with open(csv_path, "a" if append else "w") as csv_file:
         if not append:
@@ -384,7 +377,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         model = None
         num_classes = manifest.num_classes
     else:
-        model, _ = _model_from_checkpoint(Path(args.checkpoint))
+        model = _model_from_checkpoint(Path(args.checkpoint))
         num_classes = model.config.num_classes
         if num_classes != manifest.num_classes:
             raise CliError(
@@ -415,7 +408,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    model, _ = _model_from_checkpoint(Path(args.checkpoint))
+    model = _model_from_checkpoint(Path(args.checkpoint))
     model.eval()
     logits = _predict_logits(model, load_image(args.image), args.batch_size)
     k = logits.shape[0]
@@ -428,7 +421,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     try:
         emit_prediction(logits, tuple(palette), args.out)
         if args.logits_out:
-            save_cvtn(args.logits_out, logits.astype(np.float32))
+            save_tensors(args.logits_out, {"logits": logits})
     except OSError as e:
         raise CliError(f"cannot write output: {e}", EXIT_IO) from e
     print(json.dumps({"out": args.out, "classes": int(k), "shape": list(logits.shape[1:])}))
@@ -533,10 +526,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     predict = sub.add_parser("predict", help="segment one image")
     predict.add_argument("--checkpoint", required=True)
-    predict.add_argument("--image", required=True, help="PPM or CVTN image")
+    predict.add_argument("--image", required=True, help="PPM or .cvtn image")
     predict.add_argument("--out", required=True, help="output PPM path")
     predict.add_argument("--manifest", help="palette source (defaults to built-in)")
-    predict.add_argument("--logits-out", dest="logits_out", help="optional CVTN logits dump")
+    predict.add_argument("--logits-out", dest="logits_out", help="optional .cvtn logits dump")
     predict.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=4)
     predict.set_defaults(func=cmd_predict)
 

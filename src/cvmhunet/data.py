@@ -1,25 +1,24 @@
-"""Dataset plumbing: binary PPM/PGM codecs, a raw tensor container, JSON
-manifests, tiling/stitching, geometric augmentation, a deterministic
-synthetic shapes dataset, and palette-colored prediction emission.
+"""Dataset plumbing: binary PPM/PGM codecs, JSON manifests, tiling/stitching,
+geometric augmentation, a deterministic synthetic shapes dataset, and
+palette-colored prediction emission.
 
 Formats kept deliberately simple:
 
 * images: 8-bit binary PPM (``P6``), labels: 8-bit binary PGM (``P5``)
-* ``CVTN`` raw tensors: magic ``CVTN``, u32 version, u8 rank, u32 dims,
-  u8 dtype code (0 = float32, 1 = uint8), little-endian payload
+* ``.cvtn`` tensors: the package's one tensor container (``checkpoint``)
+  with a single float32 or uint8 entry; older ``CVTN`` files load too
 * manifest: JSON ``{pairs:[{image,label}], num_classes, palette, ignore_index}``
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .checkpoint import load_tensors
 
 __all__ = [
     "DataError",
@@ -27,8 +26,6 @@ __all__ = [
     "write_ppm",
     "read_pgm",
     "write_pgm",
-    "save_cvtn",
-    "load_cvtn",
     "DatasetManifest",
     "TileSpec",
     "AugmentConfig",
@@ -124,76 +121,6 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# raw tensor container
-# ---------------------------------------------------------------------------
-
-_CVTN_MAGIC = b"CVTN"
-_CVTN_VERSION = 1
-_CVTN_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("u1")}
-_CVTN_CODES = {np.dtype("float32"): 0, np.dtype("uint8"): 1}
-
-
-def save_cvtn(path: str | Path, array: np.ndarray) -> None:
-    array = np.ascontiguousarray(array)
-    code = _CVTN_CODES.get(array.dtype)
-    if code is None:
-        raise ValueError(f"CVTN stores float32 or uint8, got {array.dtype}")
-    parts = [_CVTN_MAGIC, struct.pack("<I", _CVTN_VERSION), struct.pack("B", array.ndim)]
-    parts += [struct.pack("<I", d) for d in array.shape]
-    parts.append(struct.pack("B", code))
-    payload = array.astype("<f4").tobytes() if code == 0 else array.tobytes()
-    parts.append(payload)
-    Path(path).write_bytes(b"".join(parts))
-
-
-def load_cvtn(path: str | Path) -> np.ndarray:
-    """Read a CVTN file; any malformed or truncated content raises ``DataError``.
-
-    The header is checked against the file's size before the array is
-    allocated, and the payload is read straight into that array, so a load
-    holds one copy of the tensor.
-    """
-    path = Path(path)
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    with fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(9)
-        if head[:4] != _CVTN_MAGIC:
-            raise DataError(f"{path}: bad magic {head[:4]!r}")
-        if len(head) < 9:
-            raise DataError(f"{path}: truncated header")
-        (version,) = struct.unpack_from("<I", head, 4)
-        if version != _CVTN_VERSION:
-            raise DataError(f"{path}: unsupported version {version}")
-        rank = head[8]
-        rest = fh.read(4 * rank + 1)
-        if len(rest) < 4 * rank + 1:
-            raise DataError(f"{path}: truncated header")
-        dims = struct.unpack_from(f"<{rank}I", rest) if rank else ()
-        code = rest[-1]
-        dtype = _CVTN_DTYPES.get(code)
-        if dtype is None:
-            raise DataError(f"{path}: unknown dtype code {code}")
-        count = math.prod(dims)  # exact: np.prod would wrap around on large dims
-        need, have = count * dtype.itemsize, size - len(head) - len(rest)
-        if have < need:
-            raise DataError(f"{path}: truncated payload ({have} of {need} bytes)")
-        if have > need:
-            raise DataError(f"{path}: {have - need} trailing bytes")
-        try:
-            arr = np.empty(dims, dtype=dtype)
-        except ValueError as e:  # e.g. an empty array whose other dims overflow numpy's size limit
-            raise DataError(f"{path}: shape {dims} is not a valid array shape ({e})") from e
-        got = fh.readinto(arr)
-        if got != need:  # the file shrank since fstat
-            raise DataError(f"{path}: truncated payload ({got} of {need} bytes)")
-    return arr.astype(np.float32, copy=False) if code == 0 else arr
-
-
-# ---------------------------------------------------------------------------
 # manifest and pair loading
 # ---------------------------------------------------------------------------
 
@@ -254,14 +181,25 @@ class DatasetManifest:
         path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _load_tensor(path: Path) -> np.ndarray:
+    """The one array of a ``.cvtn`` tensor file."""
+    try:
+        arrays = load_tensors(str(path))
+    except OSError as e:  # the container's own error included
+        raise DataError(str(e)) from e
+    if len(arrays) != 1:
+        raise DataError(f"{path}: a tensor file holds one entry, found {len(arrays)}")
+    return next(iter(arrays.values()))
+
+
 def load_image(path: str | Path) -> np.ndarray:
-    """PPM or CVTN image file -> float32 (3, H, W); uint8 data is scaled to [0, 1]."""
+    """PPM or ``.cvtn`` image file -> float32 (3, H, W); uint8 data is scaled to [0, 1]."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ppm":
         return read_ppm(path).astype(np.float32).transpose(2, 0, 1) / 255.0
     if suffix == ".cvtn":
-        arr = load_cvtn(path)
+        arr = _load_tensor(path)
         if arr.ndim != 3 or arr.shape[0] != 3:
             raise DataError(f"{path}: expected (3, H, W), got {arr.shape}")
         if arr.dtype == np.uint8:
@@ -276,7 +214,7 @@ def _load_label(path: Path) -> np.ndarray:
     if suffix == ".pgm":
         return read_pgm(path).astype(np.int64)
     if suffix == ".cvtn":
-        arr = load_cvtn(path)
+        arr = _load_tensor(path)
         if arr.ndim != 2 or arr.dtype != np.uint8:
             raise DataError(f"{path}: expected uint8 (H, W), got {arr.dtype} {arr.shape}")
         return arr.astype(np.int64)

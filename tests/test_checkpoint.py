@@ -1,5 +1,7 @@
-"""CVCK tensor files: exact byte layout on save, atomic saves, in-place loads, only ``CheckpointError`` on bad input."""
+"""CVCK tensor files: exact byte layout on save, atomic saves, in-place loads, older layouts,
+only ``CheckpointError`` on bad input."""
 
+import json
 import struct
 import tracemalloc
 
@@ -12,18 +14,25 @@ from cvmhunet import checkpoint
 from cvmhunet.checkpoint import CheckpointError, load_tensors, save_tensors
 
 
-def entry(name: str, dims: tuple, values) -> bytes:
+def entry(name: str, dims: tuple, values, code: int = 0) -> bytes:
+    """A version-2 entry: name, dtype code, dims, payload."""
     encoded = name.encode("utf-8")
-    payload = np.asarray(values, dtype="<f4").tobytes()
+    payload = np.asarray(values, dtype=("<f4", "u1")[code]).tobytes()
     return (
         struct.pack("<H", len(encoded)) + encoded
-        + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+        + struct.pack("<BB", code, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
         + payload
     )
 
 
+def header(count: int, meta: bytes = b"{}") -> bytes:
+    """A version-2 file header holding ``meta`` and announcing ``count`` entries."""
+    return b"CVCK" + struct.pack("<II", 2, len(meta)) + meta + struct.pack("<I", count)
+
+
 def two_tensor_file(path) -> bytes:
-    save_tensors(str(path), {"model.w": np.arange(6, dtype=np.float32).reshape(2, 3), "optim.step": np.array([7.0])})
+    tensors = {"model.w": np.arange(6, dtype=np.float32).reshape(2, 3), "optim.step": np.array([7.0])}
+    save_tensors(str(path), tensors, {"step": 7})
     return path.read_bytes()
 
 
@@ -32,46 +41,48 @@ def two_tensor_targets() -> dict[str, np.ndarray]:
     return {"model.w": np.zeros((2, 3), dtype=np.float32), "optim.step": np.zeros(1, dtype=np.float32)}
 
 
-class WritesFailAfter:
-    """A file whose ``write`` raises once ``n`` writes have gone through."""
+def metadata(path) -> dict:
+    """The metadata ``load_tensors`` hands to ``into`` before the entries."""
+    seen = []
+    load_tensors(str(path), lambda meta: seen.append(meta) or {})
+    return seen[0]
 
-    def __init__(self, fh, n: int):
-        self.fh, self.left = fh, n
 
-    def write(self, data):
-        if self.left == 0:
-            raise OSError("no space left on device")
-        self.left -= 1
-        return self.fh.write(data)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
+# the file of ``TestSave.test_bytes_match_hand_built_blob`` in the version-1 layout, kept as written
+PINNED_V1 = (
+    b"CVCK\x01\x00\x00\x00\x03\x00\x00\x00"
+    b"\x01\x00w\x02\x02\x00\x00\x00\x03\x00\x00\x00"
+    b"\x00\x00\x00\x00\x00\x00\x00@\x00\x00\x80@\x00\x00\x80?\x00\x00@@\x00\x00\xa0@"
+    b"\x06\x00scalar\x00\x00\x00 @"
+    b"\x03\x00b\xc3\xa9\x01\x02\x00\x00\x00\x00\x00\x80?\x00\x00\x80\xbf"
+)
 
 
 class TestSave:
     def test_bytes_match_hand_built_blob(self, tmp_path):
         w = np.arange(6, dtype=np.float64).reshape(3, 2).T  # float64, not contiguous
-        tensors = {"w": w, "scalar": np.array(2.5), "bé": np.array([1.0, -1.0], dtype=np.float32)}
-        save_tensors(str(tmp_path / "a.cvck"), tensors)
+        tensors = {"w": w, "scalar": np.array(2.5), "bé": np.array([1.0, -1.0], dtype=np.float32),
+                   "u": np.array([[0, 255]], dtype=np.uint8)}
+        save_tensors(str(tmp_path / "a.cvck"), tensors, {"b": 1, "a": [1.5]})
         want = (
-            b"CVCK" + struct.pack("<II", 1, 3)
+            header(4, b'{"a": [1.5], "b": 1}')  # keys sorted
             + entry("w", (2, 3), [0, 2, 4, 1, 3, 5])
             + entry("scalar", (), [2.5])  # rank 0: no dims, one value
             + entry("bé", (2,), [1.0, -1.0])
+            + entry("u", (1, 2), [0, 255], code=1)  # uint8 stays uint8
         )
         assert (tmp_path / "a.cvck").read_bytes() == want
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        tensors = {"a": rng.normal(size=(2, 3, 4)).astype(np.float32), "empty": np.zeros((0, 5), dtype=np.float32)}
+        tensors = {"a": rng.normal(size=(2, 3, 4)).astype(np.float32), "empty": np.zeros((0, 5), dtype=np.float32),
+                   "u": rng.integers(0, 256, size=(3, 2), dtype=np.uint8)}
         save_tensors(str(tmp_path / "r.cvck"), tensors)
         back = load_tensors(str(tmp_path / "r.cvck"))
-        assert list(back) == ["a", "empty"]
+        assert list(back) == ["a", "empty", "u"]
         for k, v in tensors.items():
-            assert back[k].dtype == np.float32 and np.array_equal(back[k], v)
+            assert back[k].dtype == v.dtype and np.array_equal(back[k], v)
+        assert metadata(tmp_path / "r.cvck") == {}
 
     def test_round_trip_keeps_rank_zero(self, tmp_path):
         save_tensors(str(tmp_path / "s.cvck"), {"s": np.array(-1.5), "one": np.array([2.0])})
@@ -79,17 +90,18 @@ class TestSave:
         assert back["s"].shape == () and float(back["s"]) == -1.5
         assert back["one"].shape == (1,)
 
-    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch, writes_fail_after):
         path = tmp_path / "c.cvck"
         before = two_tensor_file(path)
         real_open = open
-        # the file header, then the first entry's header and payload
-        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: WritesFailAfter(real_open(*a, **k), 3), raising=False)
         tensors = {"a": np.ones(3, dtype=np.float32), "b": np.zeros((2, 2), dtype=np.float32)}
-        with pytest.raises(OSError, match="no space"):
-            save_tensors(str(path), tensors)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["c.cvck"]
+        for n in range(5):  # the file header, then each entry's header and payload
+            monkeypatch.setattr(checkpoint, "open", lambda *a, **k: writes_fail_after(real_open(*a, **k), n),
+                                raising=False)
+            with pytest.raises(OSError, match="no space"):
+                save_tensors(str(path), tensors)
+            assert path.read_bytes() == before, n
+            assert [p.name for p in tmp_path.iterdir()] == ["c.cvck"]
 
     def test_save_replaces_the_previous_file(self, tmp_path):
         path = tmp_path / "c.cvck"
@@ -102,8 +114,9 @@ class TestSave:
 class TestLoadInto:
     def test_fills_matching_arrays_in_place(self, tmp_path):
         two_tensor_file(tmp_path / "t.cvck")
-        into = two_tensor_targets()
-        back = load_tensors(str(tmp_path / "t.cvck"), into=into)
+        into, seen = two_tensor_targets(), []
+        back = load_tensors(str(tmp_path / "t.cvck"), into=lambda meta: seen.append(meta) or into)
+        assert seen == [{"step": 7}]  # once; the targets it returns are filled in place
         assert back["model.w"] is into["model.w"] and back["optim.step"] is into["optim.step"]
         assert np.array_equal(into["model.w"], np.arange(6).reshape(2, 3))
         assert np.array_equal(into["optim.step"], [7.0])
@@ -120,7 +133,7 @@ class TestLoadInto:
     )
     def test_fresh_array_when_the_target_does_not_fit(self, tmp_path, name, target):
         two_tensor_file(tmp_path / "t.cvck")
-        back = load_tensors(str(tmp_path / "t.cvck"), into={name: target})
+        back = load_tensors(str(tmp_path / "t.cvck"), into=lambda meta: {name: target})
         assert back["model.w"] is not target and back["model.w"].dtype == np.float32
         assert np.array_equal(back["model.w"], np.arange(6).reshape(2, 3))
         assert not target.any()
@@ -128,8 +141,42 @@ class TestLoadInto:
     def test_rank_zero_entry_fills_in_place(self, tmp_path):
         save_tensors(str(tmp_path / "s.cvck"), {"s": np.array(-1.5)})
         target = np.zeros((), dtype=np.float32)
-        back = load_tensors(str(tmp_path / "s.cvck"), into={"s": target})
+        back = load_tensors(str(tmp_path / "s.cvck"), into=lambda meta: {"s": target})
         assert back["s"] is target and float(target) == -1.5
+
+
+class TestOlderLayouts:
+    def test_pinned_v1_file_loads_with_its_sidecar(self, tmp_path):
+        (tmp_path / "a.cvck").write_bytes(PINNED_V1)
+        (tmp_path / "a.json").write_text('{"step": 3}')
+        back = load_tensors(str(tmp_path / "a.cvck"))
+        assert list(back) == ["w", "scalar", "bé"]
+        assert back["w"].dtype == np.float32 and np.array_equal(back["w"], [[0, 2, 4], [1, 3, 5]])
+        assert back["scalar"].shape == () and float(back["scalar"]) == 2.5
+        assert np.array_equal(back["bé"], [1.0, -1.0])
+        assert metadata(tmp_path / "a.cvck") == {"step": 3}
+
+    def test_v1_writer_matches_the_pinned_file(self, tmp_path, save_v1):
+        tensors = {"w": np.arange(6).reshape(3, 2).T, "scalar": np.array(2.5), "bé": np.array([1.0, -1.0])}
+        save_v1(tmp_path / "a.cvck", tensors)
+        assert (tmp_path / "a.cvck").read_bytes() == PINNED_V1
+        assert metadata(tmp_path / "a.cvck") == {}  # no sidecar
+
+    def test_v1_cvtn_file_loads(self, tmp_path):
+        blob = b"CVTN" + struct.pack("<IB2IB", 1, 2, 2, 3, 1) + bytes(range(6))
+        (tmp_path / "t.cvtn").write_bytes(blob)
+        (arr,) = load_tensors(str(tmp_path / "t.cvtn")).values()
+        assert arr.dtype == np.uint8 and np.array_equal(arr, np.arange(6).reshape(2, 3))
+
+
+def valid_blob(kind: str, tmp_path, save_v1) -> bytes:
+    """A valid file of each layout the loader reads, with the two entries ``two_tensor_targets`` fit."""
+    if kind == "cvck-v2":
+        return two_tensor_file(tmp_path / "valid.cvck")
+    if kind == "cvck-v1":
+        save_v1(tmp_path / "valid.cvck", {"model.w": np.arange(6).reshape(2, 3), "optim.step": np.array([7.0])})
+        return (tmp_path / "valid.cvck").read_bytes()
+    return b"CVTN" + struct.pack("<IB3IB", 1, 3, 3, 2, 2, 0) + np.linspace(0, 1, 12, dtype="<f4").tobytes()
 
 
 class TestLoadRejects:
@@ -141,28 +188,28 @@ class TestLoadRejects:
 
     def test_name_not_utf8(self, tmp_path):
         blob = bytearray(two_tensor_file(tmp_path / "n.cvck"))
-        blob[14] = 0xFF  # first byte of the first name
+        blob[blob.index(b"model.w")] = 0xFF  # first byte of the first name
         (tmp_path / "n.cvck").write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="UTF-8"):
             load_tensors(str(tmp_path / "n.cvck"))
 
     def test_dims_larger_than_file(self, tmp_path):
-        blob = b"CVCK" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x" + struct.pack("<BI", 1, 2**32 - 1)
+        blob = header(1) + struct.pack("<H", 1) + b"x" + struct.pack("<BBI", 0, 1, 2**32 - 1)
         (tmp_path / "d.cvck").write_bytes(blob)
         with pytest.raises(CheckpointError, match="truncated"):
             load_tensors(str(tmp_path / "d.cvck"))
 
     def test_empty_entry_with_overflowing_dims(self, tmp_path):
         # zero elements, so nothing is truncated, but numpy cannot even describe the shape
-        dims = struct.pack("<B3I", 3, 0, 2**32 - 1, 2**32 - 1)
-        blob = b"CVCK" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x" + dims
+        dims = struct.pack("<BB3I", 0, 3, 0, 2**32 - 1, 2**32 - 1)
+        blob = header(1) + struct.pack("<H", 1) + b"x" + dims
         (tmp_path / "z.cvck").write_bytes(blob)
         with pytest.raises(CheckpointError, match="impossible tensor shape"):
             load_tensors(str(tmp_path / "z.cvck"))
 
     def test_oversized_entry_raises_before_allocating(self, tmp_path):
         dims = (1024, 1024, 64)  # 256 MiB of payload claimed, 64 bytes present
-        blob = b"CVCK" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x" + struct.pack("<B3I", 3, *dims)
+        blob = header(1) + struct.pack("<H", 1) + b"x" + struct.pack("<BB3I", 0, 3, *dims)
         (tmp_path / "o.cvck").write_bytes(blob + bytes(64))
         tracemalloc.start()
         try:
@@ -173,20 +220,51 @@ class TestLoadRejects:
             tracemalloc.stop()
         assert peak < 1 << 20, f"{peak} bytes allocated for a file of {len(blob) + 64}"
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.parametrize("into", [False, True])
+    def test_duplicate_entry_name(self, tmp_path, into):
+        blob = header(2) + entry("w", (2,), [1, 2]) + entry("w", (2,), [3, 4])
+        (tmp_path / "w.cvck").write_bytes(blob)
+        target = np.zeros(2, dtype=np.float32)
+        with pytest.raises(CheckpointError, match="'w' appears twice"):
+            load_tensors(str(tmp_path / "w.cvck"), into=(lambda meta: {"w": target}) if into else None)
+
+    @pytest.mark.parametrize(
+        "blob, match",
+        [
+            (header(0, b"[1]"), "must be a JSON object"),
+            (header(0, b'{"a": '), "not JSON"),
+            (header(0, b'"\xff"'), "UTF-8"),
+            (b"CVCK" + struct.pack("<III", 2, 2**32 - 1, 0), "truncated metadata"),  # before allocating 4 GiB
+            (header(1) + struct.pack("<H", 1) + b"x" + struct.pack("<BB", 2, 0) + bytes(4), "dtype code 2"),
+            (b"CVCK" + struct.pack("<II", 3, 0), "unsupported CVCK version 3"),
+            (b"CVTN" + struct.pack("<IB", 2, 0), "unsupported CVTN version 2"),
+            (b"NOPE" + bytes(16), "bad magic"),
+        ],
+        ids=["meta-list", "meta-not-json", "meta-not-utf8", "meta-length", "dtype", "version", "cvtn-version",
+             "magic"],
+    )
+    def test_malformed_header(self, tmp_path, blob, match):
+        (tmp_path / "h.cvck").write_bytes(blob)
+        with pytest.raises(CheckpointError, match=match):
+            load_tensors(str(tmp_path / "h.cvck"))
+
+    @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
+        kind=st.sampled_from(["cvck-v2", "cvck-v1", "cvtn-v1"]),
         cut=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
         flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)), max_size=4),
         into=st.booleans(),
     )
-    def test_mutations_raise_only_checkpoint_error(self, tmp_path, cut, flips, into):
-        blob = bytearray(two_tensor_file(tmp_path / "valid.cvck"))
+    def test_mutations_raise_only_checkpoint_error(self, tmp_path, save_v1, kind, cut, flips, into):
+        # every layout the loader reads; a version-1 CVCK file is read with its sidecar
+        blob = bytearray(valid_blob(kind, tmp_path, save_v1))
         for pos, mask in flips:
             blob[pos % len(blob)] ^= mask
         if cut is not None:
             blob = blob[: cut % len(blob)]
         (tmp_path / "m.cvck").write_bytes(bytes(blob))
+        (tmp_path / "m.json").write_text(json.dumps({"step": 7}))
         try:
-            load_tensors(str(tmp_path / "m.cvck"), into=two_tensor_targets() if into else None)
+            load_tensors(str(tmp_path / "m.cvck"), into=(lambda meta: two_tensor_targets()) if into else None)
         except CheckpointError:
             pass  # a mutation the format cannot see (no checksum) may load

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism, reports."""
 
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cvmhunet
+from cvmhunet import checkpoint
 from cvmhunet.checkpoint import apply_model_state, load_tensors, model_state, save_tensors
 from cvmhunet.cli import _model_from_checkpoint, _predict_logits, _save_run_checkpoint, main
 from cvmhunet.data import (
@@ -21,7 +23,6 @@ from cvmhunet.data import (
     load_pair,
     palette_to_labels,
     read_ppm,
-    save_cvtn,
     synth_generate,
     write_pgm,
     write_ppm,
@@ -57,11 +58,28 @@ def write_config(tmp_path, **extra):
     return path
 
 
-def write_old_key_layout(src, dst):
-    """Copy a checkpoint into the layout of the per-direction scan modules: row k of each
-    stacked ``...ssm.<name>`` under ``...ssm.directions.{k}.<name>``, and the optimizer
-    moments in that module order (all five parameters of direction 0, then of 1, ...)."""
-    tensors = load_tensors(str(src))
+def save_cvtn(path, array) -> None:
+    save_tensors(str(path), {"x": array})
+
+
+def read_checkpoint(path) -> tuple[dict, dict]:
+    """The metadata and the tensors of a checkpoint."""
+    seen = []
+    tensors = load_tensors(str(path), lambda meta: seen.append(meta) or {})
+    return seen[0], tensors
+
+
+def rewrite_meta(path, edit) -> None:
+    """Save the checkpoint at ``path`` again with ``edit(metadata)`` in its header."""
+    meta, tensors = read_checkpoint(path)
+    save_tensors(str(path), tensors, edit(meta))
+
+
+def write_old_key_layout(src, dst, save_v1):
+    """Copy a checkpoint into the version-1 layout of the per-direction scan modules: row k of
+    each stacked ``...ssm.<name>`` under ``...ssm.directions.{k}.<name>``, the optimizer moments
+    in that module order (all five parameters of direction 0, then of 1, ...), and a sidecar."""
+    meta, tensors = read_checkpoint(src)
     names = [k for k in tensors if k.startswith("model.")]
     n_params = sum(1 for k in tensors if k.startswith("optim.") and k.endswith(".m"))
     out, moments = {}, []
@@ -85,8 +103,7 @@ def write_old_key_layout(src, dst):
             for s in "mv":
                 arr = tensors[f"optim.p{j:04d}.{s}"]
                 out[f"optim.p{o:04d}.{s}"] = arr if k is None else arr[k]
-    save_tensors(str(dst), out)
-    dst.with_suffix(".json").write_bytes(src.with_suffix(".json").read_bytes())
+    save_v1(dst, out, meta)
 
 
 @pytest.fixture()
@@ -108,14 +125,14 @@ class TestTrain:
         assert first[0] == "1" and len(first) == 4
         assert (dataset / "run" / "last.cvck").exists()
         assert (dataset / "run" / "best.cvck").exists()
-        assert (dataset / "run" / "last.json").exists()
+        assert not (dataset / "run" / "last.json").exists()  # the metadata is in the header
 
     def test_saves_leave_no_temp_files(self, dataset, capsys):
         cfg = write_config(dataset)
         assert main(["train", "--config", str(cfg), "--steps", "1"]) == 0
         capsys.readouterr()
         names = sorted(p.name for p in (dataset / "run").iterdir())
-        assert names == ["best.cvck", "best.json", "last.cvck", "last.json", "loss.csv"]
+        assert names == ["best.cvck", "last.cvck", "loss.csv"]
 
     def test_flag_overrides_config(self, dataset, capsys):
         cfg = write_config(dataset)
@@ -138,7 +155,7 @@ class TestTrain:
         main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "2",
               "--resume", str(out / "last.cvck")])
         capsys.readouterr()
-        meta = json.loads((out / "last.json").read_text())
+        meta, _ = read_checkpoint(out / "last.cvck")
         assert meta["step"] == 5
         rows = (out / "loss.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
@@ -153,18 +170,75 @@ class TestTrain:
             assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", str(k)]) == 0
             assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", str(6 - k),
                          "--resume", str(split / "last.cvck")]) == 0
-            for name in ("loss.csv", "last.cvck", "last.json", "best.cvck", "best.json"):
+            for name in ("loss.csv", "last.cvck", "best.cvck"):
                 assert (whole / name).read_bytes() == (split / name).read_bytes(), (k, name)
         capsys.readouterr()
+
+    def test_failed_last_save_leaves_a_resumable_run(self, dataset, capsys, monkeypatch, writes_fail_after):
+        # a save of last.cvck that fails at a write keeps the previous file, and resuming from it
+        # gives the uninterrupted run; the header, the first entry's header and payload, the
+        # first optimizer entry and the last write stand for all of the save's writes
+        cfg = write_config(dataset)
+        whole, base = dataset / "whole", dataset / "base"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(whole), "--steps", "3"]) == 0
+        assert main(["train", "--config", str(cfg), "--out-dir", str(base), "--steps", "1"]) == 0
+        names = list(load_tensors(str(base / "last.cvck")))
+        first_optim = names.index(next(n for n in names if n.startswith("optim.")))
+        real_open = open
+        for n in (0, 1, 2, 1 + 2 * first_optim, 2 * len(names)):
+            run = dataset / f"failed{n}"
+            shutil.copytree(base, run)
+            resume = ["train", "--config", str(cfg), "--out-dir", str(run), "--steps", "2",
+                      "--resume", str(run / "last.cvck")]
+            monkeypatch.setattr(checkpoint, "open", lambda file, *a, **k: (
+                writes_fail_after(real_open(file, *a, **k), n) if str(file).endswith("last.cvck.tmp")
+                else real_open(file, *a, **k)), raising=False)
+            assert main(resume) == 4, n
+            monkeypatch.undo()
+            assert "no space left" in capsys.readouterr().err
+            assert (run / "last.cvck").read_bytes() == (base / "last.cvck").read_bytes(), n
+            assert sorted(p.name for p in run.iterdir()) == ["best.cvck", "last.cvck", "loss.csv"]
+            assert main(resume) == 0, n
+            for name in ("loss.csv", "last.cvck", "best.cvck"):
+                assert (run / name).read_bytes() == (whole / name).read_bytes(), (n, name)
+        capsys.readouterr()
+
+    def test_json_beside_a_checkpoint_changes_nothing(self, dataset, capsys):
+        cfg = write_config(dataset)
+        whole, split = dataset / "whole", dataset / "split"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(whole), "--steps", "2"]) == 0
+        assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", "1"]) == 0
+        (split / "last.json").write_text("[not json")
+        (split / "best.json").write_text('{"model": 5}')
+        assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", "1",
+                     "--resume", str(split / "last.cvck")]) == 0
+        for name in ("loss.csv", "last.cvck", "best.cvck"):
+            assert (split / name).read_bytes() == (whole / name).read_bytes(), name
+        assert main(["eval", "--checkpoint", str(split / "best.cvck"),
+                     "--manifest", str(dataset / "data" / "manifest.json")]) == 0
+        capsys.readouterr()
+
+    def test_resume_from_version_1_checkpoint(self, dataset, capsys, save_v1):
+        # a checkpoint in the version-1 layout, its metadata in the sidecar, resumes bit for bit
+        cfg = write_config(dataset)
+        whole, split = dataset / "whole", dataset / "split"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(whole), "--steps", "2"]) == 0
+        assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", "1"]) == 0
+        meta, tensors = read_checkpoint(split / "last.cvck")
+        save_v1(split / "last.cvck", tensors, meta)
+        assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", "1",
+                     "--resume", str(split / "last.cvck")]) == 0
+        capsys.readouterr()
+        for name in ("loss.csv", "last.cvck", "best.cvck"):
+            assert (split / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_resume_keeps_best_when_not_beaten(self, dataset, capsys):
         cfg = write_config(dataset)
         out = dataset / "r"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "2"]) == 0
-        meta = json.loads((out / "last.json").read_text())
-        meta["best_total"] = -1.0  # no loss can beat this
-        (out / "last.json").write_text(json.dumps(meta))
-        before = {name: (out / name).read_bytes() for name in ("best.cvck", "best.json")}
+        rewrite_meta(out / "last.cvck", lambda meta: {**meta, "best_total": -1.0})  # no loss can beat this
+        meta, _ = read_checkpoint(out / "last.cvck")
+        before = {name: (out / name).read_bytes() for name in ("best.cvck",)}
         assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "2",
                      "--resume", str(out / "last.cvck")]) == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -176,15 +250,13 @@ class TestTrain:
         cfg = write_config(dataset)
         a, b = dataset / "a", dataset / "b"
         assert main(["train", "--config", str(cfg), "--out-dir", str(a), "--steps", "2"]) == 0
-        meta = json.loads((a / "last.json").read_text())
-        meta["best_total"] = -1.0  # no loss can beat this
-        (a / "last.json").write_text(json.dumps(meta))
+        rewrite_meta(a / "last.cvck", lambda meta: {**meta, "best_total": -1.0})  # no loss can beat this
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--out-dir", str(b), "--steps", "1",
                      "--resume", str(a / "last.cvck")]) == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["best"] is None and summary["last"] == str(b / "last.cvck")
-        assert sorted(p.name for p in b.iterdir()) == ["last.cvck", "last.json", "loss.csv"]
+        assert sorted(p.name for p in b.iterdir()) == ["last.cvck", "loss.csv"]
 
     @pytest.mark.parametrize(
         "key,value",
@@ -196,17 +268,19 @@ class TestTrain:
             ("best_total", [1.0]),
         ],
     )
-    def test_resume_malformed_sidecar_exits_4(self, dataset, capsys, key, value):
+    def test_resume_malformed_sidecar_exits_4(self, dataset, capsys, save_v1, key, value):
+        # the resume record in the header of a checkpoint, and in the sidecar of a version-1 one
         cfg = write_config(dataset)
         out = dataset / "r"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
-        meta = json.loads((out / "last.json").read_text())
-        meta[key] = value
-        (out / "last.json").write_text(json.dumps(meta))
-        code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
-                     "--resume", str(out / "last.cvck")])
-        assert code == 4
-        assert "malformed resume state" in capsys.readouterr().err
+        meta, tensors = read_checkpoint(out / "last.cvck")
+        save_v1(out / "old.cvck", tensors, {**meta, key: value})
+        rewrite_meta(out / "last.cvck", lambda meta: {**meta, key: value})
+        for ckpt in ("last.cvck", "old.cvck"):
+            code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
+                         "--resume", str(out / ckpt)])
+            assert code == 4, ckpt
+            assert "malformed resume state" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key,value",
@@ -218,24 +292,19 @@ class TestTrain:
         cfg = write_config(dataset)
         out = dataset / "r"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
-        meta = json.loads((out / "last.json").read_text())
-        if value is None:
-            del meta[key]
-        else:
-            meta[key] = value
-        (out / "last.json").write_text(json.dumps(meta))
+        rewrite_meta(out / "last.cvck", lambda meta: {k: v for k, v in {**meta, key: value}.items() if v is not None})
         code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
                      "--resume", str(out / "last.cvck")])
         assert code == 4
         assert "malformed resume state" in capsys.readouterr().err
 
     def test_resume_from_best_checkpoint_exits_4_and_writes_nothing(self, dataset, capsys):
-        # best.json holds no resume record: continuing from it would restart the batch stream
+        # best.cvck holds no resume record: continuing from it would restart the batch stream
         # and the best loss, repeat steps in loss.csv and overwrite best.cvck with a worse model
         cfg = write_config(dataset)
         out = dataset / "r"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "2"]) == 0
-        names = ("loss.csv", "last.cvck", "last.json", "best.cvck", "best.json")
+        names = ("loss.csv", "last.cvck", "best.cvck")
         before = {name: (out / name).read_bytes() for name in names}
         code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "2",
                      "--resume", str(out / "best.cvck")])
@@ -259,12 +328,12 @@ class TestTrain:
         for name, arr in best.items():
             np.testing.assert_array_equal(arr, last[name], err_msg=name)
 
-    def test_resume_from_old_key_layout_exits_4(self, dataset, capsys):
+    def test_resume_from_old_key_layout_exits_4(self, dataset, capsys, save_v1):
         # the model state loads, but the optimizer moments are indexed by parameter order
         cfg = write_config(dataset)
         out = dataset / "r"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
-        write_old_key_layout(out / "last.cvck", out / "old.cvck")
+        write_old_key_layout(out / "last.cvck", out / "old.cvck", save_v1)
         code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
                      "--resume", str(out / "old.cvck")])
         assert code == 4
@@ -312,10 +381,10 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--out-dir", str(failed), "--steps", str(k + 2)]) == 3
         assert f"non-finite loss at step {k + 1}" in capsys.readouterr().err
-        for name in ("best.cvck", "best.json", "loss.csv"):
+        for name in ("best.cvck", "loss.csv"):
             assert (failed / name).read_bytes() == (whole / name).read_bytes(), name
         assert len((failed / "loss.csv").read_text().splitlines()) == 1 + k
-        assert sorted(p.name for p in failed.iterdir()) == ["best.cvck", "best.json", "loss.csv"]
+        assert sorted(p.name for p in failed.iterdir()) == ["best.cvck", "loss.csv"]
 
     def test_missing_manifest_is_io_error(self, dataset, capsys):
         cfg = write_config(dataset, manifest=str(dataset / "nope.json"))
@@ -392,9 +461,9 @@ class TestEvalPredict:
         assert len(report["iou"]) == 4
         capsys.readouterr()
 
-    def test_old_key_layout_evaluates_the_same(self, trained, capsys):
+    def test_old_key_layout_evaluates_the_same(self, trained, capsys, save_v1):
         run = trained / "run"
-        write_old_key_layout(run / "best.cvck", run / "old.cvck")
+        write_old_key_layout(run / "best.cvck", run / "old.cvck", save_v1)
         outputs = []
         for ckpt in ("best.cvck", "old.cvck"):
             logits = trained / f"{ckpt}.cvtn"
@@ -478,9 +547,7 @@ class TestEvalPredict:
         palette = DatasetManifest.load(manifest).palette
         classes = palette_to_labels(read_ppm(out), palette)
         assert classes.shape == (32, 32)
-        from cvmhunet.data import load_cvtn
-
-        logits = load_cvtn(trained / "logits.cvtn")
+        (logits,) = load_tensors(str(trained / "logits.cvtn")).values()
         assert logits.shape == (4, 32, 32)
         assert np.array_equal(np.argmax(logits, axis=0), classes)
 
@@ -509,15 +576,19 @@ class TestEvalPredict:
         assert (trained / "ppm.cvtn").read_bytes() == (trained / "cvtn.cvtn").read_bytes()
 
     @pytest.mark.parametrize("sidecar", ["[1]", '{"model": 5}', '{"seed": 0}'])
-    def test_malformed_sidecar_exits_4(self, trained, capsys, sidecar):
-        (trained / "run" / "last.json").write_text(sidecar)
-        ckpt = str(trained / "run" / "last.cvck")
-        assert main(["eval", "--checkpoint", ckpt, "--manifest", str(trained / "data" / "manifest.json")]) == 4
-        assert main(["train", "--config", str(write_config(trained)), "--steps", "1", "--resume", ckpt]) == 4
-        assert "sidecar must be a JSON object" in capsys.readouterr().err
+    def test_malformed_sidecar_exits_4(self, trained, capsys, save_v1, sidecar):
+        # the metadata in the header of a checkpoint, and in the sidecar of a version-1 one
+        run = trained / "run"
+        _, tensors = read_checkpoint(run / "last.cvck")
+        save_v1(run / "old.cvck", tensors, json.loads(sidecar))
+        rewrite_meta(run / "last.cvck", lambda meta: json.loads(sidecar))
+        for ckpt in (str(run / "last.cvck"), str(run / "old.cvck")):
+            assert main(["eval", "--checkpoint", ckpt, "--manifest", str(trained / "data" / "manifest.json")]) == 4
+            assert main(["train", "--config", str(write_config(trained)), "--steps", "1", "--resume", ckpt]) == 4
+            assert "must be a JSON object" in capsys.readouterr().err, ckpt
 
     def test_eval_corrupted_checkpoint_exits_4(self, trained, capsys):
-        ckpt = trained / "run" / "last.cvck"  # its sidecar last.json stays valid
+        ckpt = trained / "run" / "last.cvck"  # its header stays valid
         ckpt.write_bytes(ckpt.read_bytes()[:-2])
         code = main(["eval", "--checkpoint", str(ckpt), "--manifest", str(trained / "data" / "manifest.json")])
         assert code == 4
@@ -587,7 +658,7 @@ class TestRestore:
 
     def test_unseeded_restore_equals_seeded(self, tmp_path):
         saved, path = self.checkpoint(tmp_path)
-        restored, _ = _model_from_checkpoint(path)
+        restored = _model_from_checkpoint(path)
         seeded = CVMHUNet(saved.config, seed=11)
         apply_model_state(seeded, {k[len("model."):]: v for k, v in load_tensors(str(path)).items()})
         want = model_state(seeded)

@@ -8,20 +8,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cvmhunet.checkpoint import save_tensors
 from cvmhunet.data import (
     AugmentConfig,
     DataError,
     DatasetManifest,
     TileSpec,
+    _load_tensor,
     augment_pair,
     emit_prediction,
-    load_cvtn,
+    load_image,
     load_pair,
     normalize_image,
     palette_to_labels,
     read_pgm,
     read_ppm,
-    save_cvtn,
     stitch_tiles,
     synth_generate,
     tile_image,
@@ -132,20 +133,24 @@ class TestNetpbm:
 
 
 # ---------------------------------------------------------------------------
-# CVTN tensors
+# .cvtn tensor files: one-entry containers
 # ---------------------------------------------------------------------------
+
+
+def save_cvtn(path, array) -> None:
+    save_tensors(str(path), {"x": array})
 
 
 class TestCvtn:
     def test_float32_round_trip(self, tmp_path):
         arr = rng(3).normal(size=(3, 4, 5)).astype(np.float32)
         save_cvtn(tmp_path / "a.cvtn", arr)
-        assert np.array_equal(load_cvtn(tmp_path / "a.cvtn"), arr)
+        assert np.array_equal(load_image(tmp_path / "a.cvtn"), arr)
 
     def test_uint8_round_trip(self, tmp_path):
         arr = rng(4).integers(0, 256, size=(6, 2), dtype=np.uint8)
         save_cvtn(tmp_path / "b.cvtn", arr)
-        out = load_cvtn(tmp_path / "b.cvtn")
+        out = _load_tensor(tmp_path / "b.cvtn")
         assert out.dtype == np.uint8
         assert np.array_equal(out, arr)
 
@@ -155,36 +160,50 @@ class TestCvtn:
         save_cvtn(tmp_path / "p.cvtn", arr)
         tracemalloc.start()
         try:
-            out = load_cvtn(tmp_path / "p.cvtn")
+            out = _load_tensor(tmp_path / "p.cvtn")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(out, arr)
         assert peak <= 1.1 * arr.nbytes, f"{peak} bytes at peak for a {arr.nbytes}-byte payload"
 
-    def test_rejects_other_dtypes(self, tmp_path):
-        with pytest.raises(ValueError, match="float32 or uint8"):
-            save_cvtn(tmp_path / "c.cvtn", np.zeros(3, dtype=np.int64))
+    def test_other_dtypes_are_stored_as_float32(self, tmp_path):
+        save_cvtn(tmp_path / "c.cvtn", np.array([-3, 0, 7], dtype=np.int64))
+        out = _load_tensor(tmp_path / "c.cvtn")
+        assert out.dtype == np.float32 and np.array_equal(out, [-3, 0, 7])
+
+    @pytest.mark.parametrize("dtype, code", [(np.float32, 0), (np.uint8, 1)])
+    def test_version_1_file_loads(self, tmp_path, dtype, code):
+        arr = rng(8).integers(0, 256, size=(3, 2, 4)).astype(dtype)
+        (tmp_path / "v1.cvtn").write_bytes(cvtn_header(arr.shape, code) + arr.astype(("<f4", "u1")[code]).tobytes())
+        assert np.array_equal(_load_tensor(tmp_path / "v1.cvtn"), arr)
+        out = load_image(tmp_path / "v1.cvtn")
+        assert out.dtype == np.float32 and np.array_equal(out, arr.astype(np.float32) / 255.0 if code else arr)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "d.cvtn").write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(DataError, match="magic"):
-            load_cvtn(tmp_path / "d.cvtn")
+            load_image(tmp_path / "d.cvtn")
 
     def test_truncated_payload(self, tmp_path):
-        arr = np.zeros((4, 4), dtype=np.float32)
+        arr = np.zeros((3, 4, 4), dtype=np.float32)
         save_cvtn(tmp_path / "e.cvtn", arr)
         raw = (tmp_path / "e.cvtn").read_bytes()
         (tmp_path / "e.cvtn").write_bytes(raw[:-8])
         with pytest.raises(DataError, match="truncated"):
-            load_cvtn(tmp_path / "e.cvtn")
+            load_image(tmp_path / "e.cvtn")
 
     def test_trailing_bytes(self, tmp_path):
         save_cvtn(tmp_path / "f.cvtn", np.zeros(2, dtype=np.uint8))
         raw = (tmp_path / "f.cvtn").read_bytes()
         (tmp_path / "f.cvtn").write_bytes(raw + b"xx")
         with pytest.raises(DataError, match="trailing"):
-            load_cvtn(tmp_path / "f.cvtn")
+            _load_tensor(tmp_path / "f.cvtn")
+
+    def test_more_than_one_entry(self, tmp_path):
+        save_tensors(str(tmp_path / "g.cvtn"), {"a": np.zeros(2), "b": np.zeros(2)})
+        with pytest.raises(DataError, match="one entry, found 2"):
+            _load_tensor(tmp_path / "g.cvtn")
 
     @pytest.mark.parametrize(
         "dims",
@@ -196,7 +215,7 @@ class TestCvtn:
     def test_unrepresentable_shape_is_data_error(self, tmp_path, dims):
         (tmp_path / "g.cvtn").write_bytes(cvtn_header(dims))
         with pytest.raises(DataError):
-            load_cvtn(tmp_path / "g.cvtn")
+            _load_tensor(tmp_path / "g.cvtn")
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -204,6 +223,7 @@ class TestCvtn:
         flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)), max_size=4),
     )
     def test_mutations_raise_only_data_error(self, tmp_path, cut, flips):
+        # the container's own errors reach dataset code as DataError
         save_cvtn(tmp_path / "valid.cvtn", rng(7).random(size=(3, 2, 2)).astype(np.float32))
         blob = bytearray((tmp_path / "valid.cvtn").read_bytes())
         for pos, mask in flips:
@@ -212,7 +232,7 @@ class TestCvtn:
             blob = blob[: cut % len(blob)]
         (tmp_path / "m.cvtn").write_bytes(bytes(blob))
         try:
-            load_cvtn(tmp_path / "m.cvtn")
+            _load_tensor(tmp_path / "m.cvtn")
         except DataError:
             pass  # a mutation the format cannot see (no checksum) may load
 

@@ -1,6 +1,6 @@
 """Command-line interface (``cvmh``).
 
-Subcommands: ``train``, ``eval``, ``predict``, ``gradcheck``, ``inspect``,
+Subcommands: ``train``, ``eval``, ``predict``, ``inspect``,
 ``synth``. Configuration comes from a JSON file (``--config``) with
 individual flags winning over file values. Exit codes are a stable contract:
 0 success, 2 configuration error, 3 numerical failure, 4 IO error.
@@ -35,7 +35,6 @@ from .data import (
     synth_generate,
     tile_image,
 )
-from .gradcheck import DEFAULT_TOL, gradcheck_suite
 from .losses import LossConfig, segmentation_loss
 from .metrics import ConfusionMatrix, compute_metrics
 from .network import CVMHUNet, NetworkConfig, flops_count, param_count, stage_plan
@@ -120,6 +119,9 @@ def _load_run_config(args: argparse.Namespace) -> dict:
         value = values[key]
         if isinstance(value, bool) or not isinstance(value, types):
             raise CliError(f"run config '{key}' must be {what}, got {value!r}", EXIT_CONFIG)
+    for key in ("lr", "weight_decay"):  # NaN, and inf (1e999 in JSON), are floats too
+        if not abs(run["train"][key]) <= sys.float_info.max:
+            raise CliError(f"run config '{key}' must be finite, got {run['train'][key]!r}", EXIT_CONFIG)
     return run
 
 
@@ -429,15 +431,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gradcheck / inspect / synth
+# inspect / synth
 # ---------------------------------------------------------------------------
-
-
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    results = gradcheck_suite(args.seeds, args.tol)
-    ok = all(r["pass"] for r in results)
-    print(json.dumps({"tolerance": args.tol, "results": results, "pass": ok}, indent=2))
-    return EXIT_OK if ok else EXIT_NUMERIC
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
@@ -532,11 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--logits-out", dest="logits_out", help="optional .cvtn logits dump")
     predict.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=4)
     predict.set_defaults(func=cmd_predict)
-
-    grad = sub.add_parser("gradcheck", help="finite-difference check of every block")
-    grad.add_argument("--seeds", type=int, default=2)
-    grad.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    grad.set_defaults(func=cmd_gradcheck)
 
     inspect = sub.add_parser("inspect", help="print the stage plan and counters")
     inspect.add_argument("--config", help="JSON run config (model section)")

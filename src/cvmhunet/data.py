@@ -37,7 +37,6 @@ __all__ = [
     "normalize_image",
     "synth_generate",
     "emit_prediction",
-    "palette_to_labels",
 ]
 
 
@@ -134,6 +133,10 @@ class DatasetManifest:
     ignore_index: int | None = None
 
     def __post_init__(self):
+        if type(self.num_classes) is not int:  # a bool or float would pass the checks below
+            raise ValueError(f"num_classes must be an integer, got {self.num_classes!r}")
+        if self.ignore_index is not None and type(self.ignore_index) is not int:
+            raise ValueError(f"ignore_index must be an integer or null, got {self.ignore_index!r}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         if len(self.palette) < self.num_classes:
@@ -160,7 +163,7 @@ class DatasetManifest:
             return DatasetManifest(
                 root=path.parent,
                 pairs=pairs,
-                num_classes=int(doc["num_classes"]),
+                num_classes=doc["num_classes"],
                 palette=palette,
                 ignore_index=doc.get("ignore_index"),
             )
@@ -480,12 +483,3 @@ def emit_prediction(
     write_ppm(path, colors[classes])
     return classes
 
-
-def palette_to_labels(image: np.ndarray, palette: tuple[tuple[int, int, int], ...]) -> np.ndarray:
-    """Invert an emitted color map; unmatched colors raise."""
-    colors = np.array(palette, dtype=np.uint8)
-    flat = image.reshape(-1, 3)
-    match = (flat[:, None, :] == colors[None, :, :]).all(axis=2)
-    if not match.any(axis=1).all():
-        raise DataError("color map contains colors outside the palette")
-    return match.argmax(axis=1).reshape(image.shape[:2]).astype(np.int64)

@@ -23,7 +23,7 @@ elementwise arithmetic are excluded.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -80,6 +80,11 @@ class NetworkConfig:
         object.__setattr__(self, "enc_depths", tuple(self.enc_depths))
         object.__setattr__(self, "dec_depths", tuple(self.dec_depths))
         object.__setattr__(self, "input_size", tuple(self.input_size))
+        for f in fields(self):  # a float or bool would pass the range checks below and fail in the build
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if f.type in ("int", "tuple[int, ...]", "tuple[int, int]") and not all(type(v) is int for v in items):
+                raise TypeError(f"{f.name} takes integers only, got {value!r}")
         if self.embed_dim < 4 or self.embed_dim % 4 != 0:
             raise ValueError(f"embed_dim must be a positive multiple of 4, got {self.embed_dim}")
         if len(self.enc_depths) != 4 or len(self.dec_depths) != 4:

@@ -30,8 +30,8 @@ class AdamW:
         self.params: list[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer needs at least one parameter")
-        if lr < 0 or eps <= 0 or weight_decay < 0:
-            raise ValueError("lr and weight_decay must be >= 0, eps > 0")
+        if not (0 <= lr < np.inf and 0 <= weight_decay < np.inf and 0 < eps < np.inf):  # NaN fails each
+            raise ValueError(f"lr {lr} and weight_decay {weight_decay} must be finite and >= 0, eps {eps} finite and > 0")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
         self.lr = lr

@@ -1,4 +1,5 @@
-"""Fixtures shared by the test modules: a writer of version-1 CVCK files and a failing file."""
+"""Fixtures shared by the test modules: a writer of version-1 CVCK files, a failing file, and
+the inverse of a palette-colored prediction."""
 
 import json
 import struct
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from cvmhunet.data import DataError
 
 
 def _save_v1(path, tensors, meta=None):
@@ -47,3 +50,18 @@ def save_v1():
 @pytest.fixture()
 def writes_fail_after():
     return WritesFailAfter
+
+
+def _palette_to_labels(image: np.ndarray, palette: tuple[tuple[int, int, int], ...]) -> np.ndarray:
+    """Invert a color map written by ``emit_prediction``; unmatched colors raise."""
+    colors = np.array(palette, dtype=np.uint8)
+    flat = image.reshape(-1, 3)
+    match = (flat[:, None, :] == colors[None, :, :]).all(axis=2)
+    if not match.any(axis=1).all():
+        raise DataError("color map contains colors outside the palette")
+    return match.argmax(axis=1).reshape(image.shape[:2]).astype(np.int64)
+
+
+@pytest.fixture()
+def palette_to_labels():
+    return _palette_to_labels

@@ -16,12 +16,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import functional as F
-from .blocks import CVSSBlock, CrossScanModule, EFFN
-from .mfms import GlobalFrequencyAttention, LocalPointwiseAttention, MFMSBlock
-from .network import CVMHUNet, NetworkConfig
-from .ssm import DirectionalSSM, default_dt_rank, selective_scan
-from .tensor import Tensor, no_grad
+from cvmhunet import functional as F
+from cvmhunet.blocks import CVSSBlock, CrossScanModule, EFFN
+from cvmhunet.mfms import GlobalFrequencyAttention, LocalPointwiseAttention, MFMSBlock
+from cvmhunet.network import CVMHUNet, NetworkConfig
+from cvmhunet.ssm import DirectionalSSM, default_dt_rank, selective_scan
+from cvmhunet.tensor import Tensor, no_grad
 
 __all__ = ["check_gradients", "GradCheckResult", "gradcheck_suite"]
 
@@ -96,7 +96,7 @@ def check_gradients(
 
 
 def gradcheck_suite(seeds: int, tol: float) -> list[dict]:
-    """``cvmh gradcheck``: worst finite-difference error of every block over ``seeds`` seeds."""
+    """Worst finite-difference error of every block over ``seeds`` seeds (acceptance check 04)."""
 
     def conv(rng):
         x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import cvmhunet.functional as F
-from cvmhunet.gradcheck import DEFAULT_TOL, check_gradients
 from cvmhunet.tensor import Tensor, cat
+
+from gradcheck import DEFAULT_TOL, check_gradients
 
 SEEDS = [0, 1, 2, 3, 4]
 

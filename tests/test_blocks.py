@@ -11,9 +11,10 @@ from cvmhunet.blocks import (
     CVSSBlock,
     SpatialAttention,
 )
-from cvmhunet.gradcheck import DEFAULT_TOL, check_gradients
 from cvmhunet.network import NetworkConfig
 from cvmhunet.tensor import Tensor
+
+from gradcheck import DEFAULT_TOL, check_gradients
 
 
 def small_cfg(dim=4, **kw):

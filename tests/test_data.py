@@ -20,7 +20,6 @@ from cvmhunet.data import (
     load_image,
     load_pair,
     normalize_image,
-    palette_to_labels,
     read_pgm,
     read_ppm,
     stitch_tiles,
@@ -482,7 +481,7 @@ class TestEmit:
         img = read_ppm(tmp_path / "p.ppm")
         assert np.all(img == np.array(PALETTE[1], dtype=np.uint8))
 
-    def test_round_trip_recovers_argmax(self, tmp_path):
+    def test_round_trip_recovers_argmax(self, tmp_path, palette_to_labels):
         logits = rng(8).normal(size=(3, 6, 5)).astype(np.float32)
         classes = emit_prediction(logits, PALETTE, tmp_path / "p.ppm")
         img = read_ppm(tmp_path / "p.ppm")
@@ -505,7 +504,7 @@ class TestEmit:
         with pytest.raises(ValueError, match="palette"):
             emit_prediction(np.zeros((4, 2, 2), dtype=np.float32), PALETTE, tmp_path / "p.ppm")
 
-    def test_unknown_color_rejected(self):
+    def test_unknown_color_rejected(self, palette_to_labels):
         bad = np.full((2, 2, 3), 99, dtype=np.uint8)
         with pytest.raises(DataError, match="palette"):
             palette_to_labels(bad, PALETTE)

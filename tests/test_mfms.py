@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvmhunet.gradcheck import DEFAULT_TOL, check_gradients
 from cvmhunet.mfms import (
     TOP16_FREQUENCIES,
     GlobalFrequencyAttention,
@@ -18,6 +17,8 @@ from cvmhunet.mfms import (
 )
 from cvmhunet.network import NetworkConfig
 from cvmhunet.tensor import Tensor
+
+from gradcheck import DEFAULT_TOL, check_gradients
 
 
 def randomize(module, seed=0, scale=0.3):

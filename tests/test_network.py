@@ -8,7 +8,6 @@ import pytest
 
 from cvmhunet import functional, ssm
 from cvmhunet.checkpoint import model_state
-from cvmhunet.gradcheck import check_gradients
 from cvmhunet.layers import Conv2d, Linear
 from cvmhunet.network import (
     CVMHUNet,
@@ -22,6 +21,8 @@ from cvmhunet.network import (
     stage_plan,
 )
 from cvmhunet.tensor import Tensor, no_grad
+
+from gradcheck import check_gradients
 
 TINY = NetworkConfig(
     embed_dim=8,
@@ -66,6 +67,23 @@ class TestNetworkConfig:
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
+            NetworkConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"embed_dim": 8.0},
+            {"embed_dim": True},
+            {"num_classes": 4.0},
+            {"state_dim": 4.5},
+            {"freq_k": True},
+            {"enc_depths": (2, 2, 2.0, 2)},
+            {"dec_depths": (2, 2, 2, True)},
+            {"input_size": (64.0, 64)},
+        ],
+    )
+    def test_rejects_non_integer_in_integer_fields(self, kwargs):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
             NetworkConfig(**kwargs)
 
     def test_stage_dims_double(self):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from cvmhunet import functional as F
 from cvmhunet import ssm
 from cvmhunet.checkpoint import CheckpointError, apply_model_state, model_state
-from cvmhunet.gradcheck import DEFAULT_TOL, check_gradients
 from cvmhunet.module import init_linear
 from cvmhunet.scan import flatten_spatial, scan_orders, unflatten_spatial
 from cvmhunet.ssm import DirectionalSSM, default_dt_rank, selective_scan, sequential_scan
 from cvmhunet.tensor import Tensor, no_grad
+
+from gradcheck import DEFAULT_TOL, check_gradients
 
 
 def kernel_scan(a, b):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cvmhunet.gradcheck import check_gradients
 from cvmhunet.losses import LossConfig, ce_loss, dice_loss, segmentation_loss
 from cvmhunet.metrics import ConfusionMatrix, compute_metrics
 from cvmhunet.checkpoint import model_state
@@ -11,6 +10,8 @@ from cvmhunet.data import load_pair, normalize_image, synth_generate
 from cvmhunet.network import CVMHUNet, NetworkConfig
 from cvmhunet.optim import AdamW
 from cvmhunet.tensor import Parameter, Tensor
+
+from gradcheck import check_gradients
 
 
 def rng(seed=0):
@@ -391,6 +392,10 @@ class TestAdamW:
             AdamW([make_param([1.0])], lr=-0.1)
         with pytest.raises(ValueError):
             AdamW([make_param([1.0])], betas=(1.0, 0.9))
+        for field in ("lr", "weight_decay", "eps"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    AdamW([make_param([1.0])], **{field: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,13 @@ class DatasetManifest:
     def __post_init__(self):
         if type(self.num_classes) is not int:  # a bool or float would pass the checks below
             raise ValueError(f"num_classes must be an integer, got {self.num_classes!r}")
-        if self.ignore_index is not None and type(self.ignore_index) is not int:
-            raise ValueError(f"ignore_index must be an integer or null, got {self.ignore_index!r}")
+        if self.ignore_index is not None and (
+            type(self.ignore_index) is not int or not -(2**63) <= self.ignore_index < 2**63
+        ):  # the label maps are int64
+            raise ValueError(f"ignore_index must be an int64 integer or null, got {self.ignore_index!r}")
+        for rgb in self.palette:
+            if len(rgb) != 3 or any(type(c) is not int or not 0 <= c <= 255 for c in rgb):
+                raise ValueError(f"palette entries must be three integers in [0, 255], got {list(rgb)!r}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         if len(self.palette) < self.num_classes:
@@ -159,7 +164,7 @@ class DatasetManifest:
             pairs = tuple(
                 (path.parent / p["image"], path.parent / p["label"]) for p in doc["pairs"]
             )
-            palette = tuple(tuple(int(c) for c in rgb) for rgb in doc["palette"])
+            palette = tuple(tuple(rgb) for rgb in doc["palette"])
             return DatasetManifest(
                 root=path.parent,
                 pairs=pairs,

@@ -132,12 +132,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and patch ``conv2d``."""
-    forward, grads = _dense_kernel(x, weight, bias)
+    forward, grads = _dense_kernel(x.data, weight.data, None if bias is None else bias.data)
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor.from_op(forward(), parents, grads)
 
 
-def _dense_kernel(x: Tensor, weight: Tensor, bias: Tensor | None):
+def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None):
     """The two halves of the channel GEMM: ``forward()`` -> the output array and
     ``grads(g)`` -> the grads of ``x``, ``weight`` (and ``bias``) for an output grad ``g``.
 
@@ -148,15 +148,15 @@ def _dense_kernel(x: Tensor, weight: Tensor, bias: Tensor | None):
     """
     n, din = x.shape[:2]
     dout = weight.shape[0]
-    w2 = weight.data.reshape(dout, din)
-    rows = x.data.size == n * din
-    xr = x.data.reshape(n, din) if rows else x.data.reshape(n, din, -1)
+    w2 = weight.reshape(dout, din)
+    rows = x.size == n * din
+    xr = x.reshape(n, din) if rows else x.reshape(n, din, -1)
     xshape, wshape = x.shape, weight.shape
 
     def forward():
         out = xr @ w2.T if rows else np.matmul(w2, xr)
         if bias is not None:
-            out += bias.data if rows else bias.data[:, None]
+            out += bias if rows else bias[:, None]
         return out.reshape((n, dout) + xshape[2:])
 
     def grads(g):
@@ -185,8 +185,14 @@ def linear_softplus(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """
     with no_grad():
         out = softplus(linear(x, weight, bias)).data
-    pre, grads = _dense_kernel(x, weight, bias)
+    pre, grads = _dense_kernel(x.data, weight.data, bias.data)
     return Tensor.from_op(out, (x, weight, bias), lambda g: grads(g * _logistic(pre())))
+
+
+def _linear_softplus_data(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The array ``linear_softplus`` returns, bitwise, computed from arrays without the
+    public ops: for a backward that rebuilds that array instead of keeping it."""
+    return _softplus(_dense_kernel(x, weight, bias)[0]())
 
 
 def _space_to_depth(x: Tensor, s: int) -> Tensor:
@@ -490,12 +496,17 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor.from_op(data, (x,), lambda g: (g * data * (1.0 - data),))
 
 
+def _softplus(a: np.ndarray) -> np.ndarray:
+    """The array of ``softplus``."""
+    out = np.log1p(np.exp(-np.abs(a)))
+    out += np.maximum(a, 0)
+    return out
+
+
 def softplus(x: Tensor) -> Tensor:
     """``log(1 + e^x) = log1p(e^-|x|) + max(x, 0)``, never overflowing."""
     a = x.data
-    data = np.log1p(np.exp(-np.abs(a)))
-    data += np.maximum(a, 0)
-    return Tensor.from_op(data, (x,), lambda g: (g * _logistic(a),))
+    return Tensor.from_op(_softplus(a), (x,), lambda g: (g * _logistic(a),))
 
 
 def silu(x: Tensor) -> Tensor:

@@ -7,6 +7,7 @@ either loss. Both losses are differentiable through the logits.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,12 +27,15 @@ class LossConfig:
     ignore_index: int | None = None
 
     def __post_init__(self):
-        if self.ce_weight < 0 or self.dice_weight < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not (0 <= self.ce_weight < math.inf and 0 <= self.dice_weight < math.inf):  # NaN fails too
+            raise ValueError(
+                f"loss weights must be finite and non-negative, got ce_weight {self.ce_weight!r}, "
+                f"dice_weight {self.dice_weight!r}"
+            )
         if self.ce_weight == 0 and self.dice_weight == 0:
             raise ValueError("at least one loss weight must be positive")
-        if self.dice_smooth <= 0:
-            raise ValueError(f"dice_smooth must be positive, got {self.dice_smooth}")
+        if not 0 < self.dice_smooth < math.inf:
+            raise ValueError(f"dice_smooth must be finite and positive, got {self.dice_smooth!r}")
 
 
 def _check_labels(labels: np.ndarray, logits: Tensor, ignore_index: int | None) -> np.ndarray:

@@ -20,11 +20,18 @@ the tile buffers are reused.  A forward that a backward can follow keeps
 only the state entering each chunk of ``block`` steps but the first; the
 backward rebuilds each chunk's states from it (``block`` is the checkpoint
 interval), so the state trajectory is never materialized.
+
+``DirectionalSSM`` runs the scan along four traversal orders of a feature
+map.  Each direction projects the map itself and gathers only that small
+projection into scan order; the scan's backward gathers the map again and
+reruns the timestep projection, so the graph keeps the module input once
+instead of each direction's (N, D, L) sequence and timesteps.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -104,6 +111,8 @@ def selective_scan(
     C: Tensor,
     D: Tensor,
     block: int = DEFAULT_SCAN_BLOCK,
+    *,
+    rebuild: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> Tensor:
     """Input-dependent state-space recurrence; single autograd op.
 
@@ -118,6 +127,9 @@ def selective_scan(
     its carry with the forward's own ops (so bitwise the same), and then
     forms every gradient tile by tile, last tile first.  No (L, N, S, D)
     array is ever allocated, and the result does not depend on ``block``.
+
+    ``rebuild``, if given, returns the arrays of ``u`` and ``delta`` again,
+    bitwise; the graph then keeps neither, and the backward calls it instead.
     """
     n, d, length = u.shape
     s = A.shape[1]
@@ -137,14 +149,13 @@ def selective_scan(
     most = max(1, TILE_BYTES // (n * s * d * dtype.itemsize))
     tile = math.ceil(chunk / math.ceil(chunk / most))  # the fewest tiles of at most `most` steps, evenly sized
     starts = range(0, length, chunk)
-    at = np.ascontiguousarray(A.data.T)  # (S, D): every broadcast runs along D
 
     def tiles(k):
         """Step slices of at most ``tile`` steps covering chunk ``k``."""
         stop = min(starts[k] + chunk, length)
         return [slice(t, min(t + tile, stop)) for t in range(starts[k], stop, tile)]
 
-    def tile_states(tc, dt, dtu, bt, abar, h):
+    def tile_states(tc, at, dt, dtu, bt, abar, h):
         """Propagators of steps ``tc`` into ``abar[:m]`` and their states into ``h[1 : m + 1]``, from ``h[0]``; returns the states."""
         m = tc.stop - tc.start
         ac, hc = abar[:m], h[1 : m + 1]
@@ -154,6 +165,7 @@ def selective_scan(
         _scan(ac, hc, h[0])
         return hc
 
+    at = np.ascontiguousarray(A.data.T)  # (S, D): every broadcast runs along D
     ut, dt, bt, ct = (_time_major(x.data) for x in (u, delta, B, C))
     dtu = dt * ut
     abar = np.empty((tile, n, s, d), dtype)
@@ -164,14 +176,17 @@ def selective_scan(
         if keep and k:
             carries[k - 1] = h[0]
         for tc in tiles(k):
-            hc = tile_states(tc, dt, dtu, bt, abar, h)
+            hc = tile_states(tc, at, dt, dtu, bt, abar, h)
             np.matmul(ct[tc, :, None, :], hc, out=yt[tc])
             h[0] = hc[-1]
     y = D.data[:, None] * u.data
     y += yt[:, :, 0].transpose(1, 2, 0)
+    saved = (u.data, delta.data) if rebuild is None else None
 
     def backward(g):
-        ut, dt, bt, ct, gt = (_time_major(x) for x in (u.data, delta.data, B.data, C.data, g))
+        u_data, delta_data = saved if rebuild is None else rebuild()
+        at = np.ascontiguousarray(A.data.T)
+        ut, dt, bt, ct, gt = (_time_major(x) for x in (u_data, delta_data, B.data, C.data, g))
         dtu = dt * ut
         abar = np.empty((chunk, n, s, d), dtype)
         h = np.empty((chunk + 1, n, s, d), dtype)
@@ -186,7 +201,7 @@ def selective_scan(
             h[0] = carries[k - 1] if k else 0
             for tc in tiles(k):
                 o = tc.start - starts[k]
-                tile_states(tc, dt, dtu, bt, abar[o:], h[o:])
+                tile_states(tc, at, dt, dtu, bt, abar[o:], h[o:])
             for tc in reversed(tiles(k)):
                 o, m = tc.start - starts[k], tc.stop - tc.start
                 ac, hc = abar[o : o + m], h[o + 1 : o + m + 1]
@@ -208,7 +223,7 @@ def selective_scan(
         lam_b = lam_b[:, :, 0]
         ddelta += lam_b * ut
         du = lam_b * dt + gt * D.data
-        dD = np.einsum("ndl,ndl->d", g, u.data)
+        dD = np.einsum("ndl,ndl->d", g, u_data)
         return _time_last(du), _time_last(ddelta), dA.T.copy(), _time_last(dB[..., 0]), _time_last(dC[..., 0]), dD
 
     return Tensor.from_op(y, operands, backward)
@@ -256,7 +271,14 @@ class DirectionalSSM(Module):
         self.D_skip = Parameter(np.ones((4, dim), dtype=np.float32), weight_decay_exempt=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        """(N, C, H, W) -> (N, C, H, W); sum of per-direction scan outputs."""
+        """(N, C, H, W) -> (N, C, H, W); sum of per-direction scan outputs.
+
+        ``x_proj`` runs on the map itself, one GEMM per position, and only its
+        (r + 2S)-channel output is gathered into scan order.  Each scan's
+        backward gathers ``x`` again and reruns the dt projection
+        (``_rebuild_operands``), so the graph keeps ``x`` once instead of each
+        direction's sequence and timesteps.
+        """
         n, c, h, w = x.shape
         if c != self.dim:
             raise ValueError(f"input has {c} channels, module built for {self.dim}")
@@ -265,10 +287,25 @@ class DirectionalSSM(Module):
         total: Tensor | None = None
         for k, order in enumerate(scan_orders(h, w, self.scan_mode)):
             seq = flatten_spatial(x, order)  # (N, C, L)
-            projected = F.linear(seq, self.x_proj_weight[k])  # (N, r + 2S, L)
-            dt = F.linear_softplus(projected[:, :r], self.dt_weight[k], self.dt_bias[k])  # (N, C, L)
+            projected = flatten_spatial(F.linear(x, self.x_proj_weight[k]), order)  # (N, r + 2S, L)
+            code, dt_weight, dt_bias = projected[:, :r], self.dt_weight[k], self.dt_bias[k]
+            dt = F.linear_softplus(code, dt_weight, dt_bias)  # (N, C, L)
             b_seq, c_seq = projected[:, r : r + s], projected[:, r + s :]  # (N, S, L) each
-            yseq = selective_scan(seq, dt, a[k], b_seq, c_seq, self.D_skip[k], block=self.scan_block)
+            rebuild = _rebuild_operands(x.data, order.perm, code.data, dt_weight.data, dt_bias.data)
+            yseq = selective_scan(seq, dt, a[k], b_seq, c_seq, self.D_skip[k], block=self.scan_block, rebuild=rebuild)
             ymap = unflatten_spatial(yseq, order)
             total = ymap if total is None else total + ymap
         return total
+
+
+def _rebuild_operands(x: np.ndarray, perm: np.ndarray, code: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    """A callable that returns, bitwise, the scan's ``u`` = ``flatten_spatial`` of the
+    (N, C, H, W) map ``x`` in the order ``perm`` and its ``delta`` =
+    ``F.linear_softplus(code, weight, bias)``, without the public ops."""
+    n, c = x.shape[:2]
+
+    def rebuild():
+        u = np.ascontiguousarray(x.reshape(n, c, -1)[..., perm])
+        return u, F._linear_softplus_data(code, weight, bias)
+
+    return rebuild

@@ -421,10 +421,13 @@ class TestTrain:
             ("train", {"train": {"tile": 0}}, "tile"),
             ("train", {"train": {"tile": -32}}, "tile"),
             ("train", {"augment": {"mean": [0.3, 0.3, 0.3]}}, "mean"),
+            ("train", {"loss": {"ce_weight": float("nan")}}, "ce_weight"),
+            ("train", {"loss": {"dice_weight": float("inf")}}, "dice_weight"),
+            ("train", {"loss": {"dice_smooth": float("nan")}}, "dice_smooth"),
         ],
         ids=["top-level-typo", "train-key", "train-list", "augment-list", "steps-null", "lr-null", "lr-nan", "lr-inf",
              "weight-decay-nan", "weight-decay-inf", "seed-null", "manifest-number", "inspect-list", "tile-zero",
-             "tile-negative", "augment-mean"],
+             "tile-negative", "augment-mean", "ce-weight-nan", "dice-weight-inf", "dice-smooth-nan"],
     )
     def test_run_config_rejects_unknown_keys_and_wrong_types(self, dataset, capsys, command, doc, key):
         good = json.loads(write_config(dataset).read_text())
@@ -505,8 +508,11 @@ class TestEvalPredict:
     @pytest.mark.parametrize("command", ["eval", "train"])
     @pytest.mark.parametrize(
         "key,value",
-        [("num_classes", "1e999"), ("ignore_index", '"x"'), ("ignore_index", "2.5")],
-        ids=["num_classes-overflow", "ignore_index-string", "ignore_index-fraction"],
+        [("num_classes", "1e999"), ("ignore_index", '"x"'), ("ignore_index", "2.5"), ("ignore_index", str(10**30)),
+         ("palette", "[[0, 0, 0], [1e999, 0, 0]]"), ("palette", "[[0, 0, 0], [300, 0, 0]]"),
+         ("palette", "[[0, 0, 0], [0, -1, 0]]"), ("palette", "[[0, 0, 0], [1, 1]]")],
+        ids=["num_classes-overflow", "ignore_index-string", "ignore_index-fraction", "ignore_index-beyond-int64",
+             "palette-overflow", "palette-above-255", "palette-negative", "palette-two-channels"],
     )
     def test_manifest_value_of_the_wrong_type_exits_2(self, dataset, capsys, command, key, value):
         manifest = dataset / "data" / "manifest.json"

@@ -282,6 +282,20 @@ class TestPairsAndManifest:
         with pytest.raises(ValueError, match="distinct"):
             DatasetManifest(tmp_path, (("a", "b"),), 2, ((0, 0, 0), (0, 0, 0)))
 
+    @pytest.mark.parametrize(
+        "rgb", [(256, 0, 0), (0, -1, 0), (0, 0, 2.0), (0, 0, True), (1, 1), (1, 1, 1, 1)],
+        ids=["above-255", "negative", "float", "bool", "two-channels", "four-channels"],
+    )
+    def test_manifest_rejects_a_palette_entry_outside_rgb(self, tmp_path, rgb):
+        with pytest.raises(ValueError, match="palette"):
+            DatasetManifest(tmp_path, (("a", "b"),), 2, ((0, 0, 0), rgb))
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1], ids=["above", "below"])
+    def test_manifest_rejects_an_ignore_index_beyond_int64(self, tmp_path, value):
+        with pytest.raises(ValueError, match="ignore_index"):
+            DatasetManifest(tmp_path, (("a", "b"),), 2, ((0, 0, 0), (1, 1, 1)), ignore_index=value)
+        DatasetManifest(tmp_path, (("a", "b"),), 2, ((0, 0, 0), (1, 1, 1)), ignore_index=2**63 - 1)
+
     def test_malformed_manifest_json(self, tmp_path):
         (tmp_path / "m.json").write_text('{"pairs": []')
         with pytest.raises(DataError):

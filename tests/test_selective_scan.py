@@ -264,6 +264,67 @@ def _carries(y):
     return fn.__closure__[fn.__code__.co_freevars.index("carries")].cell_contents
 
 
+def _closure_arrays(fn):
+    """The arrays ``fn``'s closure reaches, through nested functions, containers and tensors."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
+def _graph_arrays(y):
+    """The buffers the closures of ``y``'s graph hold, each once (a view counts as its base)."""
+    nodes, seen, todo = [], set(), [y._node]
+    while todo:
+        node = todo.pop()
+        if node is None or isinstance(node, Tensor) or id(node) in seen:  # no grad, or a leaf
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        todo.extend(node.parents)
+    held = {}
+    for node in nodes:
+        for a in _closure_arrays(node.backward):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            held[id(a)] = a
+    return list(held.values())
+
+
+class TestRebuiltOperands:
+    """``selective_scan(..., rebuild=...)`` gets ``u`` and ``delta`` again in its backward."""
+
+    def test_rebuild_keeps_output_and_grads_and_neither_operand(self):
+        n, d, s, length = 2, 5, 4, 45
+        ops = _scan_operands(np.random.default_rng(26), n, d, s, length)
+        w = Tensor(np.random.default_rng(27).normal(size=(n, d, length)).astype(np.float32))
+        runs = []
+        for rebuild in (None, lambda: (ops[0].copy(), ops[1].copy())):
+            tracked = [Tensor(v.copy(), requires_grad=True) for v in ops]
+            y = selective_scan(*tracked, block=16, rebuild=rebuild)
+            held = _closure_arrays(y._backward)
+            kept = [any(np.shares_memory(a, t.data) for a in held) for t in tracked[:2]]
+            assert not any(a.shape == (s, d) for a in held), "the (S, D) transpose of A is rebuilt, not kept"
+            (y * w).sum().backward()
+            runs.append((y.data, [t.grad for t in tracked], kept))
+        (y_kept, grads_kept, kept), (y_rebuilt, grads_rebuilt, rebuilt) = runs
+        assert kept == [True, True] and rebuilt == [False, False]
+        np.testing.assert_array_equal(y_rebuilt, y_kept)
+        for name, want, got in zip(("u", "delta", "A", "B", "C", "D"), grads_kept, grads_rebuilt):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 class TestScanTiling:
     """Tiles block the loops over (steps, N, S, D) buffers; ``scan_block`` sets only the carries."""
 
@@ -326,13 +387,17 @@ class TestScanTiling:
         assert peak < 3 << 20, f"no_grad forward peaked at {peak} bytes"
 
 
-def _direction_reference(m, k, x, rows):
-    """Direction ``k`` of ``m`` as a module of its own computed it, from the raw rows ``rows``."""
+def _direction_reference(m, k, x, rows, project_map=False):
+    """Direction ``k`` of ``m`` as a module of its own computed it, from the raw rows ``rows``.
+
+    With ``project_map``, ``x_proj`` runs on the map and its output is gathered into
+    scan order, as ``DirectionalSSM`` does; else it runs on the gathered sequence.
+    """
     x_proj, dt_weight, dt_bias, a_log, d_skip = (p[k] for p in rows)
     r, s = m.dt_rank, m.state_dim
     order = scan_orders(*x.shape[2:], m.scan_mode)[k]
     seq = flatten_spatial(x, order)
-    projected = F.linear(seq, x_proj)
+    projected = flatten_spatial(F.linear(x, x_proj), order) if project_map else F.linear(seq, x_proj)
     dt = F.softplus(F.linear(projected[:, :r], dt_weight, dt_bias))
     b_seq = projected[:, r : r + s]
     c_seq = projected[:, r + s :]
@@ -401,8 +466,10 @@ class TestS6Modules:
         assert y.data.dtype == np.float32
 
     def test_directional_merge_is_sum(self):
-        # output and gradients equal, bitwise, the sum of four separately parameterized
-        # directions, each mapped back through its own traversal order
+        # the output equals, bitwise, the sum of four separately parameterized directions,
+        # each mapped back through its own traversal order, with x_proj on the gathered
+        # sequence or on the map; the gradients equal those of the sum in the module's op
+        # order (x_proj on the map), which sums x.grad and x_proj's grad in another order
         for mode in ("ss2d", "cs2d"):
             rng = np.random.default_rng(5)
             m = DirectionalSSM(3, default_dt_rank(3), 2, mode, 5, rng=rng)
@@ -410,21 +477,36 @@ class TestS6Modules:
                 p.data = p.data + rng.normal(size=p.shape).astype(np.float32) * 0.1
             x_data = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
             w = Tensor(rng.normal(size=(1, 3, 4, 4)).astype(np.float32))
-
-            rows = [[Tensor(p.data[k], requires_grad=True) for k in range(4)] for p in m.parameters()]
-            x_ref = Tensor(x_data, requires_grad=True)
-            total = _direction_reference(m, 0, x_ref, rows)
-            for k in range(1, 4):
-                total = total + _direction_reference(m, k, x_ref, rows)
-            (total * w).sum().backward()
-
             x = Tensor(x_data, requires_grad=True)
             y = m(x)
             (y * w).sum().backward()
-            np.testing.assert_array_equal(y.data, total.data, err_msg=mode)
+
+            for project_map in (False, True):
+                rows = [[Tensor(p.data[k], requires_grad=True) for k in range(4)] for p in m.parameters()]
+                x_ref = Tensor(x_data, requires_grad=True)
+                total = _direction_reference(m, 0, x_ref, rows, project_map)
+                for k in range(1, 4):
+                    total = total + _direction_reference(m, k, x_ref, rows, project_map)
+                np.testing.assert_array_equal(y.data, total.data, err_msg=mode)
+            (total * w).sum().backward()
             np.testing.assert_array_equal(x.grad, x_ref.grad, err_msg=mode)
             for p, p_rows in zip(m.parameters(), rows):
                 np.testing.assert_array_equal(p.grad, np.stack([t.grad for t in p_rows]), err_msg=p.name)
+
+    def test_grad_forward_keeps_the_input_once(self):
+        # (1, 128, 16, 16): each direction's gathered sequence and timesteps would be
+        # (1, 128, 256) arrays, 128 KiB each, eight in all; the graph keeps x itself, and per
+        # direction only the (r + 2S)-channel projection (16 KiB) and the chunk carries (6 KiB)
+        rng = np.random.default_rng(8)
+        m = DirectionalSSM(128, default_dt_rank(128), 4, "cs2d", 64, rng=rng)
+        x = Tensor(rng.normal(size=(1, 128, 16, 16)).astype(np.float32), requires_grad=True)
+        y = m(x)
+        params = [p.data for p in m.parameters()]
+        held = [a for a in _graph_arrays(y) if a.dtype == np.float32 and not any(np.shares_memory(a, p) for p in params)]
+        assert any(np.shares_memory(a, x.data) for a in held)
+        others = [a for a in held if not np.shares_memory(a, x.data)]
+        assert not [a.shape for a in others if a.size >= x.data.size]
+        assert sum(a.nbytes for a in others) < x.data.nbytes, [a.shape for a in others]
 
     def test_old_direction_keys_load(self):
         # a state saved when each direction was its own module holds directions.{k}.<name>

@@ -168,6 +168,13 @@ class TestCombinedLoss:
         with pytest.raises(ValueError):
             LossConfig(dice_smooth=0.0)
 
+    @pytest.mark.parametrize("field", ["ce_weight", "dice_weight", "dice_smooth"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_config_rejects_non_finite_fields(self, field, value):
+        # NaN passes a `< 0` or `<= 0` check, so it has to be rejected by name
+        with pytest.raises(ValueError, match=field):
+            LossConfig(**{field: value})
+
     def test_weights_combine_linearly(self):
         z = Tensor(rng(1).normal(size=(1, 3, 4, 4)).astype(np.float64))
         labels = rng(2).integers(0, 3, size=(1, 4, 4))

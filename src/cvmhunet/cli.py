@@ -489,6 +489,9 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+_TILE_BATCH_HELP = "tiles per forward (speed and memory only: the output is the same at any value)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cvmh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -511,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--checkpoint", help="training checkpoint (.cvck)")
     evalp.add_argument("--manifest", required=True)
     evalp.add_argument("--out", help="write the metrics JSON here as well")
-    evalp.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=4)
+    evalp.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=4, help=_TILE_BATCH_HELP)
     evalp.add_argument(
         "--oracle",
         action="store_true",
@@ -525,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--out", required=True, help="output PPM path")
     predict.add_argument("--manifest", help="palette source (defaults to built-in)")
     predict.add_argument("--logits-out", dest="logits_out", help="optional .cvtn logits dump")
-    predict.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=4)
+    predict.add_argument("--batch-size", dest="batch_size", type=_positive_int, default=4, help=_TILE_BATCH_HELP)
     predict.set_defaults(func=cmd_predict)
 
     inspect = sub.add_parser("inspect", help="print the stage plan and counters")

@@ -208,8 +208,8 @@ def load_image(path: str | Path) -> np.ndarray:
         return read_ppm(path).astype(np.float32).transpose(2, 0, 1) / 255.0
     if suffix == ".cvtn":
         arr = _load_tensor(path)
-        if arr.ndim != 3 or arr.shape[0] != 3:
-            raise DataError(f"{path}: expected (3, H, W), got {arr.shape}")
+        if arr.ndim != 3 or arr.shape[0] != 3 or arr.size == 0:
+            raise DataError(f"{path}: expected (3, H, W) with H, W >= 1, got {arr.shape}")
         if arr.dtype == np.uint8:
             return arr.astype(np.float32) / 255.0
         return arr
@@ -223,8 +223,8 @@ def _load_label(path: Path) -> np.ndarray:
         return read_pgm(path).astype(np.int64)
     if suffix == ".cvtn":
         arr = _load_tensor(path)
-        if arr.ndim != 2 or arr.dtype != np.uint8:
-            raise DataError(f"{path}: expected uint8 (H, W), got {arr.dtype} {arr.shape}")
+        if arr.ndim != 2 or arr.dtype != np.uint8 or arr.size == 0:
+            raise DataError(f"{path}: expected uint8 (H, W) with H, W >= 1, got {arr.dtype} {arr.shape}")
         return arr.astype(np.int64)
     raise DataError(f"{path}: unsupported label format {suffix!r}")
 

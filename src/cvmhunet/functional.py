@@ -142,32 +142,27 @@ def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None):
     ``grads(g)`` -> the grads of ``x``, ``weight`` (and ``bias``) for an output grad ``g``.
 
     ``weight`` is (O, I) or (O, C, s, s) with I = C * s * s.  Each sample is one
-    (O, I) @ (I, rest) GEMM; an input with nothing after the channel axis, such as
-    (N, I), is one (N, I) @ (I, O) GEMM instead of N matrix-vector products.
-    Both halves read only views of the input and weight arrays.
+    (O, I) @ (I, rest) product, with rest = 1 for an (N, I) input, so a sample's
+    output never depends on the rest of its batch.  Both halves read only views
+    of the input and weight arrays.
     """
     n, din = x.shape[:2]
     dout = weight.shape[0]
     w2 = weight.reshape(dout, din)
-    rows = x.size == n * din
-    xr = x.reshape(n, din) if rows else x.reshape(n, din, -1)
+    xr = x.reshape(n, din, -1)
     xshape, wshape = x.shape, weight.shape
 
     def forward():
-        out = xr @ w2.T if rows else np.matmul(w2, xr)
+        out = np.matmul(w2, xr)
         if bias is not None:
-            out += bias if rows else bias[:, None]
+            out += bias[:, None]
         return out.reshape((n, dout) + xshape[2:])
 
     def grads(g):
-        if rows:
-            g2 = g.reshape(n, dout)
-            dx, dw, db = g2 @ w2, g2.T @ xr, g2.sum(axis=0)
-        else:
-            g3 = g.reshape(n, dout, -1)
-            dx = np.matmul(w2.T, g3)
-            dw = np.tensordot(g3, xr, axes=[(0, 2), (0, 2)])
-            db = g3.sum(axis=(0, 2))
+        g3 = g.reshape(n, dout, -1)
+        dx = np.matmul(w2.T, g3)
+        dw = np.tensordot(g3, xr, axes=[(0, 2), (0, 2)])
+        db = g3.sum(axis=(0, 2))
         if bias is None:
             return dx.reshape(xshape), dw.reshape(wshape)
         return dx.reshape(xshape), dw.reshape(wshape), db

@@ -7,7 +7,7 @@ either loss. Both losses are differentiable through the logits.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -27,14 +27,15 @@ class LossConfig:
     ignore_index: int | None = None
 
     def __post_init__(self):
-        if not (0 <= self.ce_weight < math.inf and 0 <= self.dice_weight < math.inf):  # NaN fails too
+        # NaN fails too, and so does an integer too large for a float, such as 10**400
+        if not (0 <= self.ce_weight <= sys.float_info.max and 0 <= self.dice_weight <= sys.float_info.max):
             raise ValueError(
                 f"loss weights must be finite and non-negative, got ce_weight {self.ce_weight!r}, "
                 f"dice_weight {self.dice_weight!r}"
             )
         if self.ce_weight == 0 and self.dice_weight == 0:
             raise ValueError("at least one loss weight must be positive")
-        if not 0 < self.dice_smooth < math.inf:
+        if not 0 < self.dice_smooth <= sys.float_info.max:
             raise ValueError(f"dice_smooth must be finite and positive, got {self.dice_smooth!r}")
 
 

@@ -78,6 +78,8 @@ def adaptive_kernel_size(channels: int, alpha: float, beta: float) -> int:
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
     lam = math.log2(channels) / alpha + beta / alpha
+    if not math.isfinite(lam):  # a tiny alpha, or a huge beta
+        raise ValueError(f"kernel_alpha {alpha!r} and kernel_beta {beta!r} give no finite kernel size")
     lower = 2 * math.floor((lam - 1.0) / 2.0) + 1
     upper = lower + 2
     phi = lower if (lam - lower) <= (upper - lam) else upper

@@ -23,6 +23,7 @@ elementwise arithmetic are excluded.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -85,6 +86,13 @@ class NetworkConfig:
             items = value if isinstance(value, tuple) else (value,)
             if f.type in ("int", "tuple[int, ...]", "tuple[int, int]") and not all(type(v) is int for v in items):
                 raise TypeError(f"{f.name} takes integers only, got {value!r}")
+            if f.type == "bool" and type(value) is not bool:
+                raise TypeError(f"{f.name} takes true or false, got {value!r}")
+            if f.type == "float":
+                if type(value) not in (int, float):
+                    raise TypeError(f"{f.name} takes a number, got {value!r}")
+                if not abs(value) <= sys.float_info.max:  # NaN and inf, and integers beyond a float
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.embed_dim < 4 or self.embed_dim % 4 != 0:
             raise ValueError(f"embed_dim must be a positive multiple of 4, got {self.embed_dim}")
         if len(self.enc_depths) != 4 or len(self.dec_depths) != 4:
@@ -105,6 +113,8 @@ class NetworkConfig:
                 raise ValueError(f"freq_k must lie in [1, 16] (the top-16 frequency table), got {self.freq_k}")
             if not self.kernel_alpha > 0:
                 raise ValueError(f"kernel_alpha must be > 0, got {self.kernel_alpha}")
+            for i in range(3):  # the fusion widths; raises if the kernel size is not finite
+                adaptive_kernel_size(self.stage_dim(i), self.kernel_alpha, self.kernel_beta)
         if not self.effn_ratio > 0:
             raise ValueError(f"effn_ratio must be > 0, got {self.effn_ratio}")
         if self.scan_mode not in SCAN_MODES:

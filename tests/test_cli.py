@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -39,9 +40,14 @@ TINY_MODEL = {
 # model fields that NetworkConfig rejects at embed_dim 8 or 16
 MODEL_BUILD_ERRORS = [("ca_reduction", 5), ("mfms_reduction", 3), ("freq_k", 17), ("freq_k", 0), ("ssm_expand", 0),
                       ("kernel_alpha", 0)]
-# integer model fields given a float or a bool: the checks on their ranges would pass them
+# values that the checks on their ranges would pass, or fail on with a traceback: integer fields
+# given a float or a bool, float fields given a bool, a non-number or a non-finite value
 MODEL_TYPE_ERRORS = [("embed_dim", 8.0), ("embed_dim", True), ("state_dim", 4.0), ("scan_block", 16.5),
-                     ("enc_depths", [2, 2, 2.0, 2]), ("dec_depths", [2, 2, 2, True]), ("input_size", [32.0, 32])]
+                     ("enc_depths", [2, 2, 2.0, 2]), ("dec_depths", [2, 2, 2, True]), ("input_size", [32.0, 32]),
+                     ("kernel_beta", None), ("kernel_beta", "x"), ("kernel_beta", [1]), ("kernel_beta", {}),
+                     ("kernel_beta", True), ("kernel_beta", float("inf")), ("kernel_beta", -float("inf")),
+                     ("kernel_alpha", float("inf")), ("kernel_alpha", 1e-320), ("effn_ratio", float("inf")),
+                     ("effn_ratio", False), ("mfms_enabled", 1)]
 # README desk config
 DESK_MODEL = {"embed_dim": 16, "input_size": [64, 64], "state_dim": 8, "scan_block": 32, "num_classes": 4}
 
@@ -541,6 +547,19 @@ class TestEvalPredict:
         assert code == 4
         assert "img.cvtn" in capsys.readouterr().err
 
+    def test_oracle_eval_of_zero_size_cvtn_pair_exits_4(self, dataset, capsys):
+        empty = dataset / "empty"
+        empty.mkdir()
+        save_cvtn(empty / "img.cvtn", np.zeros((3, 0, 32), dtype=np.uint8))
+        save_cvtn(empty / "lab.cvtn", np.zeros((0, 32), dtype=np.uint8))
+        (empty / "manifest.json").write_text(json.dumps({
+            "pairs": [{"image": "img.cvtn", "label": "lab.cvtn"}],
+            "num_classes": 2,
+            "palette": [[0, 0, 0], [255, 255, 255]],
+        }))
+        assert main(["eval", "--oracle", "--manifest", str(empty / "manifest.json")]) == 4
+        assert "img.cvtn" in capsys.readouterr().err
+
     def test_class_count_mismatch_exits_2(self, trained, capsys):
         other = trained / "other"
         synth_generate(other, seed=2, n_images=1, size=32, n_classes=3)
@@ -558,6 +577,25 @@ class TestEvalPredict:
         code = main(["eval", "--manifest", str(dataset / "data" / "manifest.json")])
         assert code == 2
         capsys.readouterr()
+
+    def test_batch_size_changes_no_result(self, trained, capsys):
+        # 96 x 96 scenes are nine 32 x 32 tiles each, so every batch size groups them differently
+        scenes = trained / "scenes"
+        synth_generate(scenes, seed=2, n_images=2, size=96, n_classes=4)
+        ckpt = str(trained / "run" / "last.cvck")
+        logits, reports = [], []
+        for size in ("1", "2", "4"):
+            out = trained / f"logits_{size}.cvtn"
+            assert main(["predict", "--checkpoint", ckpt, "--image", str(scenes / "img_0000.ppm"),
+                         "--out", str(trained / "pred.ppm"), "--logits-out", str(out), "--batch-size", size]) == 0
+            report = trained / f"report_{size}.json"
+            assert main(["eval", "--checkpoint", ckpt, "--manifest", str(scenes / "manifest.json"),
+                         "--out", str(report), "--batch-size", size]) == 0
+            logits.append(out.read_bytes())
+            reports.append(report.read_text())
+        capsys.readouterr()
+        assert logits[0] == logits[1] == logits[2]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_predict_round_trip(self, trained, capsys, palette_to_labels):
         manifest = trained / "data" / "manifest.json"
@@ -596,6 +634,13 @@ class TestEvalPredict:
             save_cvtn(image, np.zeros((1, 32, 32), dtype=np.uint8))
         assert self.predict(trained, image) == 4
         assert str(image) in capsys.readouterr().err
+
+    def test_predict_of_zero_size_cvtn_exits_4(self, trained, capsys):
+        image = trained / "empty.cvtn"
+        save_cvtn(image, np.zeros((3, 0, 32), dtype=np.uint8))
+        assert self.predict(trained, image) == 4
+        assert str(image) in capsys.readouterr().err
+        assert not (trained / "pred.ppm").exists()
 
     def test_predict_uint8_cvtn_matches_ppm(self, trained, capsys):
         ppm = trained / "data" / "img_0000.ppm"
@@ -702,6 +747,94 @@ class TestRestore:
         seeded.eval()
         logits = [_predict_logits(m, image, 2) for m in (restored, seeded)]
         assert logits[0].tobytes() == logits[1].tobytes()
+
+# huge ints are those beyond int64 and beyond a float; strings are short relative names, so a
+# fuzzed out_dir or manifest path stays inside the example's directory
+_HUGE_INTS = st.one_of(st.integers(2**63, 2**64), st.integers(-(2**64), -(2**63)), st.sampled_from([10**400, -(10**400)]))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2), _HUGE_INTS,
+    st.sampled_from([float("inf"), -float("inf"), float("nan")]), st.text(alphabet="ab0", max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3),
+    max_leaves=4,
+)
+# size fields: a huge in-range size is a resource limit, not a malformed value
+_SIZE_FIELDS = {"embed_dim", "state_dim", "ssm_expand", "enc_depths", "dec_depths", "input_size", "scan_block",
+                "steps", "batch_size", "tile"}
+
+
+def _value_paths(doc) -> list[tuple]:
+    """The key path of every value in a JSON document, nested ones included, except size
+    fields and the objects that hold one (an empty ``model`` is the paper-width default)."""
+    paths = []
+
+    def walk(node, path) -> bool:  # whether ``node`` holds a size field
+        holds = False
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            if key in _SIZE_FIELDS:
+                holds = True
+                continue
+            inner = isinstance(child, (dict, list)) and walk(child, path + (key,))
+            holds |= inner
+            if not inner:
+                paths.append(path + (key,))
+        return holds
+
+    walk(doc, ())
+    return paths
+
+
+def _replaced(doc, path: tuple, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestFuzzedJson:
+    """One fuzz family for the JSON inputs: one value of a valid manifest or run config,
+    nested ones included, is replaced by an arbitrary JSON value.  Every document exits 0
+    (accepted), 2 (invalid config) or 4 (unreadable input), never 1 with a traceback.
+
+    Size fields (``_SIZE_FIELDS``) are left out of the draw: a huge in-range size is a
+    resource limit, not a malformed value.  For the same reason the huge ints are those
+    beyond int64 and beyond a float: a representable loss weight near the float32 limit
+    overflows the loss, which is exit 3 (numeric), as a huge ``lr`` does in a longer run.
+    """
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_manifest(self, dataset, capsys, data):
+        doc = json.loads((dataset / "data" / "manifest.json").read_text())
+        path = data.draw(st.sampled_from(_value_paths(doc)), label="path")
+        fuzzed = dataset / "data" / "fuzzed.json"  # beside the images its pairs name
+        fuzzed.write_text(json.dumps(_replaced(doc, path, data.draw(_JSON_VALUES, label="value"))))
+        assert main(["eval", "--oracle", "--manifest", str(fuzzed)]) in (0, 2, 4)
+        capsys.readouterr()
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_run_config(self, dataset, capsys, monkeypatch, data):
+        doc = {
+            "model": {**TINY_MODEL, "num_classes": 4, "scan_mode": "cs2d", "mfms_enabled": True, "effn_ratio": 0.5,
+                      "ssm_expand": 2, "ca_reduction": 4, "kernel_alpha": 2.0, "kernel_beta": 1.0, "mfms_reduction": 4},
+            "loss": {"ce_weight": 1.0, "dice_weight": 1.0, "dice_smooth": 1.0},
+            "train": {"steps": 1, "batch_size": 1, "lr": 0.003, "weight_decay": 0.05, "tile": None},
+            "augment": {"hflip": 0.5, "vflip": 0.5, "rot90": 0.5},
+            "manifest": str(dataset / "data" / "manifest.json"),
+            "seed": 5,
+            "out_dir": "run",
+        }
+        path = data.draw(st.sampled_from(_value_paths(doc)), label="path")
+        work = Path(tempfile.mkdtemp(dir=dataset))  # relative paths resolve here
+        monkeypatch.chdir(work)
+        (work / "run.json").write_text(json.dumps(_replaced(doc, path, data.draw(_JSON_VALUES, label="value"))))
+        assert main(["train", "--config", "run.json"]) in (0, 2, 4)
+        capsys.readouterr()
+
 
 class TestReports:
     def test_inspect_stage_plan(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from cvmhunet.data import (
     DataError,
     DatasetManifest,
     TileSpec,
+    _load_label,
     _load_tensor,
     augment_pair,
     emit_prediction,
@@ -234,6 +235,18 @@ class TestCvtn:
             _load_tensor(tmp_path / "m.cvtn")
         except DataError:
             pass  # a mutation the format cannot see (no checksum) may load
+
+    @pytest.mark.parametrize("shape", [(3, 0, 32), (3, 32, 0), (3, 0, 0)])
+    def test_zero_size_image_is_data_error(self, tmp_path, shape):
+        save_cvtn(tmp_path / "z.cvtn", np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(DataError, match="z.cvtn"):
+            load_image(tmp_path / "z.cvtn")
+
+    @pytest.mark.parametrize("shape", [(0, 32), (32, 0)])
+    def test_zero_size_label_is_data_error(self, tmp_path, shape):
+        save_cvtn(tmp_path / "z.cvtn", np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(DataError, match="z.cvtn"):
+            _load_label(tmp_path / "z.cvtn")
 
     def test_pair_from_cvtn(self, tmp_path):
         img = rng(5).random(size=(3, 4, 4)).astype(np.float32)

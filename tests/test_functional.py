@@ -232,7 +232,7 @@ class TestLinear:
 
     @pytest.mark.parametrize("shape", [(7, 6), (3, 6, 1, 1)])
     def test_rows_forward_and_backward_match_naive(self, shape):
-        # nothing after the channel axis: one GEMM over the rows, checked row by row
+        # nothing after the channel axis: one (O, I) @ (I, 1) product per row, checked row by row
         rng = np.random.default_rng(12)
         x, w, b = rng.normal(size=shape), rng.normal(size=(4, 6)), rng.normal(size=(4,))
         g = rng.normal(size=(shape[0], 4) + shape[2:])
@@ -555,3 +555,55 @@ class TestPools:
         tx2 = t(x, rg=True)
         tx2.reshape(1, 1, 4).min(axis=2).sum().backward()
         np.testing.assert_array_equal(tx2.grad[0, 0], [[0.0, 0.0], [0.0, 1.0]])
+
+
+def _batch_cases() -> dict:
+    """Each op of the eval forward, with fixed float32 parameters: name -> (input shape, op).
+    Axis 0 of the input is the batch; for the frequency rows it is N * C rows of maps."""
+    rng = np.random.default_rng(40)
+
+    def p(*shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32))
+
+    w, b = p(24, 32), p(24)
+    rows = Tensor(rng.normal(size=(16, 64)).astype(np.float32))  # mfms frequency bases, (k, H * W)
+    gamma, beta = 1.0 + 0.2 * p(32), 0.2 * p(32)
+    stats = rng.uniform(0.5, 2.0, size=(2, 32)).astype(np.float32)
+    patch, pw, spatial, dw, tap = p(32, 3, 4, 4), p(24, 32, 1, 1), p(1, 2, 7, 7), p(32, 1, 3, 3), p(1, 1, 5)
+    return {
+        "linear-map": ((4, 32, 6, 5), lambda x: F.linear(x, w, b)),
+        "linear-sequence": ((4, 32, 40), lambda x: F.linear(x, w)),
+        "linear-vectors": ((8, 32), lambda x: F.linear(x, w)),  # ChannelAttention's pooled (N, C)
+        "linear-frequency-rows": ((4 * 32, 64), lambda x: F.linear(x, rows)),  # compress_frequencies
+        "linear_softplus": ((4, 32, 40), lambda x: F.linear_softplus(x, w, b)),
+        "conv2d-patch": ((2, 3, 16, 12), lambda x: F.conv2d(x, patch, beta, stride=4)),
+        "conv2d-1x1": ((4, 32, 6, 5), lambda x: F.conv2d(x, pw, b)),
+        "conv2d-7x7": ((4, 2, 9, 8), lambda x: F.conv2d(x, spatial, padding=3)),
+        "depthwise_conv2d": ((4, 32, 6, 5), lambda x: F.depthwise_conv2d(x, dw, gamma, padding=1)),
+        "conv1d": ((8, 1, 32), lambda x: F.conv1d(x, tap)),
+        "layer_norm-channels": ((4, 32, 6, 5), lambda x: F.layer_norm(x, gamma, beta, axis=1)),
+        "layer_norm-last": ((4, 6, 5, 32), lambda x: F.layer_norm(x, gamma, beta, axis=-1)),
+        "gated_layer_norm": ((4, 32, 6, 5), lambda x: F.gated_layer_norm(x, gamma, beta, x * 0.5, axis=1)),
+        "batch_norm-eval": ((4, 32, 6, 5), lambda x: F.batch_norm(x, gamma, beta, stats[0], stats[1], training=False)),
+        "relu": ((4, 32, 6), F.relu),
+        "sigmoid": ((4, 32, 6), F.sigmoid),
+        "silu": ((4, 32, 6), F.silu),
+        "gelu": ((4, 32, 6), F.gelu),
+        "softplus": ((4, 32, 6), F.softplus),
+    }
+
+
+class TestBatchInvariance:
+    """A sample's output never depends on the rest of its batch, bitwise, so eval and
+    predict give the same logits at any ``--batch-size``."""
+
+    CASES = _batch_cases()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_each_sample_equals_its_own_forward(self, name):
+        shape, op = self.CASES[name]
+        x = np.random.default_rng(41).normal(size=shape).astype(np.float32)
+        with no_grad():
+            whole = op(Tensor(x)).data
+            for i in range(shape[0]):
+                np.testing.assert_array_equal(op(Tensor(x[i : i + 1])).data, whole[i : i + 1], err_msg=f"sample {i}")

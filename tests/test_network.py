@@ -63,6 +63,11 @@ class TestNetworkConfig:
             {"num_classes": 1},
             {"scan_mode": "zigzag"},
             {"input_size": (100, 64)},
+            {"kernel_beta": float("inf")},
+            {"kernel_beta": 10**400},
+            {"kernel_alpha": float("nan")},
+            {"kernel_alpha": 1e-320},
+            {"effn_ratio": float("inf")},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -83,6 +88,15 @@ class TestNetworkConfig:
         ],
     )
     def test_rejects_non_integer_in_integer_fields(self, kwargs):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            NetworkConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"kernel_beta": None}, {"kernel_beta": "x"}, {"kernel_beta": [1]}, {"kernel_beta": True},
+         {"kernel_alpha": {}}, {"effn_ratio": False}, {"mfms_enabled": 1}],
+    )
+    def test_rejects_wrong_types_in_float_and_bool_fields(self, kwargs):
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             NetworkConfig(**kwargs)
 
@@ -278,6 +292,31 @@ class TestForward:
             rng=rng(5),
         )
         assert res.rel_error < 1e-4
+
+
+# README desk config, and the paper's layout (depths, state, frequencies) at width 32
+DESK = NetworkConfig(embed_dim=16, num_classes=4, input_size=(64, 64), state_dim=8, scan_block=32)
+PAPER_SHAPED = NetworkConfig(embed_dim=32, input_size=(64, 64))
+
+
+class TestBatchInvariance:
+    """In eval mode a sample's logits never depend on the rest of its batch, bitwise,
+    so ``--batch-size`` changes the speed of eval and predict, never their results."""
+
+    @pytest.mark.parametrize("cfg", [DESK, PAPER_SHAPED], ids=["desk", "paper-shaped"])
+    def test_batch_forward_equals_each_samples_own_forward(self, cfg):
+        model = CVMHUNet(cfg, seed=0).eval()
+        gen = rng(7)
+        # a trained model: every zero-initialized gate and projection live, BN statistics set
+        for _, p in model.named_parameters():
+            p.data += (0.1 * gen.standard_normal(p.shape)).astype(p.dtype)
+        for name, buf in model.named_buffers():
+            buf[...] = gen.uniform(0.5, 2.0, buf.shape) if name.endswith("var") else 0.1 * gen.standard_normal(buf.shape)
+        x = gen.normal(size=(4, 3) + cfg.input_size).astype(np.float32)
+        with no_grad():
+            whole = model(Tensor(x)).data
+            for i in range(len(x)):
+                np.testing.assert_array_equal(model(Tensor(x[i : i + 1])).data, whole[i : i + 1], err_msg=f"sample {i}")
 
 
 # ---------------------------------------------------------------------------

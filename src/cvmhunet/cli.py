@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, apply_model_state, load_tensors, model_state, save_tensors
+from .config import Record
 from .data import (
     AugmentConfig,
     DataError,
@@ -46,26 +47,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-TRAIN_DEFAULTS = {
-    "lr": 0.001,
-    "weight_decay": 0.05,
-    "batch_size": 5,
-    "steps": 300,
-    "tile": None,  # None -> smaller edge of the model input size
-}
-# JSON types, and their description, that the run config's values accept; the sections are objects
-_VALUE_TYPES = {
-    "manifest": ((str, type(None)), "a path or null"),
-    "seed": (int, "an integer"),
-    "out_dir": (str, "a path"),
-    "lr": ((int, float), "a number"),
-    "weight_decay": ((int, float), "a number"),
-    "batch_size": (int, "an integer"),
-    "steps": (int, "an integer"),
-    "tile": ((int, type(None)), "an integer or null"),
-}
-_SECTIONS = ("model", "loss", "train", "augment")
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_CONFIG):
@@ -87,48 +68,40 @@ def _read_json(path: str | Path) -> dict:
         raise CliError(f"{path} is not valid JSON: {e}", EXIT_CONFIG) from e
 
 
-def _load_run_config(args: argparse.Namespace) -> dict:
-    """File config merged with flag overrides (flags win); unknown keys and mistyped values raise ``CliError``."""
+@dataclass(frozen=True)
+class _Run(Record):
+    """The run config's root; each section is a JSON object that its own record reads."""
+
+    model: dict = field(default_factory=dict)
+    loss: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+    augment: dict = field(default_factory=dict)
+    manifest: str | None = None
+    seed: int = 0
+    out_dir: str = "runs/default"
+
+
+@dataclass(frozen=True)
+class _Train(Record):
+    lr: float = 0.001
+    weight_decay: float = 0.05
+    batch_size: int = 5
+    steps: int = 300
+    tile: int | None = None  # None -> smaller edge of the model input size
+
+
+def _load_run_config(args: argparse.Namespace) -> tuple[_Run, _Train]:
+    """The run config and its ``train`` section; a flag named like a field wins over the file's value."""
     doc = _read_json(args.config) if getattr(args, "config", None) else {}
     if not isinstance(doc, dict):
         raise CliError("config root must be a JSON object", EXIT_CONFIG)
-    _reject_unknown("run config", doc, {*_SECTIONS, "manifest", "seed", "out_dir"})
-    for key in _SECTIONS:
-        if not isinstance(doc.get(key, {}), dict):
-            raise CliError(f"run config '{key}' must be a JSON object, got {doc[key]!r}", EXIT_CONFIG)
-    _reject_unknown("run config 'train'", doc.get("train", {}), TRAIN_DEFAULTS)
-    run = {
-        "model": dict(doc.get("model", {})),
-        "loss": dict(doc.get("loss", {})),
-        "train": {**TRAIN_DEFAULTS, **doc.get("train", {})},
-        "augment": dict(doc.get("augment", {})),
-        "manifest": doc.get("manifest"),
-        "seed": doc.get("seed", 0),
-        "out_dir": doc.get("out_dir", "runs/default"),
-    }
-    for flag in ("manifest", "seed", "out_dir"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            run[flag] = value
-    for flag in ("steps", "batch_size", "lr", "weight_decay", "tile"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            run["train"][flag] = value
-    values = {**run, **run["train"]}
-    for key, (types, what) in _VALUE_TYPES.items():
-        value = values[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise CliError(f"run config '{key}' must be {what}, got {value!r}", EXIT_CONFIG)
-    for key in ("lr", "weight_decay"):  # NaN, and inf (1e999 in JSON), are floats too
-        if not abs(run["train"][key]) <= sys.float_info.max:
-            raise CliError(f"run config '{key}' must be finite, got {run['train'][key]!r}", EXIT_CONFIG)
-    return run
+    run = _checked("run", _Run.from_dict, _with_flags(_Run, doc, args))
+    return run, _checked("train", _Train.from_dict, _with_flags(_Train, run.train, args))
 
 
-def _reject_unknown(where: str, doc: dict, known) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise CliError(f"unknown {where} keys: {unknown}", EXIT_CONFIG)
+def _with_flags(record: type[Record], doc: dict, args: argparse.Namespace) -> dict:
+    flags = {f.name: getattr(args, f.name, None) for f in fields(record)}
+    return {**doc, **{k: v for k, v in flags.items() if v is not None}}
 
 
 def _checked(section: str, build, *args, **kwargs):
@@ -224,23 +197,22 @@ class _TrainConfig:
     loss: LossConfig
     augment: AugmentConfig
     tile: TileSpec
-    train: dict  # steps, batch_size, lr, weight_decay
+    train: _Train
     seed: int
     out_dir: Path
 
 
 def _train_config(args: argparse.Namespace) -> _TrainConfig:
     """The whole ``train`` config, read and checked before anything is built or written."""
-    run = _load_run_config(args)
-    manifest = _load_manifest(run["manifest"])
-    model = _build_network_config(run["model"], manifest.num_classes)
-    loss = _checked("loss", LossConfig, **{"ignore_index": manifest.ignore_index, **run["loss"]})
-    augment = _checked("augment", AugmentConfig, **run["augment"])
-    train = run["train"]
-    if train["steps"] < 1 or train["batch_size"] < 1:
-        raise CliError(f"steps and batch_size must be >= 1, got {train['steps']}/{train['batch_size']}", EXIT_CONFIG)
-    tile = _checked("train", TileSpec, size=min(model.input_size) if train["tile"] is None else train["tile"])
-    return _TrainConfig(manifest, model, loss, augment, tile, train, run["seed"], Path(run["out_dir"]))
+    run, train = _load_run_config(args)
+    manifest = _load_manifest(run.manifest)
+    model = _build_network_config(run.model, manifest.num_classes)
+    loss = _checked("loss", LossConfig.from_dict, {"ignore_index": manifest.ignore_index, **run.loss})
+    augment = _checked("augment", AugmentConfig.from_dict, run.augment)
+    if train.steps < 1 or train.batch_size < 1:
+        raise CliError(f"steps and batch_size must be >= 1, got {train.steps}/{train.batch_size}", EXIT_CONFIG)
+    tile = _checked("train", TileSpec, size=min(model.input_size) if train.tile is None else train.tile)
+    return _TrainConfig(manifest, model, loss, augment, tile, train, run.seed, Path(run.out_dir))
 
 
 # the resume record in the metadata of last.cvck, with the JSON type of each entry
@@ -301,7 +273,7 @@ def _train_step(
 ) -> tuple[float, float, float]:
     """One update on a batch of augmented tiles drawn with the run's RNG; returns (ce, dice, total)."""
     images, labels = [], []
-    for i in state.rng.integers(0, len(tiles), size=cfg.train["batch_size"]):
+    for i in state.rng.integers(0, len(tiles), size=cfg.train.batch_size):
         img, lab = augment_pair(tiles[i]["image"], tiles[i]["label"], cfg.augment, state.rng)
         images.append(normalize_image(img))
         labels.append(lab)
@@ -316,7 +288,7 @@ def _train_step(
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     model = CVMHUNet(cfg.model, seed=None if args.resume else cfg.seed)  # a resume overwrites every parameter
-    optimizer = AdamW(model.parameters(), lr=float(cfg.train["lr"]), weight_decay=float(cfg.train["weight_decay"]))
+    optimizer = AdamW(model.parameters(), lr=float(cfg.train.lr), weight_decay=float(cfg.train.weight_decay))
     state = _RunState(cfg.seed)
     if args.resume:
         state.resume(Path(args.resume), model, optimizer)
@@ -326,7 +298,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         tiles.extend(tile_image(image, label, cfg.tile, manifest.ignore_index))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    run_meta = {"seed": cfg.seed, "loss": asdict(cfg.loss)}
+    run_meta = {"seed": cfg.seed, "loss": cfg.loss.to_dict()}
     csv_path = cfg.out_dir / "loss.csv"
     append = state.step > 0 and csv_path.exists()
     if append:  # a run that stopped before its final save left rows of steps this run takes again
@@ -337,7 +309,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     with open(csv_path, "a" if append else "w") as csv_file:
         if not append:
             csv_file.write("step,ce,dice,total\n")
-        for _ in range(cfg.train["steps"]):
+        for _ in range(cfg.train.steps):
             ce, dice, total = _train_step(model, optimizer, tiles, cfg, state)
             state.advance(total, model, cfg.out_dir, run_meta)
             csv_file.write(f"{state.step},{ce!r},{dice!r},{total!r}\n")
@@ -346,7 +318,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     state.save(cfg.out_dir, model, optimizer, run_meta)
     last, best = cfg.out_dir / "last.cvck", cfg.out_dir / "best.cvck"
-    print(json.dumps({"steps": cfg.train["steps"], "final_step": state.step, "best_total": state.best_total,
+    print(json.dumps({"steps": cfg.train.steps, "final_step": state.step, "best_total": state.best_total,
                       "best_step": state.best_step, "loss_csv": str(csv_path), "last": str(last),
                       "best": str(best) if best.exists() else None}))
     return EXIT_OK
@@ -436,7 +408,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    cfg = _build_network_config(_load_run_config(args)["model"])
+    cfg = _build_network_config(_load_run_config(args)[0].model)
     size = tuple(args.input_size) if args.input_size else cfg.input_size
     try:
         plan = stage_plan(cfg, size)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_tensors
+from .config import Record
 
 __all__ = [
     "DataError",
@@ -161,9 +162,7 @@ class DatasetManifest:
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"{path}: {e}") from e
         try:
-            pairs = tuple(
-                (path.parent / p["image"], path.parent / p["label"]) for p in doc["pairs"]
-            )
+            pairs = tuple((_pair_path(path, p, "image"), _pair_path(path, p, "label")) for p in doc["pairs"])
             palette = tuple(tuple(rgb) for rgb in doc["palette"])
             return DatasetManifest(
                 root=path.parent,
@@ -187,6 +186,13 @@ class DatasetManifest:
             "ignore_index": self.ignore_index,
         }
         path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _pair_path(manifest: Path, pair: dict, key: str) -> Path:
+    """``pair[key]``, relative to the manifest: a missing key raises ``KeyError``, a non-string ``ValueError``."""
+    if not isinstance(pair[key], str):
+        raise ValueError(f"pair {key} must be a path string, got {pair[key]!r}")
+    return manifest.parent / pair[key]
 
 
 def _load_tensor(path: Path) -> np.ndarray:
@@ -258,10 +264,11 @@ def load_pair(
 
 
 @dataclass(frozen=True)
-class TileSpec:
+class TileSpec(Record):
     size: int = 256
 
     def __post_init__(self):
+        super().__post_init__()
         if self.size < 32 or self.size % 32 != 0:
             raise ValueError(f"tile size must be a positive multiple of 32, got {self.size}")
 
@@ -344,12 +351,13 @@ def stitch_tiles(
 
 
 @dataclass(frozen=True)
-class AugmentConfig:
+class AugmentConfig(Record):
     hflip: float = 0.5
     vflip: float = 0.5
     rot90: float = 0.5
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("hflip", "vflip", "rot90"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

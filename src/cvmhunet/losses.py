@@ -7,36 +7,34 @@ either loss. Both losses are differentiable through the logits.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import functional as F
+from .config import Record
 from .tensor import Tensor
 
 __all__ = ["LossConfig", "ce_loss", "dice_loss", "segmentation_loss"]
 
 
 @dataclass(frozen=True)
-class LossConfig:
+class LossConfig(Record):
     ce_weight: float = 1.0
     dice_weight: float = 1.0
     dice_smooth: float = 1.0
     ignore_index: int | None = None
 
     def __post_init__(self):
-        # NaN fails too, and so does an integer too large for a float, such as 10**400
-        if not (0 <= self.ce_weight <= sys.float_info.max and 0 <= self.dice_weight <= sys.float_info.max):
-            raise ValueError(
-                f"loss weights must be finite and non-negative, got ce_weight {self.ce_weight!r}, "
-                f"dice_weight {self.dice_weight!r}"
-            )
+        super().__post_init__()
+        top = float(np.finfo(np.float32).max)  # a training loss is float32: a larger value is inf there
+        if not (0 <= self.ce_weight <= top and 0 <= self.dice_weight <= top):
+            raise ValueError(f"ce_weight, dice_weight must be in [0, {top:.8g}]: {self.ce_weight}, {self.dice_weight}")
         if self.ce_weight == 0 and self.dice_weight == 0:
             raise ValueError("at least one loss weight must be positive")
-        if not 0 < self.dice_smooth <= sys.float_info.max:
-            raise ValueError(f"dice_smooth must be finite and positive, got {self.dice_smooth!r}")
+        if not 0 < self.dice_smooth <= top:
+            raise ValueError(f"dice_smooth must be in (0, {top:.8g}]: {self.dice_smooth}")
 
 
 def _check_labels(labels: np.ndarray, logits: Tensor, ignore_index: int | None) -> np.ndarray:

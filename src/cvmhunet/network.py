@@ -23,12 +23,12 @@ elementwise arithmetic are excluded.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockPair, CVSSBlock
+from .config import Record
 from .layers import Conv2d, LayerNorm, Linear
 from .mfms import MFMSBlock, adaptive_kernel_size
 from .module import Module, ModuleList
@@ -57,7 +57,7 @@ def _checked_size(h: int, w: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(Record):
     embed_dim: int = 96
     enc_depths: tuple[int, ...] = (2, 2, 2, 2)
     dec_depths: tuple[int, ...] = (2, 2, 2, 1)
@@ -76,23 +76,7 @@ class NetworkConfig:
     mfms_reduction: int = 4
 
     def __post_init__(self):
-        # normalize sequence fields first so configs built from JSON lists
-        # validate and compare like native ones
-        object.__setattr__(self, "enc_depths", tuple(self.enc_depths))
-        object.__setattr__(self, "dec_depths", tuple(self.dec_depths))
-        object.__setattr__(self, "input_size", tuple(self.input_size))
-        for f in fields(self):  # a float or bool would pass the range checks below and fail in the build
-            value = getattr(self, f.name)
-            items = value if isinstance(value, tuple) else (value,)
-            if f.type in ("int", "tuple[int, ...]", "tuple[int, int]") and not all(type(v) is int for v in items):
-                raise TypeError(f"{f.name} takes integers only, got {value!r}")
-            if f.type == "bool" and type(value) is not bool:
-                raise TypeError(f"{f.name} takes true or false, got {value!r}")
-            if f.type == "float":
-                if type(value) not in (int, float):
-                    raise TypeError(f"{f.name} takes a number, got {value!r}")
-                if not abs(value) <= sys.float_info.max:  # NaN and inf, and integers beyond a float
-                    raise ValueError(f"{f.name} must be finite, got {value!r}")
+        super().__post_init__()  # a float or bool would pass the range checks below and fail in the build
         if self.embed_dim < 4 or self.embed_dim % 4 != 0:
             raise ValueError(f"embed_dim must be a positive multiple of 4, got {self.embed_dim}")
         if len(self.enc_depths) != 4 or len(self.dec_depths) != 4:
@@ -125,23 +109,6 @@ class NetworkConfig:
 
     def stage_dim(self, i: int) -> int:
         return self.embed_dim * (1 << i)
-
-    # -- serialization -------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["enc_depths"] = list(self.enc_depths)
-        d["dec_depths"] = list(self.dec_depths)
-        d["input_size"] = list(self.input_size)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "NetworkConfig":
-        known = {f for f in NetworkConfig.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return NetworkConfig(**d)
 
 
 @dataclass(frozen=True)

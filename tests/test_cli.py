@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, artifacts, determinism, reports."""
 
 import json
+import re
 import shutil
 import struct
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 import cvmhunet
 from cvmhunet import checkpoint
 from cvmhunet.checkpoint import apply_model_state, load_tensors, model_state, save_tensors
-from cvmhunet.cli import _model_from_checkpoint, _predict_logits, _save_run_checkpoint, main
+from cvmhunet.cli import _Run, _Train, _model_from_checkpoint, _predict_logits, _save_run_checkpoint, main
 from cvmhunet.data import (
+    AugmentConfig,
     DataError,
     DatasetManifest,
     load_pair,
@@ -27,6 +30,7 @@ from cvmhunet.data import (
     write_pgm,
     write_ppm,
 )
+from cvmhunet.losses import LossConfig
 from cvmhunet.network import CVMHUNet, NetworkConfig, param_count
 from cvmhunet.tensor import Tensor
 
@@ -430,10 +434,16 @@ class TestTrain:
             ("train", {"loss": {"ce_weight": float("nan")}}, "ce_weight"),
             ("train", {"loss": {"dice_weight": float("inf")}}, "dice_weight"),
             ("train", {"loss": {"dice_smooth": float("nan")}}, "dice_smooth"),
+            ("train", {"loss": {"ignore_index": "x"}}, "ignore_index"),
+            ("train", {"loss": {"ignore_index": 2.5}}, "ignore_index"),
+            ("train", {"loss": {"ignore_index": True}}, "ignore_index"),
+            ("train", {"loss": {"ce_weight": True}}, "ce_weight"),
+            ("train", {"augment": {"hflip": True}}, "hflip"),
         ],
         ids=["top-level-typo", "train-key", "train-list", "augment-list", "steps-null", "lr-null", "lr-nan", "lr-inf",
              "weight-decay-nan", "weight-decay-inf", "seed-null", "manifest-number", "inspect-list", "tile-zero",
-             "tile-negative", "augment-mean", "ce-weight-nan", "dice-weight-inf", "dice-smooth-nan"],
+             "tile-negative", "augment-mean", "ce-weight-nan", "dice-weight-inf", "dice-smooth-nan",
+             "ignore-index-string", "ignore-index-fraction", "ignore-index-bool", "ce-weight-bool", "hflip-bool"],
     )
     def test_run_config_rejects_unknown_keys_and_wrong_types(self, dataset, capsys, command, doc, key):
         good = json.loads(write_config(dataset).read_text())
@@ -442,6 +452,19 @@ class TestTrain:
         assert main([command, "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
         assert not Path(good["out_dir"]).exists()  # the config is checked before anything is written
+
+    @pytest.mark.parametrize("field", ["dice_smooth", "ce_weight", "dice_weight"])
+    def test_loss_field_beyond_float32_exits_2(self, dataset, capsys, field):
+        # a training loss is float32: a larger value is inf there (dice_smooth makes the first
+        # Dice term NaN), which a run would report as a numeric failure (exit 3) at step 1
+        top = float(np.finfo(np.float32).max)
+        assert getattr(LossConfig(**{field: top}), field) == top
+        good = json.loads(write_config(dataset).read_text())
+        cfg = dataset / "bad.json"
+        cfg.write_text(json.dumps({**good, "loss": {field: 1e39}}))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert field in capsys.readouterr().err
+        assert not Path(good["out_dir"]).exists()
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -531,6 +554,21 @@ class TestEvalPredict:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (dataset / "run").exists()
+
+    @pytest.mark.parametrize(
+        "pairs,code,text",
+        [([{"image": 5, "label": "lab"}], 2, "image"), ([{"image": "img", "label": None}], 2, "label"),
+         ([{"image": 5}], 2, "image"), ([{"image": "img"}], 4, "malformed"), (5, 4, "malformed"),
+         (["img"], 4, "malformed")],
+        ids=["image-number", "label-null", "image-number-label-missing", "label-missing", "pairs-number",
+             "pair-string"],
+    )
+    def test_manifest_pair_paths_must_be_strings(self, dataset, capsys, pairs, code, text):
+        # a wrong value in a pair is a config error; a missing key or a wrong structure an I/O error
+        manifest = dataset / "data" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "pairs": pairs}))
+        assert main(["eval", "--oracle", "--manifest", str(manifest)]) == code
+        assert text in capsys.readouterr().err
 
     def test_oracle_eval_of_unrepresentable_cvtn_exits_4(self, dataset, capsys):
         bad = dataset / "bad"
@@ -821,7 +859,7 @@ class TestFuzzedJson:
         doc = {
             "model": {**TINY_MODEL, "num_classes": 4, "scan_mode": "cs2d", "mfms_enabled": True, "effn_ratio": 0.5,
                       "ssm_expand": 2, "ca_reduction": 4, "kernel_alpha": 2.0, "kernel_beta": 1.0, "mfms_reduction": 4},
-            "loss": {"ce_weight": 1.0, "dice_weight": 1.0, "dice_smooth": 1.0},
+            "loss": {"ce_weight": 1.0, "dice_weight": 1.0, "dice_smooth": 1.0, "ignore_index": None},
             "train": {"steps": 1, "batch_size": 1, "lr": 0.003, "weight_decay": 0.05, "tile": None},
             "augment": {"hflip": 0.5, "vflip": 0.5, "rot90": 0.5},
             "manifest": str(dataset / "data" / "manifest.json"),
@@ -877,6 +915,17 @@ class TestReports:
         cfg.write_text(json.dumps({"model": model}))
         assert main(["inspect", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["params"] == param_count(NetworkConfig.from_dict(model))
+
+    def test_readme_run_config_is_read_by_the_records(self):
+        # the documented config is accepted, and documents every field and no other
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        doc = json.loads(re.sub(r"//.*", "", readme.split("```jsonc\n", 1)[1].split("```", 1)[0]))
+        run = _Run.from_dict(doc)
+        assert set(doc) == {f.name for f in fields(_Run)}
+        for name, record in {"model": NetworkConfig, "loss": LossConfig, "train": _Train,
+                             "augment": AugmentConfig}.items():
+            record.from_dict(getattr(run, name))
+            assert set(getattr(run, name)) == {f.name for f in fields(record)}, name
 
     def test_gradcheck_is_not_a_subcommand(self, capsys):
         # the finite-difference suite is a test helper (tests/gradcheck.py), run by acceptance check 04

@@ -115,13 +115,9 @@ def _checked(section: str, build, *args, **kwargs):
 def _build_network_config(model_doc: dict, num_classes: int | None = None) -> NetworkConfig:
     doc = dict(model_doc)
     if num_classes is not None:
-        declared = doc.get("num_classes")
-        if declared is not None and declared != num_classes:
-            raise CliError(
-                f"model declares {declared} classes but the manifest has {num_classes}",
-                EXIT_CONFIG,
-            )
-        doc["num_classes"] = num_classes
+        declared = doc.setdefault("num_classes", num_classes)  # null is a value, not "take the manifest's"
+        if declared != num_classes:
+            raise CliError(f"model num_classes {declared!r} is not the manifest's {num_classes}", EXIT_CONFIG)
     return _checked("model", NetworkConfig.from_dict, doc)
 
 
@@ -132,7 +128,7 @@ def _load_manifest(path: str | None) -> DatasetManifest:
         return DatasetManifest.load(path)
     except DataError as e:
         raise CliError(str(e), EXIT_IO) from e
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         raise CliError(f"{path}: {e}", EXIT_CONFIG) from e
 
 
@@ -215,8 +211,12 @@ def _train_config(args: argparse.Namespace) -> _TrainConfig:
     return _TrainConfig(manifest, model, loss, augment, tile, train, run.seed, Path(run.out_dir))
 
 
-# the resume record in the metadata of last.cvck, with the JSON type of each entry
-_RESUME_TYPES = {"step": int, "rng_state": dict, "best_total": (int, float), "best_step": int}
+@dataclass(frozen=True)
+class _Resume(Record):  # the resume record in the metadata of last.cvck
+    step: int
+    rng_state: dict
+    best_total: float
+    best_step: int
 
 
 class _RunState:
@@ -239,16 +239,14 @@ class _RunState:
         except (CheckpointError, ValueError) as e:
             raise CliError(str(e), EXIT_IO) from e
         try:
-            for key, types in _RESUME_TYPES.items():
-                if isinstance(meta[key], bool) or not isinstance(meta[key], types):
-                    raise TypeError(f"{key} is {meta[key]!r}")
-            step, best_step = meta["step"], meta["best_step"]
+            record = _Resume(**{f.name: meta[f.name] for f in fields(_Resume)})
+            step, best_step = record.step, record.best_step
             if step != optimizer.step_count or not 1 <= best_step <= step:
                 raise ValueError(f"step {step}, best_step {best_step}, optim.step {optimizer.step_count}")
-            self.rng.bit_generator.state = meta["rng_state"]
+            self.rng.bit_generator.state = record.rng_state
         except (KeyError, TypeError, ValueError) as e:
             raise CliError(f"{path}: malformed resume state in its metadata: {e!r}", EXIT_IO) from e
-        self.step, self.best_total, self.best_step = step, float(meta["best_total"]), best_step
+        self.step, self.best_total, self.best_step = step, float(record.best_total), best_step
 
     def advance(self, total: float, model: CVMHUNet, out_dir: Path, run_meta: dict) -> None:
         """Count the step just taken; if its loss is the best so far, write ``best.cvck`` from the live model.
@@ -263,9 +261,8 @@ class _RunState:
 
     def save(self, out_dir: Path, model: CVMHUNet, optimizer: AdamW, run_meta: dict) -> None:
         """``last.cvck`` with the resume record; ``best.cvck`` is written by ``advance``."""
-        record = {"step": self.step, "rng_state": self.rng.bit_generator.state,
-                  "best_total": self.best_total, "best_step": self.best_step}
-        _save_run_checkpoint(out_dir / "last.cvck", model, optimizer, {**run_meta, **record})
+        record = _Resume(self.step, self.rng.bit_generator.state, self.best_total, self.best_step)
+        _save_run_checkpoint(out_dir / "last.cvck", model, optimizer, {**run_meta, **record.to_dict()})
 
 
 def _train_step(
@@ -385,20 +382,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = _model_from_checkpoint(Path(args.checkpoint))
     model.eval()
     logits = _predict_logits(model, load_image(args.image), args.batch_size)
-    k = logits.shape[0]
     if args.manifest:
         palette = _load_manifest(args.manifest).palette
     else:
         from .data import _SYNTH_PALETTE as palette  # default color table
-    if len(palette) < k:
-        raise CliError(f"palette has {len(palette)} colors for {k} classes", EXIT_CONFIG)
     try:
-        emit_prediction(logits, tuple(palette), args.out)
+        emit_prediction(logits, palette, args.out)
         if args.logits_out:
             save_tensors(args.logits_out, {"logits": logits})
     except OSError as e:
         raise CliError(f"cannot write output: {e}", EXIT_IO) from e
-    print(json.dumps({"out": args.out, "classes": int(k), "shape": list(logits.shape[1:])}))
+    print(json.dumps({"out": args.out, "classes": logits.shape[0], "shape": list(logits.shape[1:])}))
     return EXIT_OK
 
 

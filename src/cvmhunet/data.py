@@ -7,7 +7,9 @@ Formats kept deliberately simple:
 * images: 8-bit binary PPM (``P6``), labels: 8-bit binary PGM (``P5``)
 * ``.cvtn`` tensors: the package's one tensor container (``checkpoint``)
   with a single float32 or uint8 entry; older ``CVTN`` files load too
-* manifest: JSON ``{pairs:[{image,label}], num_classes, palette, ignore_index}``
+* manifest: JSON ``{pairs:[{image,label}], num_classes, palette, ignore_index}``,
+  read as a ``config.Record``: a missing key or a wrong structure is a
+  ``DataError``, a value of the wrong type or range ``TypeError``/``ValueError``
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class DatasetManifest:
+class DatasetManifest(Record):
     root: Path
     pairs: tuple[tuple[Path, Path], ...]
     num_classes: int
@@ -134,14 +136,11 @@ class DatasetManifest:
     ignore_index: int | None = None
 
     def __post_init__(self):
-        if type(self.num_classes) is not int:  # a bool or float would pass the checks below
-            raise ValueError(f"num_classes must be an integer, got {self.num_classes!r}")
-        if self.ignore_index is not None and (
-            type(self.ignore_index) is not int or not -(2**63) <= self.ignore_index < 2**63
-        ):  # the label maps are int64
+        super().__post_init__()
+        if self.ignore_index is not None and not -(2**63) <= self.ignore_index < 2**63:  # the label maps are int64
             raise ValueError(f"ignore_index must be an int64 integer or null, got {self.ignore_index!r}")
         for rgb in self.palette:
-            if len(rgb) != 3 or any(type(c) is not int or not 0 <= c <= 255 for c in rgb):
+            if not all(0 <= c <= 255 for c in rgb):
                 raise ValueError(f"palette entries must be three integers in [0, 255], got {list(rgb)!r}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
@@ -163,16 +162,10 @@ class DatasetManifest:
             raise DataError(f"{path}: {e}") from e
         try:
             pairs = tuple((_pair_path(path, p, "image"), _pair_path(path, p, "label")) for p in doc["pairs"])
-            palette = tuple(tuple(rgb) for rgb in doc["palette"])
-            return DatasetManifest(
-                root=path.parent,
-                pairs=pairs,
-                num_classes=doc["num_classes"],
-                palette=palette,
-                ignore_index=doc.get("ignore_index"),
-            )
+            num_classes, palette, ignore_index = doc["num_classes"], doc["palette"], doc.get("ignore_index")
         except (KeyError, TypeError) as e:
             raise DataError(f"{path}: malformed manifest ({e})") from e
+        return DatasetManifest(path.parent, pairs, num_classes, palette, ignore_index)
 
     def save(self, path: str | Path) -> None:
         path = Path(path)

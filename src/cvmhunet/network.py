@@ -59,8 +59,8 @@ def _checked_size(h: int, w: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class NetworkConfig(Record):
     embed_dim: int = 96
-    enc_depths: tuple[int, ...] = (2, 2, 2, 2)
-    dec_depths: tuple[int, ...] = (2, 2, 2, 1)
+    enc_depths: tuple[int, int, int, int] = (2, 2, 2, 2)
+    dec_depths: tuple[int, int, int, int] = (2, 2, 2, 1)
     num_classes: int = 4
     scan_mode: str = "cs2d"
     mfms_enabled: bool = True
@@ -79,8 +79,6 @@ class NetworkConfig(Record):
         super().__post_init__()  # a float or bool would pass the range checks below and fail in the build
         if self.embed_dim < 4 or self.embed_dim % 4 != 0:
             raise ValueError(f"embed_dim must be a positive multiple of 4, got {self.embed_dim}")
-        if len(self.enc_depths) != 4 or len(self.dec_depths) != 4:
-            raise ValueError("enc_depths and dec_depths must list exactly 4 stages")
         if any(d < 1 for d in self.enc_depths + self.dec_depths):
             raise ValueError("stage depths must be >= 1")
         if self.num_classes < 2:

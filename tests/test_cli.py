@@ -45,13 +45,15 @@ TINY_MODEL = {
 MODEL_BUILD_ERRORS = [("ca_reduction", 5), ("mfms_reduction", 3), ("freq_k", 17), ("freq_k", 0), ("ssm_expand", 0),
                       ("kernel_alpha", 0)]
 # values that the checks on their ranges would pass, or fail on with a traceback: integer fields
-# given a float or a bool, float fields given a bool, a non-number or a non-finite value
+# given a float or a bool, float fields given a bool, a non-number or a non-finite value, and
+# lists of the wrong length
 MODEL_TYPE_ERRORS = [("embed_dim", 8.0), ("embed_dim", True), ("state_dim", 4.0), ("scan_block", 16.5),
                      ("enc_depths", [2, 2, 2.0, 2]), ("dec_depths", [2, 2, 2, True]), ("input_size", [32.0, 32]),
                      ("kernel_beta", None), ("kernel_beta", "x"), ("kernel_beta", [1]), ("kernel_beta", {}),
                      ("kernel_beta", True), ("kernel_beta", float("inf")), ("kernel_beta", -float("inf")),
                      ("kernel_alpha", float("inf")), ("kernel_alpha", 1e-320), ("effn_ratio", float("inf")),
-                     ("effn_ratio", False), ("mfms_enabled", 1)]
+                     ("effn_ratio", False), ("mfms_enabled", 1), ("input_size", [32, 32, 32]), ("input_size", [32]),
+                     ("input_size", [])]
 # README desk config
 DESK_MODEL = {"embed_dim": 16, "input_size": [64, 64], "state_dim": 8, "scan_block": 32, "num_classes": 4}
 
@@ -297,7 +299,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "key,value",
         [("step", None), ("rng_state", None), ("best_total", None), ("best_step", None),
-         ("step", 2), ("step", 1.0), ("best_step", 0), ("best_step", 2), ("best_total", True)],
+         ("step", 2), ("step", 1.0), ("best_step", 0), ("best_step", 2), ("best_total", True),
+         ("best_total", float("nan")), ("best_total", float("inf")), ("best_total", -float("inf"))],
     )
     def test_resume_record_must_be_whole_and_consistent(self, dataset, capsys, key, value):
         # the saved run took one step, so its optimizer state is at step 1
@@ -439,11 +442,14 @@ class TestTrain:
             ("train", {"loss": {"ignore_index": True}}, "ignore_index"),
             ("train", {"loss": {"ce_weight": True}}, "ce_weight"),
             ("train", {"augment": {"hflip": True}}, "hflip"),
+            ("train", {"model": {**TINY_MODEL, "num_classes": None}}, "num_classes"),
+            ("train", {"model": {**TINY_MODEL, "num_classes": 3}}, "num_classes"),
         ],
         ids=["top-level-typo", "train-key", "train-list", "augment-list", "steps-null", "lr-null", "lr-nan", "lr-inf",
              "weight-decay-nan", "weight-decay-inf", "seed-null", "manifest-number", "inspect-list", "tile-zero",
              "tile-negative", "augment-mean", "ce-weight-nan", "dice-weight-inf", "dice-smooth-nan",
-             "ignore-index-string", "ignore-index-fraction", "ignore-index-bool", "ce-weight-bool", "hflip-bool"],
+             "ignore-index-string", "ignore-index-fraction", "ignore-index-bool", "ce-weight-bool", "hflip-bool",
+             "model-num-classes-null", "model-num-classes-not-the-manifests"],
     )
     def test_run_config_rejects_unknown_keys_and_wrong_types(self, dataset, capsys, command, doc, key):
         good = json.loads(write_config(dataset).read_text())
@@ -539,9 +545,11 @@ class TestEvalPredict:
         "key,value",
         [("num_classes", "1e999"), ("ignore_index", '"x"'), ("ignore_index", "2.5"), ("ignore_index", str(10**30)),
          ("palette", "[[0, 0, 0], [1e999, 0, 0]]"), ("palette", "[[0, 0, 0], [300, 0, 0]]"),
-         ("palette", "[[0, 0, 0], [0, -1, 0]]"), ("palette", "[[0, 0, 0], [1, 1]]")],
+         ("palette", "[[0, 0, 0], [0, -1, 0]]"), ("palette", "[[0, 0, 0], [1, 1]]"), ("palette", "5"),
+         ("palette", "null"), ("palette", "[5, 6]")],
         ids=["num_classes-overflow", "ignore_index-string", "ignore_index-fraction", "ignore_index-beyond-int64",
-             "palette-overflow", "palette-above-255", "palette-negative", "palette-two-channels"],
+             "palette-overflow", "palette-above-255", "palette-negative", "palette-two-channels", "palette-number",
+             "palette-null", "palette-flat-list"],
     )
     def test_manifest_value_of_the_wrong_type_exits_2(self, dataset, capsys, command, key, value):
         manifest = dataset / "data" / "manifest.json"
@@ -657,6 +665,17 @@ class TestEvalPredict:
         (logits,) = load_tensors(str(trained / "logits.cvtn")).values()
         assert logits.shape == (4, 32, 32)
         assert np.array_equal(np.argmax(logits, axis=0), classes)
+
+    def test_predict_with_a_palette_too_short_exits_2_and_writes_nothing(self, trained, capsys):
+        two = trained / "two"
+        synth_generate(two, seed=2, n_images=1, size=32, n_classes=2)  # a palette of 2 colors
+        out, logits = trained / "pred.ppm", trained / "logits.cvtn"
+        code = main(["predict", "--checkpoint", str(trained / "run" / "best.cvck"),
+                     "--image", str(trained / "data" / "img_0000.ppm"), "--out", str(out),
+                     "--manifest", str(two / "manifest.json"), "--logits-out", str(logits)])
+        assert code == 2
+        assert "palette has 2 colors for 4 classes" in capsys.readouterr().err
+        assert not out.exists() and not logits.exists()
 
     def predict(self, trained, image, *extra):
         return main(["predict", "--checkpoint", str(trained / "run" / "best.cvck"),
@@ -835,7 +854,9 @@ def _replaced(doc, path: tuple, value):
 class TestFuzzedJson:
     """One fuzz family for the JSON inputs: one value of a valid manifest or run config,
     nested ones included, is replaced by an arbitrary JSON value.  Every document exits 0
-    (accepted), 2 (invalid config) or 4 (unreadable input), never 1 with a traceback.
+    (accepted), 2 (invalid config) or 4 (unreadable input), never 1 with a traceback, and
+    an accepted one runs as its values say: the oracle eval of a manifest is perfect, and a
+    run config's model and loss values reach the checkpoint as they were written.
 
     Size fields (``_SIZE_FIELDS``) are left out of the draw: a huge in-range size is a
     resource limit, not a malformed value.  For the same reason the huge ints are those
@@ -850,8 +871,12 @@ class TestFuzzedJson:
         path = data.draw(st.sampled_from(_value_paths(doc)), label="path")
         fuzzed = dataset / "data" / "fuzzed.json"  # beside the images its pairs name
         fuzzed.write_text(json.dumps(_replaced(doc, path, data.draw(_JSON_VALUES, label="value"))))
-        assert main(["eval", "--oracle", "--manifest", str(fuzzed)]) in (0, 2, 4)
-        capsys.readouterr()
+        code = main(["eval", "--oracle", "--manifest", str(fuzzed)])
+        assert code in (0, 2, 4)
+        out = capsys.readouterr().out
+        if code == 0:
+            report = json.loads(out)
+            assert report["oa"] == report["miou"] == report["mf1"] == 1.0
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -869,9 +894,15 @@ class TestFuzzedJson:
         path = data.draw(st.sampled_from(_value_paths(doc)), label="path")
         work = Path(tempfile.mkdtemp(dir=dataset))  # relative paths resolve here
         monkeypatch.chdir(work)
-        (work / "run.json").write_text(json.dumps(_replaced(doc, path, data.draw(_JSON_VALUES, label="value"))))
-        assert main(["train", "--config", "run.json"]) in (0, 2, 4)
+        value = data.draw(_JSON_VALUES, label="value")
+        (work / "run.json").write_text(json.dumps(_replaced(doc, path, value)))
+        code = main(["train", "--config", "run.json"])
+        assert code in (0, 2, 4)
         capsys.readouterr()
+        if code == 0 and path[0] in ("model", "loss"):  # nothing is coerced on its way to the checkpoint
+            drawn = value if len(path) == 1 else {path[1]: value}  # a whole loss object, or one value
+            saved = read_checkpoint(work / "run" / "last.cvck")[0][path[0]]
+            assert {k: json.dumps(saved[k]) for k in drawn} == {k: json.dumps(v) for k, v in drawn.items()}
 
 
 class TestReports:

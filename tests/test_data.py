@@ -296,11 +296,14 @@ class TestPairsAndManifest:
             DatasetManifest(tmp_path, (("a", "b"),), 2, ((0, 0, 0), (0, 0, 0)))
 
     @pytest.mark.parametrize(
-        "rgb", [(256, 0, 0), (0, -1, 0), (0, 0, 2.0), (0, 0, True), (1, 1), (1, 1, 1, 1)],
+        "rgb,error",
+        [((256, 0, 0), ValueError), ((0, -1, 0), ValueError), ((0, 0, 2.0), TypeError), ((0, 0, True), TypeError),
+         ((1, 1), ValueError), ((1, 1, 1, 1), ValueError)],
         ids=["above-255", "negative", "float", "bool", "two-channels", "four-channels"],
     )
-    def test_manifest_rejects_a_palette_entry_outside_rgb(self, tmp_path, rgb):
-        with pytest.raises(ValueError, match="palette"):
+    def test_manifest_rejects_a_palette_entry_outside_rgb(self, tmp_path, rgb, error):
+        # a wrong type raises TypeError, as in every record; a wrong range or length ValueError
+        with pytest.raises(error, match="palette"):
             DatasetManifest(tmp_path, (("a", "b"),), 2, ((0, 0, 0), rgb))
 
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1], ids=["above", "below"])

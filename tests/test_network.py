@@ -68,6 +68,7 @@ class TestNetworkConfig:
             {"kernel_alpha": float("nan")},
             {"kernel_alpha": 1e-320},
             {"effn_ratio": float("inf")},
+            {"input_size": (64, 64, 64)},
         ],
     )
     def test_rejects_invalid(self, kwargs):

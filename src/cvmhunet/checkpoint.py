@@ -12,11 +12,9 @@ Layout of version 2 (all integers little-endian):
 uint8 arrays are stored as uint8, every other array as float32.  A training
 checkpoint holds every parameter and persistent buffer under its hierarchical
 name, with the run metadata in its header; a ``.cvtn`` file holds one entry.
-Older layouts are read, never written: version 1 CVCK (no dtype byte, the
-metadata in a ``<name>.json`` sidecar, per-direction scan entries that a model
-load stacks) and version 1 CVTN (magic ``CVTN``, u32 version, u8 rank, u32
-dims, u8 dtype, payload).  Every header becomes the same (name, dtype, dims)
-entries, which one reader streams, each straight into the array it fills.
+This is the only layout read: any other magic or version raises
+``CheckpointError``.  One reader streams the entries, each straight into the
+array it fills.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ import contextlib
 import json
 import math
 import os
-import re
 import struct
-from pathlib import Path
 from typing import IO, Callable, Iterator, Mapping
 
 import numpy as np
@@ -77,44 +73,30 @@ def _read(fh: IO, fmt: str) -> tuple:
     return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
 
 
-def _cvck_entries(fh: IO, typed: bool) -> Iterator[tuple[str, int, tuple]]:
+def _entries(fh: IO) -> Iterator[tuple[str, int, tuple]]:
     (count,) = _read(fh, "<I")
     for _ in range(count):
         (name_len,) = _read(fh, "<H")
         name = fh.read(name_len).decode("utf-8")
-        code = _read(fh, "<B")[0] if typed else 0
-        (rank,) = _read(fh, "<B")
+        code, rank = _read(fh, "<BB")
         yield name, code, _read(fh, f"<{rank}I")
-
-
-def _cvtn_entries(fh: IO) -> Iterator[tuple[str, int, tuple]]:
-    (rank,) = _read(fh, "<B")
-    dims = _read(fh, f"<{rank}I")
-    (code,) = _read(fh, "<B")
-    yield "", code, dims
 
 
 def _header(fh: IO, path: str, size: int) -> tuple[dict, Iterator[tuple[str, int, tuple]]]:
     """The metadata, and the (name, dtype code, dims) of each entry as the reader reaches it."""
     magic = fh.read(4)
-    if magic not in (MAGIC, b"CVTN"):
+    if magic != MAGIC:
         raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     (version,) = _read(fh, "<I")
-    if magic == b"CVTN" and version == 1:
-        return {}, _cvtn_entries(fh)
-    if magic != MAGIC or version not in (1, 2):
-        raise CheckpointError(f"{path}: unsupported {magic.decode()} version {version}")
-    if version == 1:
-        sidecar = Path(path).with_suffix(".json")
-        meta = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
-    else:
-        (meta_len,) = _read(fh, "<I")
-        if fh.tell() + meta_len > size:  # before anything of that size is allocated
-            raise CheckpointError(f"{path}: truncated metadata ({meta_len} bytes claimed)")
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported CVCK version {version}")
+    (meta_len,) = _read(fh, "<I")
+    if fh.tell() + meta_len > size:  # before anything of that size is allocated
+        raise CheckpointError(f"{path}: truncated metadata ({meta_len} bytes claimed)")
+    meta = json.loads(fh.read(meta_len).decode("utf-8"))
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: metadata must be a JSON object, got {type(meta).__name__}")
-    return meta, _cvck_entries(fh, typed=version == 2)
+    return meta, _entries(fh)
 
 
 @contextlib.contextmanager
@@ -133,7 +115,7 @@ def _malformed(path: str) -> Iterator[None]:
 
 
 def load_tensors(path: str, into: Callable[[dict], Mapping[str, np.ndarray]] | None = None) -> dict[str, np.ndarray]:
-    """Read a tensor file of any supported layout; any malformed or truncated content raises ``CheckpointError``.
+    """Read a version-2 CVCK file; another layout, or malformed or truncated content, raises ``CheckpointError``.
 
     The file is streamed entry by entry.  ``into`` gets the file's metadata,
     read before any entry, and returns target arrays by name.  An entry whose
@@ -183,31 +165,8 @@ def model_state(model: Module) -> dict[str, np.ndarray]:
     return state
 
 
-# checkpoints from before the scan directions shared stacked parameters
-# hold row k of ``<prefix><name>`` as ``<prefix>directions.k.<name>``
-_DIRECTION_KEY = re.compile(r"((?:.+\.)?)directions\.([0-3])\.([^.]+)")
-
-
-def _stack_directions(loaded: Mapping[str, np.ndarray], source: str) -> dict[str, np.ndarray]:
-    """Stack the four per-direction entries of a checkpoint in the old key layout."""
-    out: dict[str, np.ndarray] = {}
-    rows: dict[str, dict[int, np.ndarray]] = {}
-    for name, arr in loaded.items():
-        m = _DIRECTION_KEY.fullmatch(name)
-        if m:
-            rows.setdefault(m[1] + m[3], {})[int(m[2])] = arr
-        else:
-            out[name] = arr
-    for name, by_k in rows.items():
-        if len(by_k) != 4 or len({a.shape for a in by_k.values()}) != 1:
-            raise CheckpointError(f"{source}: {name} needs four same-shaped direction entries")
-        out[name] = np.stack([by_k[k] for k in range(4)])
-    return out
-
-
 def apply_model_state(model: Module, loaded: Mapping[str, np.ndarray], source: str = "state") -> None:
     """Strictly copy a name->array mapping into a model's params and buffers."""
-    loaded = _stack_directions(loaded, source)
     expected = model_state(model)
     missing = sorted(set(expected) - set(loaded))
     unknown = sorted(set(loaded) - set(expected))

@@ -276,6 +276,14 @@ def _train_step(
         labels.append(lab)
     total, ce, dice = segmentation_loss(model(Tensor(np.stack(images))), np.stack(labels), cfg.loss)
     ce_v, dice_v, total_v = float(ce.data), float(dice.data), float(total.data)
+    if total_v == np.inf and np.isfinite(ce_v) and np.isfinite(dice_v):
+        # a weight scaled a finite term past float32: name it, or both weights if only the sum overflows
+        terms = {"ce_weight": (cfg.loss.ce_weight, ce.data), "dice_weight": (cfg.loss.dice_weight, dice.data)}
+        with np.errstate(over="ignore"):
+            named = [k for k, (w, v) in terms.items() if not np.isfinite(v * w)]
+        named = named or [k for k, (w, _) in terms.items() if w]
+        raise CliError(f"loss {' and '.join(named)} too large: the weighted loss at step {state.step + 1} overflows "
+                       f"float32 (ce={ce_v!r}, dice={dice_v!r})", EXIT_CONFIG)
     if not np.isfinite(total_v):
         raise CliError(f"non-finite loss at step {state.step + 1} (ce={ce_v!r}, dice={dice_v!r})", EXIT_NUMERIC)
     optimizer.step(total)  # backward and update in one sweep; its return ends the step

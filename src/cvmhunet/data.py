@@ -6,7 +6,7 @@ Formats kept deliberately simple:
 
 * images: 8-bit binary PPM (``P6``), labels: 8-bit binary PGM (``P5``)
 * ``.cvtn`` tensors: the package's one tensor container (``checkpoint``)
-  with a single float32 or uint8 entry; older ``CVTN`` files load too
+  with a single float32 or uint8 entry; any other layout is a ``DataError``
 * manifest: JSON ``{pairs:[{image,label}], num_classes, palette, ignore_index}``,
   read as a ``config.Record``: a missing key or a wrong structure is a
   ``DataError``, a value of the wrong type or range ``TypeError``/``ValueError``

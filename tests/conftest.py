@@ -1,26 +1,10 @@
-"""Fixtures shared by the test modules: a writer of version-1 CVCK files, a failing file, and
-the inverse of a palette-colored prediction."""
-
-import json
-import struct
-from pathlib import Path
+"""Fixtures shared by the test modules: a failing file, and the inverse of a palette-colored
+prediction."""
 
 import numpy as np
 import pytest
 
 from cvmhunet.data import DataError
-
-
-def _save_v1(path, tensors, meta=None):
-    """Write ``tensors`` as a version-1 CVCK file (all float32) and ``meta``, if given, as its sidecar."""
-    blob = b"CVCK" + struct.pack("<II", 1, len(tensors))
-    for name, arr in tensors.items():
-        arr, encoded = np.asarray(arr, dtype="<f4"), name.encode("utf-8")
-        blob += struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape)
-        blob += arr.tobytes()
-    Path(path).write_bytes(blob)
-    if meta is not None:
-        Path(path).with_suffix(".json").write_text(json.dumps(meta))
 
 
 class WritesFailAfter:
@@ -40,11 +24,6 @@ class WritesFailAfter:
 
     def __exit__(self, *exc):
         self.fh.close()
-
-
-@pytest.fixture()
-def save_v1():
-    return _save_v1
 
 
 @pytest.fixture()

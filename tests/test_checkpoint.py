@@ -1,7 +1,6 @@
-"""CVCK tensor files: exact byte layout on save, atomic saves, in-place loads, older layouts,
-only ``CheckpointError`` on bad input."""
+"""CVCK tensor files: exact byte layout on save, atomic saves, in-place loads, only
+``CheckpointError`` on bad input or another layout."""
 
-import json
 import struct
 import tracemalloc
 
@@ -48,14 +47,6 @@ def metadata(path) -> dict:
     return seen[0]
 
 
-# the file of ``TestSave.test_bytes_match_hand_built_blob`` in the version-1 layout, kept as written
-PINNED_V1 = (
-    b"CVCK\x01\x00\x00\x00\x03\x00\x00\x00"
-    b"\x01\x00w\x02\x02\x00\x00\x00\x03\x00\x00\x00"
-    b"\x00\x00\x00\x00\x00\x00\x00@\x00\x00\x80@\x00\x00\x80?\x00\x00@@\x00\x00\xa0@"
-    b"\x06\x00scalar\x00\x00\x00 @"
-    b"\x03\x00b\xc3\xa9\x01\x02\x00\x00\x00\x00\x00\x80?\x00\x00\x80\xbf"
-)
 
 
 class TestSave:
@@ -145,40 +136,6 @@ class TestLoadInto:
         assert back["s"] is target and float(target) == -1.5
 
 
-class TestOlderLayouts:
-    def test_pinned_v1_file_loads_with_its_sidecar(self, tmp_path):
-        (tmp_path / "a.cvck").write_bytes(PINNED_V1)
-        (tmp_path / "a.json").write_text('{"step": 3}')
-        back = load_tensors(str(tmp_path / "a.cvck"))
-        assert list(back) == ["w", "scalar", "bé"]
-        assert back["w"].dtype == np.float32 and np.array_equal(back["w"], [[0, 2, 4], [1, 3, 5]])
-        assert back["scalar"].shape == () and float(back["scalar"]) == 2.5
-        assert np.array_equal(back["bé"], [1.0, -1.0])
-        assert metadata(tmp_path / "a.cvck") == {"step": 3}
-
-    def test_v1_writer_matches_the_pinned_file(self, tmp_path, save_v1):
-        tensors = {"w": np.arange(6).reshape(3, 2).T, "scalar": np.array(2.5), "bé": np.array([1.0, -1.0])}
-        save_v1(tmp_path / "a.cvck", tensors)
-        assert (tmp_path / "a.cvck").read_bytes() == PINNED_V1
-        assert metadata(tmp_path / "a.cvck") == {}  # no sidecar
-
-    def test_v1_cvtn_file_loads(self, tmp_path):
-        blob = b"CVTN" + struct.pack("<IB2IB", 1, 2, 2, 3, 1) + bytes(range(6))
-        (tmp_path / "t.cvtn").write_bytes(blob)
-        (arr,) = load_tensors(str(tmp_path / "t.cvtn")).values()
-        assert arr.dtype == np.uint8 and np.array_equal(arr, np.arange(6).reshape(2, 3))
-
-
-def valid_blob(kind: str, tmp_path, save_v1) -> bytes:
-    """A valid file of each layout the loader reads, with the two entries ``two_tensor_targets`` fit."""
-    if kind == "cvck-v2":
-        return two_tensor_file(tmp_path / "valid.cvck")
-    if kind == "cvck-v1":
-        save_v1(tmp_path / "valid.cvck", {"model.w": np.arange(6).reshape(2, 3), "optim.step": np.array([7.0])})
-        return (tmp_path / "valid.cvck").read_bytes()
-    return b"CVTN" + struct.pack("<IB3IB", 1, 3, 3, 2, 2, 0) + np.linspace(0, 1, 12, dtype="<f4").tobytes()
-
-
 class TestLoadRejects:
     def test_truncated_payload(self, tmp_path):
         blob = two_tensor_file(tmp_path / "t.cvck")
@@ -237,7 +194,7 @@ class TestLoadRejects:
             (b"CVCK" + struct.pack("<III", 2, 2**32 - 1, 0), "truncated metadata"),  # before allocating 4 GiB
             (header(1) + struct.pack("<H", 1) + b"x" + struct.pack("<BB", 2, 0) + bytes(4), "dtype code 2"),
             (b"CVCK" + struct.pack("<II", 3, 0), "unsupported CVCK version 3"),
-            (b"CVTN" + struct.pack("<IB", 2, 0), "unsupported CVTN version 2"),
+            (b"CVTN" + struct.pack("<IB", 2, 0), "bad magic b'CVTN'"),
             (b"NOPE" + bytes(16), "bad magic"),
         ],
         ids=["meta-list", "meta-not-json", "meta-not-utf8", "meta-length", "dtype", "version", "cvtn-version",
@@ -248,22 +205,35 @@ class TestLoadRejects:
         with pytest.raises(CheckpointError, match=match):
             load_tensors(str(tmp_path / "h.cvck"))
 
+    def test_version_1_cvck_file(self, tmp_path):
+        # magic, u32 version 1, u32 count, entries without a dtype byte; the metadata was in a
+        # sidecar, which is not read
+        blob = b"CVCK" + struct.pack("<IIH1sBI", 1, 1, 1, b"w", 1, 2) + np.ones(2, dtype="<f4").tobytes()
+        (tmp_path / "v1.cvck").write_bytes(blob)
+        (tmp_path / "v1.json").write_text('{"step": 3}')
+        with pytest.raises(CheckpointError, match="unsupported CVCK version 1"):
+            load_tensors(str(tmp_path / "v1.cvck"))
+
+    def test_cvtn_file(self, tmp_path):
+        # magic CVTN, u32 version 1, u8 rank, u32 dims, u8 dtype, payload
+        blob = b"CVTN" + struct.pack("<IB2IB", 1, 2, 2, 3, 1) + bytes(range(6))
+        (tmp_path / "t.cvtn").write_bytes(blob)
+        with pytest.raises(CheckpointError, match="bad magic b'CVTN', expected b'CVCK'"):
+            load_tensors(str(tmp_path / "t.cvtn"))
+
     @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
-        kind=st.sampled_from(["cvck-v2", "cvck-v1", "cvtn-v1"]),
         cut=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
         flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)), max_size=4),
         into=st.booleans(),
     )
-    def test_mutations_raise_only_checkpoint_error(self, tmp_path, save_v1, kind, cut, flips, into):
-        # every layout the loader reads; a version-1 CVCK file is read with its sidecar
-        blob = bytearray(valid_blob(kind, tmp_path, save_v1))
+    def test_mutations_raise_only_checkpoint_error(self, tmp_path, cut, flips, into):
+        blob = bytearray(two_tensor_file(tmp_path / "valid.cvck"))
         for pos, mask in flips:
             blob[pos % len(blob)] ^= mask
         if cut is not None:
             blob = blob[: cut % len(blob)]
         (tmp_path / "m.cvck").write_bytes(bytes(blob))
-        (tmp_path / "m.json").write_text(json.dumps({"step": 7}))
         try:
             load_tensors(str(tmp_path / "m.cvck"), into=(lambda meta: two_tensor_targets()) if into else None)
         except CheckpointError:

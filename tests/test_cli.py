@@ -56,6 +56,11 @@ MODEL_TYPE_ERRORS = [("embed_dim", 8.0), ("embed_dim", True), ("state_dim", 4.0)
                      ("input_size", [])]
 # README desk config
 DESK_MODEL = {"embed_dim": 16, "input_size": [64, 64], "state_dim": 8, "scan_block": 32, "num_classes": 4}
+# layouts that no reader accepts: a version-1 CVCK file (u32 version 1, u32 count, entries without
+# a dtype byte, its metadata in a sidecar) with one float32 entry, and a version-1 CVTN file
+# (u32 version, u8 rank, u32 dims, u8 dtype, payload) holding a (3, 32, 32) uint8 image
+CVCK_V1 = b"CVCK" + struct.pack("<IIH7sBI", 1, 1, 7, b"model.w", 1, 2) + np.ones(2, dtype="<f4").tobytes()
+CVTN_V1 = b"CVTN" + struct.pack("<IB3IB", 1, 3, 3, 32, 32, 1) + bytes(3 * 32 * 32)
 
 
 def write_config(tmp_path, **extra):
@@ -87,37 +92,6 @@ def rewrite_meta(path, edit) -> None:
     """Save the checkpoint at ``path`` again with ``edit(metadata)`` in its header."""
     meta, tensors = read_checkpoint(path)
     save_tensors(str(path), tensors, edit(meta))
-
-
-def write_old_key_layout(src, dst, save_v1):
-    """Copy a checkpoint into the version-1 layout of the per-direction scan modules: row k of
-    each stacked ``...ssm.<name>`` under ``...ssm.directions.{k}.<name>``, the optimizer moments
-    in that module order (all five parameters of direction 0, then of 1, ...), and a sidecar."""
-    meta, tensors = read_checkpoint(src)
-    names = [k for k in tensors if k.startswith("model.")]
-    n_params = sum(1 for k in tensors if k.startswith("optim.") and k.endswith(".m"))
-    out, moments = {}, []
-    i = 0
-    while i < len(names):
-        if names[i].endswith(".ssm.x_proj_weight"):  # the first of the module's five stacked parameters
-            for k in range(4):
-                for j in range(i, i + 5):
-                    prefix, _, leaf = names[j].rpartition(".")
-                    out[f"{prefix}.directions.{k}.{leaf}"] = tensors[names[j]][k]
-                    moments.append((j, k))
-            i += 5
-        else:
-            out[names[i]] = tensors[names[i]]
-            if i < n_params:
-                moments.append((i, None))
-            i += 1
-    if n_params:
-        out["optim.step"] = tensors["optim.step"]
-        for o, (j, k) in enumerate(moments):
-            for s in "mv":
-                arr = tensors[f"optim.p{j:04d}.{s}"]
-                out[f"optim.p{o:04d}.{s}"] = arr if k is None else arr[k]
-    save_v1(dst, out, meta)
 
 
 @pytest.fixture()
@@ -232,19 +206,20 @@ class TestTrain:
                      "--manifest", str(dataset / "data" / "manifest.json")]) == 0
         capsys.readouterr()
 
-    def test_resume_from_version_1_checkpoint(self, dataset, capsys, save_v1):
-        # a checkpoint in the version-1 layout, its metadata in the sidecar, resumes bit for bit
+    def test_resume_from_version_1_checkpoint_exits_4(self, dataset, capsys):
+        # with a sidecar holding the run's metadata, as version-1 checkpoints had
         cfg = write_config(dataset)
-        whole, split = dataset / "whole", dataset / "split"
-        assert main(["train", "--config", str(cfg), "--out-dir", str(whole), "--steps", "2"]) == 0
-        assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", "1"]) == 0
-        meta, tensors = read_checkpoint(split / "last.cvck")
-        save_v1(split / "last.cvck", tensors, meta)
-        assert main(["train", "--config", str(cfg), "--out-dir", str(split), "--steps", "1",
-                     "--resume", str(split / "last.cvck")]) == 0
+        out = dataset / "r"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
+        meta, _ = read_checkpoint(out / "last.cvck")
+        (out / "old.cvck").write_bytes(CVCK_V1)
+        (out / "old.json").write_text(json.dumps(meta))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
-        for name in ("loss.csv", "last.cvck", "best.cvck"):
-            assert (split / name).read_bytes() == (whole / name).read_bytes(), name
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
+                     "--resume", str(out / "old.cvck")]) == 4
+        assert f"{out / 'old.cvck'}: unsupported CVCK version 1" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_resume_keeps_best_when_not_beaten(self, dataset, capsys):
         cfg = write_config(dataset)
@@ -282,19 +257,16 @@ class TestTrain:
             ("best_total", [1.0]),
         ],
     )
-    def test_resume_malformed_sidecar_exits_4(self, dataset, capsys, save_v1, key, value):
-        # the resume record in the header of a checkpoint, and in the sidecar of a version-1 one
+    def test_resume_malformed_sidecar_exits_4(self, dataset, capsys, key, value):
+        # a malformed value in the resume record of a checkpoint's metadata
         cfg = write_config(dataset)
         out = dataset / "r"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
-        meta, tensors = read_checkpoint(out / "last.cvck")
-        save_v1(out / "old.cvck", tensors, {**meta, key: value})
         rewrite_meta(out / "last.cvck", lambda meta: {**meta, key: value})
-        for ckpt in ("last.cvck", "old.cvck"):
-            code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
-                         "--resume", str(out / ckpt)])
-            assert code == 4, ckpt
-            assert "malformed resume state" in capsys.readouterr().err
+        code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
+                     "--resume", str(out / "last.cvck")])
+        assert code == 4
+        assert "malformed resume state" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key,value",
@@ -342,17 +314,6 @@ class TestTrain:
         last = load_tensors(str(dataset / "b" / "last.cvck"))
         for name, arr in best.items():
             np.testing.assert_array_equal(arr, last[name], err_msg=name)
-
-    def test_resume_from_old_key_layout_exits_4(self, dataset, capsys, save_v1):
-        # the model state loads, but the optimizer moments are indexed by parameter order
-        cfg = write_config(dataset)
-        out = dataset / "r"
-        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
-        write_old_key_layout(out / "last.cvck", out / "old.cvck", save_v1)
-        code = main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
-                     "--resume", str(out / "old.cvck")])
-        assert code == 4
-        assert "optimizer state mismatch" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_input_aborts_with_exit_3(self, dataset, capsys):
@@ -472,6 +433,20 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not Path(good["out_dir"]).exists()
 
+    @pytest.mark.parametrize(
+        "loss, named",
+        [({"ce_weight": 3e38}, "loss ce_weight too large"),
+         ({"ce_weight": 1.5e38, "dice_weight": 2e38}, "loss ce_weight and dice_weight too large")],
+        ids=["ce", "sum"],
+    )
+    def test_loss_weight_overflow_exits_2(self, dataset, capsys, loss, named):
+        # each weight is below float32's largest value and each loss term is finite (ce ~1.7 and
+        # dice ~0.8 at step 1), but the weighted ce term, or only the weighted sum, overflows float32
+        cfg = write_config(dataset, loss=loss)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{named}: the weighted loss at step 1 overflows float32" in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -506,18 +481,20 @@ class TestEvalPredict:
         assert len(report["iou"]) == 4
         capsys.readouterr()
 
-    def test_old_key_layout_evaluates_the_same(self, trained, capsys, save_v1):
-        run = trained / "run"
-        write_old_key_layout(run / "best.cvck", run / "old.cvck", save_v1)
-        outputs = []
-        for ckpt in ("best.cvck", "old.cvck"):
-            logits = trained / f"{ckpt}.cvtn"
-            assert main(["eval", "--checkpoint", str(run / ckpt),
-                         "--manifest", str(trained / "data" / "manifest.json")]) == 0
-            assert main(["predict", "--checkpoint", str(run / ckpt), "--image", str(trained / "data" / "img_0000.ppm"),
-                         "--out", str(trained / "pred.ppm"), "--logits-out", str(logits)]) == 0
-            outputs.append((capsys.readouterr().out, logits.read_bytes()))
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_version_1_checkpoint_exits_4(self, trained, capsys, command):
+        # with a sidecar holding the run's metadata, as version-1 checkpoints had
+        run, data = trained / "run", trained / "data"
+        meta, _ = read_checkpoint(run / "best.cvck")
+        (run / "old.cvck").write_bytes(CVCK_V1)
+        (run / "old.json").write_text(json.dumps(meta))
+        args = {
+            "eval": ["--manifest", str(data / "manifest.json")],
+            "predict": ["--image", str(data / "img_0000.ppm"), "--out", str(trained / "pred.ppm")],
+        }[command]
+        assert main([command, "--checkpoint", str(run / "old.cvck"), *args]) == 4
+        assert f"{run / 'old.cvck'}: unsupported CVCK version 1" in capsys.readouterr().err
+        assert not (trained / "pred.ppm").exists()
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     @pytest.mark.parametrize("command", ["eval", "predict"])
@@ -581,8 +558,9 @@ class TestEvalPredict:
     def test_oracle_eval_of_unrepresentable_cvtn_exits_4(self, dataset, capsys):
         bad = dataset / "bad"
         bad.mkdir()
-        dims = (0, 2**32 - 1, 2**32 - 1)
-        (bad / "img.cvtn").write_bytes(b"CVTN" + struct.pack("<IB3IB", 1, 3, *dims, 0))
+        dims = (0, 2**32 - 1, 2**32 - 1)  # no elements, but more bytes than numpy can address
+        entry = struct.pack("<H1sBB3I", 1, b"x", 0, 3, *dims)
+        (bad / "img.cvtn").write_bytes(b"CVCK" + struct.pack("<II2sI", 2, 2, b"{}", 1) + entry)
         save_cvtn(bad / "lab.cvtn", np.zeros((32, 32), dtype=np.uint8))
         (bad / "manifest.json").write_text(json.dumps({
             "pairs": [{"image": "img.cvtn", "label": "lab.cvtn"}],
@@ -592,6 +570,15 @@ class TestEvalPredict:
         code = main(["eval", "--oracle", "--manifest", str(bad / "manifest.json")])
         assert code == 4
         assert "img.cvtn" in capsys.readouterr().err
+
+    def test_oracle_eval_of_version_1_cvtn_image_exits_4(self, dataset, capsys):
+        manifest = dataset / "data" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        (dataset / "data" / "old.cvtn").write_bytes(CVTN_V1)
+        doc["pairs"][0]["image"] = "old.cvtn"
+        manifest.write_text(json.dumps(doc))
+        assert main(["eval", "--oracle", "--manifest", str(manifest)]) == 4
+        assert f"{dataset / 'data' / 'old.cvtn'}: bad magic b'CVTN'" in capsys.readouterr().err
 
     def test_oracle_eval_of_zero_size_cvtn_pair_exits_4(self, dataset, capsys):
         empty = dataset / "empty"
@@ -692,6 +679,13 @@ class TestEvalPredict:
         assert self.predict(trained, image) == 4
         assert str(image) in capsys.readouterr().err
 
+    def test_predict_of_version_1_cvtn_exits_4(self, trained, capsys):
+        image = trained / "old.cvtn"
+        image.write_bytes(CVTN_V1)
+        assert self.predict(trained, image) == 4
+        assert f"{image}: bad magic b'CVTN'" in capsys.readouterr().err
+        assert not (trained / "pred.ppm").exists()
+
     def test_predict_of_zero_size_cvtn_exits_4(self, trained, capsys):
         image = trained / "empty.cvtn"
         save_cvtn(image, np.zeros((3, 0, 32), dtype=np.uint8))
@@ -708,17 +702,14 @@ class TestEvalPredict:
         capsys.readouterr()
         assert (trained / "ppm.cvtn").read_bytes() == (trained / "cvtn.cvtn").read_bytes()
 
-    @pytest.mark.parametrize("sidecar", ["[1]", '{"model": 5}', '{"seed": 0}'])
-    def test_malformed_sidecar_exits_4(self, trained, capsys, save_v1, sidecar):
-        # the metadata in the header of a checkpoint, and in the sidecar of a version-1 one
-        run = trained / "run"
-        _, tensors = read_checkpoint(run / "last.cvck")
-        save_v1(run / "old.cvck", tensors, json.loads(sidecar))
-        rewrite_meta(run / "last.cvck", lambda meta: json.loads(sidecar))
-        for ckpt in (str(run / "last.cvck"), str(run / "old.cvck")):
-            assert main(["eval", "--checkpoint", ckpt, "--manifest", str(trained / "data" / "manifest.json")]) == 4
-            assert main(["train", "--config", str(write_config(trained)), "--steps", "1", "--resume", ckpt]) == 4
-            assert "must be a JSON object" in capsys.readouterr().err, ckpt
+    @pytest.mark.parametrize("header", ["[1]", '{"model": 5}', '{"seed": 0}'])
+    def test_malformed_sidecar_exits_4(self, trained, capsys, header):
+        # metadata in the header of a checkpoint that is not an object with an object 'model'
+        ckpt = str(trained / "run" / "last.cvck")
+        rewrite_meta(ckpt, lambda meta: json.loads(header))
+        assert main(["eval", "--checkpoint", ckpt, "--manifest", str(trained / "data" / "manifest.json")]) == 4
+        assert main(["train", "--config", str(write_config(trained)), "--steps", "1", "--resume", ckpt]) == 4
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_eval_corrupted_checkpoint_exits_4(self, trained, capsys):
         ckpt = trained / "run" / "last.cvck"  # its header stays valid

@@ -37,8 +37,9 @@ def rng(seed=0):
 
 
 def cvtn_header(dims, code=1) -> bytes:
-    """A version-1 CVTN header for ``dims``; the payload is up to the caller."""
-    return b"CVTN" + struct.pack("<IB", 1, len(dims)) + struct.pack(f"<{len(dims)}I", *dims) + bytes([code])
+    """The header of a one-entry tensor file for ``dims``; the payload is up to the caller."""
+    entry = struct.pack(f"<H1sBB{len(dims)}I", 1, b"x", code, len(dims), *dims)
+    return b"CVCK" + struct.pack("<II2sI", 2, 2, b"{}", 1) + entry
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +173,13 @@ class TestCvtn:
         out = _load_tensor(tmp_path / "c.cvtn")
         assert out.dtype == np.float32 and np.array_equal(out, [-3, 0, 7])
 
-    @pytest.mark.parametrize("dtype, code", [(np.float32, 0), (np.uint8, 1)])
-    def test_version_1_file_loads(self, tmp_path, dtype, code):
-        arr = rng(8).integers(0, 256, size=(3, 2, 4)).astype(dtype)
-        (tmp_path / "v1.cvtn").write_bytes(cvtn_header(arr.shape, code) + arr.astype(("<f4", "u1")[code]).tobytes())
-        assert np.array_equal(_load_tensor(tmp_path / "v1.cvtn"), arr)
-        out = load_image(tmp_path / "v1.cvtn")
-        assert out.dtype == np.float32 and np.array_equal(out, arr.astype(np.float32) / 255.0 if code else arr)
+    def test_version_1_file_is_data_error(self, tmp_path):
+        # magic CVTN, u32 version 1, u8 rank, u32 dims, u8 dtype, payload: an image and a label
+        for dims, load in (((3, 2, 4), load_image), ((2, 4), _load_label)):
+            header = b"CVTN" + struct.pack(f"<IB{len(dims)}IB", 1, len(dims), *dims, 1)
+            (tmp_path / "v1.cvtn").write_bytes(header + bytes(int(np.prod(dims))))
+            with pytest.raises(DataError, match="v1.cvtn: bad magic b'CVTN'"):
+                load(tmp_path / "v1.cvtn")
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "d.cvtn").write_bytes(b"NOPE" + b"\x00" * 16)

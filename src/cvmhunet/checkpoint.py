@@ -14,7 +14,8 @@ checkpoint holds every parameter and persistent buffer under its hierarchical
 name, with the run metadata in its header; a ``.cvtn`` file holds one entry.
 This is the only layout read: any other magic or version raises
 ``CheckpointError``.  One reader streams the entries, each straight into the
-array it fills.
+array it fills, and is the one place that checks an entry against that array:
+a file that does not fit the arrays it restores raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -118,10 +119,12 @@ def load_tensors(path: str, into: Callable[[dict], Mapping[str, np.ndarray]] | N
     """Read a version-2 CVCK file; another layout, or malformed or truncated content, raises ``CheckpointError``.
 
     The file is streamed entry by entry.  ``into`` gets the file's metadata,
-    read before any entry, and returns target arrays by name.  An entry whose
-    name, shape and dtype match a target is read straight into that array,
-    which the result then holds; every other entry gets a fresh array.  On
-    error the targets may hold part of the file.
+    read before any entry, and returns target arrays by name.  An entry that
+    a target is named for is read straight into it, which the result then
+    holds; an entry of another shape or dtype, a target that is not a
+    C-contiguous writeable array, or a target the file lacks raises
+    ``CheckpointError``.  Entries no target is named for get fresh arrays.
+    On error the targets may hold part of the file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -140,19 +143,20 @@ def load_tensors(path: str, into: Callable[[dict], Mapping[str, np.ndarray]] | N
                 if fh.tell() + nbytes > size:  # before anything of that size is allocated
                     raise CheckpointError(f"{path}: truncated checkpoint (entry {name!r} of shape {dims})")
                 arr = targets.get(name)
-                if not (
-                    arr is not None
-                    and arr.shape == dims
-                    and arr.dtype == dtype
-                    and arr.flags.c_contiguous
-                    and arr.flags.writeable
-                ):
+                if arr is None:
                     arr = np.empty(dims, dtype=dtype)
+                elif not (arr.shape == dims and arr.dtype == dtype and arr.flags.c_contiguous and arr.flags.writeable):
+                    layout = "" if arr.flags.c_contiguous and arr.flags.writeable else "non-contiguous or read-only "
+                    raise CheckpointError(f"{path}: entry {name!r} is {dtype} of shape {dims}, its target a "
+                                          f"{layout}{arr.dtype} of shape {arr.shape}")
                 if fh.readinto(arr) != nbytes:  # the file shrank since fstat
                     raise CheckpointError(f"{path}: truncated checkpoint (entry {name!r} of shape {dims})")
                 out[name] = arr
         if fh.tell() != size:
             raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes after last entry")
+    missing = [name for name in targets if name not in out]
+    if missing:
+        raise CheckpointError(f"{path}: missing entries {missing[:5]} ({len(missing)} in all)")
     return out
 
 
@@ -164,25 +168,3 @@ def model_state(model: Module) -> dict[str, np.ndarray]:
         state[name] = buf
     return state
 
-
-def apply_model_state(model: Module, loaded: Mapping[str, np.ndarray], source: str = "state") -> None:
-    """Strictly copy a name->array mapping into a model's params and buffers."""
-    expected = model_state(model)
-    missing = sorted(set(expected) - set(loaded))
-    unknown = sorted(set(loaded) - set(expected))
-    if missing or unknown:
-        raise CheckpointError(
-            f"{source}: state mismatch (missing: {missing[:5]}, unknown: {unknown[:5]})"
-        )
-    for name, p in model.named_parameters():
-        arr = loaded[name]
-        if arr.shape != p.data.shape:
-            raise CheckpointError(f"{source}: {name} has shape {arr.shape}, expected {p.data.shape}")
-        if arr is not p.data:  # else ``load_tensors`` already read it in place
-            p.data = arr.astype(p.data.dtype)
-    for name, buf in model.named_buffers():
-        arr = loaded[name]
-        if arr.shape != buf.shape:
-            raise CheckpointError(f"{source}: {name} has shape {arr.shape}, expected {buf.shape}")
-        if arr is not buf:
-            buf[...] = arr.astype(buf.dtype)

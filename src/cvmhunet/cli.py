@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, apply_model_state, load_tensors, model_state, save_tensors
+from .checkpoint import CheckpointError, load_tensors, model_state, save_tensors
 from .config import Record
 from .data import (
     AugmentConfig,
@@ -104,12 +104,12 @@ def _with_flags(record: type[Record], doc: dict, args: argparse.Namespace) -> di
     return {**doc, **{k: v for k, v in flags.items() if v is not None}}
 
 
-def _checked(section: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a value it rejects exits 2 as an invalid ``section`` config."""
+def _checked(section: str, build, *args, code: int = EXIT_CONFIG, **kwargs):
+    """``build(*args, **kwargs)``; a value it rejects exits ``code`` as an invalid ``section`` config."""
     try:
         return build(*args, **kwargs)
     except (ValueError, TypeError) as e:
-        raise CliError(f"invalid {section} config: {e}", EXIT_CONFIG) from e
+        raise CliError(f"invalid {section} config: {e}", code) from e
 
 
 def _build_network_config(model_doc: dict, num_classes: int | None = None) -> NetworkConfig:
@@ -137,20 +137,22 @@ def _load_manifest(path: str | None) -> DatasetManifest:
 # ---------------------------------------------------------------------------
 
 
-def _save_run_checkpoint(path: Path, model: CVMHUNet, optimizer: AdamW | None, meta: dict) -> None:
-    """Model (and optimizer) tensors to ``path``, with ``meta`` and the model config in its header."""
+def _run_tensors(model: CVMHUNet, optimizer: AdamW | None) -> dict[str, np.ndarray]:
+    """A run checkpoint's entries by name: ``model.*`` for the model's own arrays, ``optim.*`` for the optimizer's."""
     tensors = {f"model.{k}": v for k, v in model_state(model).items()}
     if optimizer is not None:
-        for k, v in optimizer.state_tensors().items():
-            tensors[f"optim.{k}"] = v
-    save_tensors(str(path), tensors, {**meta, "model": model.config.to_dict()})
+        tensors.update((f"optim.{k}", v) for k, v in optimizer.state_tensors().items())
+    return tensors
 
 
-def _restore(path: Path, build) -> tuple[dict, CVMHUNet]:
-    """Read a train checkpoint in one pass; returns its metadata and the model.
+def _save_run_checkpoint(path: Path, model: CVMHUNet, optimizer: AdamW | None, meta: dict) -> None:
+    """Model (and optimizer) tensors to ``path``, with ``meta`` and the model config in its header."""
+    save_tensors(str(path), _run_tensors(model, optimizer), {**meta, "model": model.config.to_dict()})
 
-    ``build(meta)`` gets the metadata before any entry is read and returns the
-    model and optimizer (or None) whose arrays the entries are read into.
+
+def _restore(path: Path, build) -> CVMHUNet:
+    """Read a train checkpoint in one pass into the arrays of the model and optimizer (or None) that
+    ``build(meta)`` returns; an entry neither names is unknown, except ``optim.*`` when there is no optimizer.
     """
     built = []
 
@@ -158,27 +160,28 @@ def _restore(path: Path, build) -> tuple[dict, CVMHUNet]:
         if not isinstance(meta.get("model"), dict):
             raise CliError(f"{path}: metadata must be a JSON object with an object 'model'", EXIT_IO)
         model, optimizer = build(meta)
-        built.extend((meta, model, optimizer))
-        into = {f"model.{k}": v for k, v in model_state(model).items()}
-        if optimizer is not None:
-            into.update((f"optim.{k}", v) for k, v in optimizer.state_tensors().items())
-        return into
+        built.extend((model, optimizer, _run_tensors(model, optimizer)))
+        return built[2]
 
     tensors = load_tensors(str(path), targets)
-    meta, model, optimizer = built
-    model_part = {k[len("model.") :]: v for k, v in tensors.items() if k.startswith("model.")}
-    optim_part = {k[len("optim.") :]: v for k, v in tensors.items() if k.startswith("optim.")}
-    if not model_part:
-        raise CliError(f"{path}: no model tensors found", EXIT_IO)
-    apply_model_state(model, model_part, source=str(path))
-    if optimizer is not None and optim_part:
-        optimizer.load_state_tensors(optim_part)
-    return meta, model
+    model, optimizer, into = built
+    unknown = [k for k in tensors if k not in into and (optimizer is not None or not k.startswith("optim."))]
+    if unknown:
+        raise CheckpointError(f"{path}: unknown entries {unknown[:5]} ({len(unknown)} in all)")
+    if optimizer is not None:
+        step = float(into["optim.step"][0])
+        if not step.is_integer():
+            raise CheckpointError(f"{path}: optim.step {step} is not a whole number")
+        optimizer.step_count = int(step)
+    return model
 
 
 def _model_from_checkpoint(path: Path) -> CVMHUNet:
-    # the strict load overwrites every parameter, so the model skips its random init
-    return _restore(path, lambda meta: (CVMHUNet(_build_network_config(meta["model"]), seed=None), None))[1]
+    def build(meta: dict) -> tuple[CVMHUNet, None]:  # the load fills every parameter: skip the random init
+        config = _checked(f"{path} model", NetworkConfig.from_dict, meta["model"], code=EXIT_IO)  # the file's fault
+        return CVMHUNet(config, seed=None), None
+
+    return _restore(path, build)
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +233,22 @@ class _RunState:
     def resume(self, path: Path, model: CVMHUNet, optimizer: AdamW) -> None:
         """Continue the run saved in ``path`` (a ``last.cvck``): weights, moments, step, batch RNG, best."""
         def same_model(meta: dict) -> tuple[CVMHUNet, AdamW]:
-            if meta["model"] != model.config.to_dict():
+            if meta["model"] != model.config.to_dict():  # then the resume record, before any entry is read
                 raise CliError(f"{path}: checkpoint model config differs from the requested one", EXIT_CONFIG)
+            try:
+                record = _Resume(**{f.name: meta[f.name] for f in fields(_Resume)})
+                if not 1 <= record.best_step <= record.step:
+                    raise ValueError(f"step {record.step}, best_step {record.best_step}")
+                self.rng.bit_generator.state = record.rng_state
+            except (KeyError, TypeError, ValueError) as e:
+                raise CliError(f"{path}: malformed resume state in its metadata: {e!r}", EXIT_IO) from e
+            self.step, self.best_total, self.best_step = record.step, float(record.best_total), record.best_step
             return model, optimizer
 
-        try:
-            meta, _ = _restore(path, same_model)
-        except (CheckpointError, ValueError) as e:
-            raise CliError(str(e), EXIT_IO) from e
-        try:
-            record = _Resume(**{f.name: meta[f.name] for f in fields(_Resume)})
-            step, best_step = record.step, record.best_step
-            if step != optimizer.step_count or not 1 <= best_step <= step:
-                raise ValueError(f"step {step}, best_step {best_step}, optim.step {optimizer.step_count}")
-            self.rng.bit_generator.state = record.rng_state
-        except (KeyError, TypeError, ValueError) as e:
-            raise CliError(f"{path}: malformed resume state in its metadata: {e!r}", EXIT_IO) from e
-        self.step, self.best_total, self.best_step = step, float(record.best_total), best_step
+        _restore(path, same_model)
+        if self.step != optimizer.step_count:
+            raise CliError(f"{path}: malformed resume state in its metadata: step {self.step}, "
+                           f"optim.step {optimizer.step_count}", EXIT_IO)
 
     def advance(self, total: float, model: CVMHUNet, out_dir: Path, run_meta: dict) -> None:
         """Count the step just taken; if its loss is the best so far, write ``best.cvck`` from the live model.

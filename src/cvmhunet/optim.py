@@ -127,23 +127,6 @@ class AdamW:
             out[f"p{i:04d}.v"] = self._v[i]
         return out
 
-    def load_state_tensors(self, state: dict[str, np.ndarray]) -> None:
-        expected = {"step"} | {f"p{i:04d}.{s}" for i in range(len(self.params)) for s in "mv"}
-        if set(state) != expected:
-            missing = sorted(expected - set(state))
-            extra = sorted(set(state) - expected)
-            raise ValueError(f"optimizer state mismatch: missing {missing}, unknown {extra}")
-        self.step_count = int(round(float(state["step"][0])))
-        for i, p in enumerate(self.params):
-            for attr, key in ((self._m, f"p{i:04d}.m"), (self._v, f"p{i:04d}.v")):
-                arr = state[key]
-                if arr.shape != p.data.shape:
-                    raise ValueError(
-                        f"optimizer moment {key} has shape {arr.shape}, parameter is {p.data.shape}"
-                    )
-                if arr is not attr[i]:  # else ``load_tensors`` already read it in place
-                    attr[i] = arr.astype(p.data.dtype)
-
 
 def _shaped_like(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
     """The first ``like.nbytes`` bytes of ``buf`` as an array of ``like``'s dtype and shape."""

@@ -113,21 +113,29 @@ class TestLoadInto:
         assert np.array_equal(into["optim.step"], [7.0])
 
     @pytest.mark.parametrize(
-        "name, target",
+        "name, target, match",
         [
-            ("model.v", np.zeros((2, 3), dtype=np.float32)),  # other name
-            ("model.w", np.zeros((3, 2), dtype=np.float32)),  # other shape
-            ("model.w", np.zeros((2, 3), dtype=np.float64)),  # other dtype
-            ("model.w", np.zeros((3, 2), dtype=np.float32).T),  # not contiguous
-            ("model.w", np.broadcast_to(np.float32(0), (2, 3))),  # read-only
+            ("model.v", np.zeros((2, 3), dtype=np.float32), r"missing entries \['model.v'\] \(1 in all\)"),
+            ("model.w", np.zeros((3, 2), dtype=np.float32),
+             r"entry 'model.w' is float32 of shape \(2, 3\), its target a float32 of shape \(3, 2\)"),
+            ("model.w", np.zeros((2, 3), dtype=np.float64), r"float32 of shape \(2, 3\), its target a float64"),
+            ("model.w", np.zeros((3, 2), dtype=np.float32).T, "its target a non-contiguous or read-only float32"),
+            ("model.w", np.broadcast_to(np.float32(0), (2, 3)), "its target a non-contiguous or read-only float32"),
         ],
+        ids=["other-name", "other-shape", "other-dtype", "not-contiguous", "read-only"],
     )
-    def test_fresh_array_when_the_target_does_not_fit(self, tmp_path, name, target):
+    def test_target_that_does_not_fit_raises(self, tmp_path, name, target, match):
         two_tensor_file(tmp_path / "t.cvck")
-        back = load_tensors(str(tmp_path / "t.cvck"), into=lambda meta: {name: target})
-        assert back["model.w"] is not target and back["model.w"].dtype == np.float32
-        assert np.array_equal(back["model.w"], np.arange(6).reshape(2, 3))
+        with pytest.raises(CheckpointError, match=match):
+            load_tensors(str(tmp_path / "t.cvck"), into=lambda meta: {name: target})
         assert not target.any()
+
+    def test_entries_no_target_is_named_for_are_fresh_arrays(self, tmp_path):
+        two_tensor_file(tmp_path / "t.cvck")
+        target = np.zeros(1, dtype=np.float32)
+        back = load_tensors(str(tmp_path / "t.cvck"), into=lambda meta: {"optim.step": target})
+        assert back["optim.step"] is target and float(target[0]) == 7.0
+        assert back["model.w"].dtype == np.float32 and np.array_equal(back["model.w"], np.arange(6).reshape(2, 3))
 
     def test_rank_zero_entry_fills_in_place(self, tmp_path):
         save_tensors(str(tmp_path / "s.cvck"), {"s": np.array(-1.5)})

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import cvmhunet
 from cvmhunet import checkpoint
-from cvmhunet.checkpoint import apply_model_state, load_tensors, model_state, save_tensors
+from cvmhunet.checkpoint import load_tensors, model_state, save_tensors
 from cvmhunet.cli import _Run, _Train, _model_from_checkpoint, _predict_logits, _save_run_checkpoint, main
 from cvmhunet.data import (
     AugmentConfig,
@@ -92,6 +92,38 @@ def rewrite_meta(path, edit) -> None:
     """Save the checkpoint at ``path`` again with ``edit(metadata)`` in its header."""
     meta, tensors = read_checkpoint(path)
     save_tensors(str(path), tensors, edit(meta))
+
+
+def rewrite_entry(path, name, fault) -> str:
+    """Save the checkpoint at ``path`` again with its entry ``name`` changed by ``fault``; returns the
+    message a restore into the model that wrote it raises."""
+    meta, tensors = read_checkpoint(path)
+    arr = tensors[name]
+    want = {
+        "uint8": f"entry '{name}' is uint8 of shape {arr.shape}, its target a float32 of shape {arr.shape}",
+        "misshapen": f"entry '{name}' is float32 of shape {arr[:1].shape}, its target a float32 of shape {arr.shape}",
+        "missing": f"missing entries ['{name}'] (1 in all)",
+        "unknown": "unknown entries ['model.extra'] (1 in all)",
+    }[fault]
+    if fault == "uint8":
+        tensors[name] = arr.astype(np.uint8)
+    elif fault == "misshapen":
+        tensors[name] = arr[:1]
+    elif fault == "missing":
+        del tensors[name]
+    else:
+        tensors["model.extra"] = np.zeros(2, dtype=np.float32)
+    save_tensors(str(path), tensors, meta)
+    return f"{path}: {want}"
+
+
+def reader_args(trained, command) -> list[str]:
+    """The arguments besides ``--checkpoint`` of an ``eval`` or ``predict`` on the trained dataset."""
+    data = trained / "data"
+    return {
+        "eval": ["--manifest", str(data / "manifest.json")],
+        "predict": ["--image", str(data / "img_0000.ppm"), "--out", str(trained / "pred.ppm")],
+    }[command]
 
 
 @pytest.fixture()
@@ -220,6 +252,40 @@ class TestTrain:
                      "--resume", str(out / "old.cvck")]) == 4
         assert f"{out / 'old.cvck'}: unsupported CVCK version 1" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("fault", ["misshapen", "missing"])
+    def test_resume_with_a_moment_that_does_not_fit_exits_4_and_writes_nothing(self, dataset, capsys, fault):
+        cfg = write_config(dataset)
+        out = dataset / "r"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
+        want = rewrite_entry(out / "last.cvck", "optim.p0003.v", fault)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
+                     "--resume", str(out / "last.cvck")]) == 4
+        assert want in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("step", [float("inf"), float("nan"), 1.5])
+    def test_resume_with_an_optim_step_that_is_not_whole_exits_4(self, dataset, capsys, step):
+        cfg = write_config(dataset)
+        out = dataset / "r"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
+        meta, tensors = read_checkpoint(out / "last.cvck")
+        save_tensors(str(out / "last.cvck"), {**tensors, "optim.step": np.array([step], dtype=np.float32)}, meta)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1",
+                     "--resume", str(out / "last.cvck")]) == 4
+        assert f"optim.step {step} is not a whole number" in capsys.readouterr().err
+
+    def test_resume_with_another_model_config_exits_2(self, dataset, capsys):
+        out = dataset / "r"
+        assert main(["train", "--config", str(write_config(dataset)), "--out-dir", str(out), "--steps", "1"]) == 0
+        other = write_config(dataset, model={**TINY_MODEL, "freq_k": 2})
+        capsys.readouterr()
+        assert main(["train", "--config", str(other), "--out-dir", str(out), "--steps", "1",
+                     "--resume", str(out / "last.cvck")]) == 2
+        assert "checkpoint model config differs from the requested one" in capsys.readouterr().err
 
     def test_resume_keeps_best_when_not_beaten(self, dataset, capsys):
         cfg = write_config(dataset)
@@ -495,6 +561,40 @@ class TestEvalPredict:
         assert main([command, "--checkpoint", str(run / "old.cvck"), *args]) == 4
         assert f"{run / 'old.cvck'}: unsupported CVCK version 1" in capsys.readouterr().err
         assert not (trained / "pred.ppm").exists()
+
+    @pytest.mark.parametrize("fault", ["uint8", "misshapen", "missing", "unknown"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_entry_that_does_not_fit_the_model_exits_4(self, trained, capsys, command, fault):
+        # an entry is read into the model's own array only if its dtype and shape are that array's
+        ckpt = trained / "run" / "best.cvck"
+        want = rewrite_entry(ckpt, "model.enc_stages.0.blocks.0.block_a.cross_scan.dwconv.weight", fault)
+        assert main([command, "--checkpoint", str(ckpt), *reader_args(trained, command)]) == 4
+        assert want in capsys.readouterr().err
+        assert not (trained / "pred.ppm").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_invalid_model_config_in_checkpoint_exits_4(self, trained, capsys, command):
+        # the file is at fault, not the run config
+        ckpt = trained / "run" / "best.cvck"
+        rewrite_meta(ckpt, lambda meta: {**meta, "model": {**meta["model"], "embed_dim": "x"}})
+        assert main([command, "--checkpoint", str(ckpt), *reader_args(trained, command)]) == 4
+        assert f"invalid {ckpt} model config: embed_dim must be an integer, got 'x'" in capsys.readouterr().err
+
+    def test_last_checkpoint_restores_the_model_of_its_model_only_copy(self, trained, capsys):
+        # eval and predict of a last.cvck read its optim.* entries into arrays they then drop
+        run = trained / "run"
+        meta, tensors = read_checkpoint(run / "last.cvck")
+        save_tensors(str(run / "model.cvck"), {k: v for k, v in tensors.items() if k.startswith("model.")}, meta)
+        outputs = []
+        for name in ("last", "model"):
+            report, logits = trained / f"{name}.json", trained / f"{name}.cvtn"
+            assert main(["eval", "--checkpoint", str(run / f"{name}.cvck"), *reader_args(trained, "eval"),
+                         "--out", str(report)]) == 0
+            assert main(["predict", "--checkpoint", str(run / f"{name}.cvck"), *reader_args(trained, "predict"),
+                         "--logits-out", str(logits)]) == 0
+            outputs.append((report.read_bytes(), logits.read_bytes()))
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     @pytest.mark.parametrize("command", ["eval", "predict"])
@@ -784,7 +884,7 @@ class TestRestore:
         saved, path = self.checkpoint(tmp_path)
         restored = _model_from_checkpoint(path)
         seeded = CVMHUNet(saved.config, seed=11)
-        apply_model_state(seeded, {k[len("model."):]: v for k, v in load_tensors(str(path)).items()})
+        load_tensors(str(path), lambda meta: {f"model.{k}": v for k, v in model_state(seeded).items()})
         want = model_state(seeded)
         got = model_state(restored)
         assert list(got) == list(want)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cvmhunet import functional as F
 from cvmhunet import ssm
-from cvmhunet.checkpoint import CheckpointError, apply_model_state, model_state
+from cvmhunet.checkpoint import CheckpointError, load_tensors, model_state, save_tensors
 from cvmhunet.module import init_linear
 from cvmhunet.scan import flatten_spatial, scan_orders, unflatten_spatial
 from cvmhunet.ssm import DirectionalSSM, default_dt_rank, selective_scan, sequential_scan
@@ -508,13 +508,15 @@ class TestS6Modules:
         assert not [a.shape for a in others if a.size >= x.data.size]
         assert sum(a.nbytes for a in others) < x.data.nbytes, [a.shape for a in others]
 
-    def test_old_direction_keys_are_rejected(self):
-        # a state saved when each direction was its own module held directions.{k}.<name>; the
-        # strict load names the stacked parameters it misses and the per-direction keys it does not know
+    def test_old_direction_keys_are_rejected(self, tmp_path):
+        # a state saved when each direction was its own module held directions.{k}.<name>; a load
+        # into the stacked parameters finds none of them in the file
         m = DirectionalSSM(6, default_dt_rank(6), 3, "cs2d", 64, rng=np.random.default_rng(7))
-        old = {f"directions.{k}.{name}": arr[k].copy() for name, arr in model_state(m).items() for k in range(4)}
-        with pytest.raises(CheckpointError, match=r"state mismatch \(missing: \['A_log', .*unknown: \['directions"):
-            apply_model_state(m, old)
+        state = model_state(m)
+        old = {f"directions.{k}.{name}": arr[k].copy() for name, arr in state.items() for k in range(4)}
+        save_tensors(str(tmp_path / "old.cvck"), old)
+        with pytest.raises(CheckpointError, match=rf"missing entries \[.*'A_log'.*\] \({len(state)} in all\)"):
+            load_tensors(str(tmp_path / "old.cvck"), lambda meta: state)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_directional_ssm_gradcheck(self, seed):

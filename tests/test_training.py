@@ -5,7 +5,7 @@ import pytest
 
 from cvmhunet.losses import LossConfig, ce_loss, dice_loss, segmentation_loss
 from cvmhunet.metrics import ConfusionMatrix, compute_metrics
-from cvmhunet.checkpoint import model_state
+from cvmhunet.checkpoint import CheckpointError, load_tensors, model_state, save_tensors
 from cvmhunet.data import load_pair, normalize_image, synth_generate
 from cvmhunet.network import CVMHUNet, NetworkConfig
 from cvmhunet.optim import AdamW
@@ -196,8 +196,8 @@ class TestCombinedLoss:
 # ---------------------------------------------------------------------------
 
 
-def make_param(value, name="p", exempt=False):
-    p = Parameter(np.array(value, dtype=np.float64), weight_decay_exempt=exempt)
+def make_param(value, name="p", exempt=False, dtype=np.float64):
+    p = Parameter(np.array(value, dtype=dtype), weight_decay_exempt=exempt)
     p.name = name
     return p
 
@@ -352,25 +352,28 @@ class TestAdamW:
         assert float(p.data[0]) == pytest.approx(2.0 * 0.95**3)
         assert np.all(opt._m[0] == 0) and np.all(opt._v[0] == 0)
 
-    def test_state_round_trip_resumes_identically(self):
+    def test_state_round_trip_resumes_identically(self, tmp_path):
+        # the state goes through a CVCK file, as in a run checkpoint: float32 moments, read into o3's own
         def run(steps, opt, p, seed):
             g = rng(seed)
             for _ in range(steps):
                 p.grad = g.normal(size=3)
                 opt.step()
 
-        p1 = make_param(np.ones(3))
+        p1 = make_param(np.ones(3), dtype=np.float32)
         o1 = AdamW([p1], lr=0.01)
         run(6, o1, p1, seed=42)
 
-        p2 = make_param(np.ones(3))
+        p2 = make_param(np.ones(3), dtype=np.float32)
         o2 = AdamW([p2], lr=0.01)
         run(3, o2, p2, seed=42)  # consumes the first 3 grads
-        state = o2.state_tensors()
+        save_tensors(str(tmp_path / "o.cvck"), o2.state_tensors())
 
-        p3 = make_param(p2.data.copy())
+        p3 = make_param(p2.data.copy(), dtype=np.float32)
         o3 = AdamW([p3], lr=0.01)
-        o3.load_state_tensors(state)
+        state = o3.state_tensors()
+        assert load_tensors(str(tmp_path / "o.cvck"), lambda meta: state) == state
+        o3.step_count = int(state["step"][0])
         g = rng(42)
         for _ in range(3):
             g.normal(size=3)  # skip the consumed draws
@@ -380,17 +383,19 @@ class TestAdamW:
         assert o3.step_count == 6
         np.testing.assert_allclose(p3.data, p1.data, rtol=0, atol=0)
 
-    def test_state_validation(self):
-        p = make_param([1.0])
-        opt = AdamW([p])
-        state = opt.state_tensors()
-        del state["p0000.v"]
-        with pytest.raises(ValueError, match="missing"):
-            AdamW([make_param([1.0])]).load_state_tensors(state)
-        bad = opt.state_tensors()
-        bad["p0000.m"] = np.zeros(5, dtype=np.float32)
-        with pytest.raises(ValueError, match="shape"):
-            AdamW([make_param([1.0])]).load_state_tensors(bad)
+    def test_state_validation(self, tmp_path):
+        # a saved state restores only into the moments of parameters of the same shapes and dtype
+        path = str(tmp_path / "o.cvck")
+        state = AdamW([make_param([1.0], dtype=np.float32)]).state_tensors()
+        save_tensors(path, {k: v for k, v in state.items() if k != "p0000.v"})
+        with pytest.raises(CheckpointError, match=r"missing entries \['p0000.v'\]"):
+            load_tensors(path, lambda meta: AdamW([make_param([1.0], dtype=np.float32)]).state_tensors())
+        save_tensors(path, {**state, "p0000.m": np.zeros(5, dtype=np.float32)})
+        with pytest.raises(CheckpointError, match=r"'p0000.m' is float32 of shape \(5,\), its target a float32 of"):
+            load_tensors(path, lambda meta: AdamW([make_param([1.0], dtype=np.float32)]).state_tensors())
+        save_tensors(path, state)
+        with pytest.raises(CheckpointError, match=r"'p0000.m' is float32 of shape \(1,\), its target a float64"):
+            load_tensors(path, lambda meta: AdamW([make_param([1.0])]).state_tensors())
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

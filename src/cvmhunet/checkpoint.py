@@ -115,7 +115,11 @@ def _malformed(path: str) -> Iterator[None]:
         raise CheckpointError(f"{path}: impossible tensor shape ({exc})") from exc
 
 
-def load_tensors(path: str, into: Callable[[dict], Mapping[str, np.ndarray]] | None = None) -> dict[str, np.ndarray]:
+def load_tensors(
+    path: str,
+    into: Callable[[dict], Mapping[str, np.ndarray]] | None = None,
+    skip: Callable[[str], bool] | None = None,
+) -> dict[str, np.ndarray]:
     """Read a version-2 CVCK file; another layout, or malformed or truncated content, raises ``CheckpointError``.
 
     The file is streamed entry by entry.  ``into`` gets the file's metadata,
@@ -123,8 +127,10 @@ def load_tensors(path: str, into: Callable[[dict], Mapping[str, np.ndarray]] | N
     a target is named for is read straight into it, which the result then
     holds; an entry of another shape or dtype, a target that is not a
     C-contiguous writeable array, or a target the file lacks raises
-    ``CheckpointError``.  Entries no target is named for get fresh arrays.
-    On error the targets may hold part of the file.
+    ``CheckpointError``.  An entry no target is named for is passed over
+    unread when ``skip(name)`` is true (its dtype code and the presence of its
+    bytes are still checked) and the result leaves it out; any other gets a
+    fresh array.  On error the targets may hold part of the file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -132,17 +138,22 @@ def load_tensors(path: str, into: Callable[[dict], Mapping[str, np.ndarray]] | N
             meta, entries = _header(fh, path, size)
         targets = into(meta) if into else {}
         out: dict[str, np.ndarray] = {}
+        seen: set[str] = set()
         with _malformed(path):
             for name, code, dims in entries:
                 if code >= len(_DTYPES):
                     raise CheckpointError(f"{path}: entry {name!r} has unknown dtype code {code}")
-                if name in out:
+                if name in seen:
                     raise CheckpointError(f"{path}: entry {name!r} appears twice")
+                seen.add(name)
                 dtype = _DTYPES[code]
                 nbytes = dtype.itemsize * math.prod(dims)
                 if fh.tell() + nbytes > size:  # before anything of that size is allocated
                     raise CheckpointError(f"{path}: truncated checkpoint (entry {name!r} of shape {dims})")
                 arr = targets.get(name)
+                if arr is None and skip is not None and skip(name):
+                    fh.seek(nbytes, os.SEEK_CUR)
+                    continue
                 if arr is None:
                     arr = np.empty(dims, dtype=dtype)
                 elif not (arr.shape == dims and arr.dtype == dtype and arr.flags.c_contiguous and arr.flags.writeable):

@@ -152,7 +152,8 @@ def _save_run_checkpoint(path: Path, model: CVMHUNet, optimizer: AdamW | None, m
 
 def _restore(path: Path, build) -> CVMHUNet:
     """Read a train checkpoint in one pass into the arrays of the model and optimizer (or None) that
-    ``build(meta)`` returns; an entry neither names is unknown, except ``optim.*`` when there is no optimizer.
+    ``build(meta)`` returns; an entry neither names is unknown, except ``optim.*`` when there is no
+    optimizer, which the read passes over.
     """
     built = []
 
@@ -163,9 +164,12 @@ def _restore(path: Path, build) -> CVMHUNet:
         built.extend((model, optimizer, _run_tensors(model, optimizer)))
         return built[2]
 
-    tensors = load_tensors(str(path), targets)
+    def unused(name: str) -> bool:
+        return built[1] is None and name.startswith("optim.")
+
+    tensors = load_tensors(str(path), targets, unused)
     model, optimizer, into = built
-    unknown = [k for k in tensors if k not in into and (optimizer is not None or not k.startswith("optim."))]
+    unknown = [k for k in tensors if k not in into]
     if unknown:
         raise CheckpointError(f"{path}: unknown entries {unknown[:5]} ({len(unknown)} in all)")
     if optimizer is not None:

@@ -131,26 +131,32 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and patch ``conv2d``."""
-    forward, grads = _dense_kernel(x.data, weight.data, None if bias is None else bias.data)
+    """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and patch ``conv2d``.
+
+    When ``x`` comes with a rebuild (``Tensor._with_rebuild``), the graph keeps
+    that in place of ``x``'s array, and the backward rebuilds the array for ``dw``.
+    """
+    forward, grads = _dense_kernel(x.data, weight.data, None if bias is None else bias.data, x._rebuild)
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor.from_op(forward(), parents, grads)
 
 
-def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None):
+def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, rebuild=None):
     """The two halves of the channel GEMM: ``forward()`` -> the output array and
     ``grads(g)`` -> the grads of ``x``, ``weight`` (and ``bias``) for an output grad ``g``.
 
     ``weight`` is (O, I) or (O, C, s, s) with I = C * s * s.  Each sample is one
     (O, I) @ (I, rest) product, with rest = 1 for an (N, I) input, so a sample's
     output never depends on the rest of its batch.  Both halves read only views
-    of the input and weight arrays.
+    of the input and weight arrays; given ``rebuild()`` -> ``x``, bitwise,
+    ``grads`` calls it instead and keeps no view of ``x``.
     """
     n, din = x.shape[:2]
     dout = weight.shape[0]
     w2 = weight.reshape(dout, din)
     xr = x.reshape(n, din, -1)
     xshape, wshape = x.shape, weight.shape
+    rows = (lambda: xr) if rebuild is None else (lambda: rebuild().reshape(n, din, -1))
 
     def forward():
         out = np.matmul(w2, xr)
@@ -161,7 +167,7 @@ def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None):
     def grads(g):
         g3 = g.reshape(n, dout, -1)
         dx = np.matmul(w2.T, g3)
-        dw = np.tensordot(g3, xr, axes=[(0, 2), (0, 2)])
+        dw = np.tensordot(g3, rows(), axes=[(0, 2), (0, 2)])
         db = g3.sum(axis=(0, 2))
         if bias is None:
             return dx.reshape(xshape), dw.reshape(wshape)
@@ -367,10 +373,10 @@ def _normalize(
     x: Tensor, gamma: Tensor, beta: Tensor, stats_axes: tuple[int, ...], feature_axis: int, eps: float
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """``(x - mean) / sqrt(var + eps) * gamma + beta``, the statistics over ``stats_axes``
-    and the affine along ``feature_axis``.  Returns the result and the mean and
-    variance (shaped for broadcasting against ``x``)."""
+    and the affine along ``feature_axis``.  Returns the result, rebuilt from ``xhat`` when
+    a consumer needs it, and the mean and variance (shaped for broadcasting against ``x``)."""
     mu, var, affine, grads = _norm_kernel(x, gamma, beta, stats_axes, feature_axis, eps)
-    return Tensor.from_op(affine(), (x, gamma, beta), grads), mu, var
+    return Tensor.from_op(affine(), (x, gamma, beta), grads)._with_rebuild(affine), mu, var
 
 
 def _norm_kernel(x: Tensor, gamma: Tensor, beta: Tensor, stats_axes: tuple[int, ...], feature_axis: int, eps: float):
@@ -418,8 +424,9 @@ def gated_layer_norm(
 
     The graph keeps what ``layer_norm`` keeps (``xhat`` and ``1 / std``) and
     ``gate``; the backward rebuilds the normalized output and ``silu(gate)``
-    from them, so neither operand of the product is held in between.  Every
-    result is bitwise that of the composition.
+    from them, so neither operand of the product is held in between, and a
+    consumer can rebuild the product itself.  Every result is bitwise that of
+    the composition.
     """
     ax = axis % x.ndim
     c = x.shape[ax]
@@ -429,13 +436,16 @@ def gated_layer_norm(
     _, _, affine, grads = _norm_kernel(x, gamma, beta, (ax,), ax, eps)
     z = gate.data
 
+    def product():
+        return affine() * (z * _logistic(z))
+
     def backward(g):
         s = _logistic(z)
         act = z * s
         dz = (g * affine()) * (s + act * (1.0 - s))
         return (*grads(g * act), dz)
 
-    return Tensor.from_op(affine() * (z * _logistic(z)), (x, gamma, beta, gate), backward)
+    return Tensor.from_op(product(), (x, gamma, beta, gate), backward)._with_rebuild(product)
 
 
 def batch_norm(
@@ -518,16 +528,20 @@ def silu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, ``0.5 x (1 + erf(x / sqrt(2)))``, in the input's dtype."""
+    """Exact Gaussian-error-linear unit, ``0.5 x (1 + erf(x / sqrt(2)))``, in the input's dtype.
+    The output is rebuilt from ``x`` and ``phi``, which the backward keeps, when a consumer needs it."""
     inv_sqrt2, inv_sqrt2pi = (x.dtype.type(v) for v in (_INV_SQRT2, _INV_SQRT2PI))
-    phi = 0.5 * (1.0 + _erf(x.data * inv_sqrt2))
-    out = x.data * phi
+    a = x.data
+    phi = 0.5 * (1.0 + _erf(a * inv_sqrt2))
+
+    def output():
+        return a * phi
 
     def backward(g):
-        pdf = inv_sqrt2pi * np.exp(-0.5 * x.data * x.data)
-        return (g * (phi + x.data * pdf),)
+        pdf = inv_sqrt2pi * np.exp(-0.5 * a * a)
+        return (g * (phi + a * pdf),)
 
-    return Tensor.from_op(out, (x,), backward)
+    return Tensor.from_op(output(), (x,), backward)._with_rebuild(output)
 
 
 def log_softmax(x: Tensor, axis: int = 1) -> Tensor:

@@ -8,7 +8,10 @@ itself when it is a leaf (a parameter or an input with ``requires_grad``);
 a parent that needs no grad is recorded as ``None``.  So the graph keeps
 alive only what the closures capture, and each closure captures only the
 arrays and shapes its backward reads: an intermediate array that no
-backward reads is freed as soon as the forward drops its tensor.
+backward reads is freed as soon as the forward drops its tensor.  An op
+whose output is a cheap function of arrays its backward keeps anyway also
+gives its node a ``rebuild`` of that output; a consumer that needs the output
+in its backward keeps the rebuild instead, so the output is not held twice.
 
 ``backward()`` on a scalar orders the nodes topologically, then pops them
 in reverse order.  Each popped node passes its grad on to its parents and
@@ -72,14 +75,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _Node:
-    """Graph role of one op result: its grad, its parents' nodes and its backward; no data."""
+    """Graph role of one op result: its grad, its parents' nodes, its backward and, where
+    its op gives one, its rebuild; no data."""
 
-    __slots__ = ("grad", "parents", "backward")
+    __slots__ = ("grad", "parents", "backward", "rebuild")
 
     def __init__(self, parents: tuple, backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
         self.grad: np.ndarray | None = None
         self.parents = parents
         self.backward = backward
+        self.rebuild: Callable[[], np.ndarray] | None = None
 
 
 class Tensor:
@@ -136,6 +141,23 @@ class Tensor:
     @_backward.setter
     def _backward(self, fn) -> None:
         self._node.backward = fn
+
+    @property
+    def _rebuild(self) -> Callable[[], np.ndarray] | None:
+        """``rebuild()`` -> this op result's array, bitwise, or ``None`` (see ``_with_rebuild``)."""
+        return None if self._node is None else self._node.rebuild
+
+    def _with_rebuild(self, rebuild: Callable[[], np.ndarray]) -> "Tensor":
+        """Attach ``rebuild`` to this op result's graph node (if it has one) and return it.
+
+        ``rebuild()`` recomputes ``self.data`` bit for bit from arrays the op's
+        backward keeps anyway (and its parents' data), so a consumer whose
+        backward needs this array can keep ``rebuild`` in its place and the
+        array leaves the graph.  See ``backward`` for when it may run.
+        """
+        if self._node is not None:
+            self._node.rebuild = rebuild
+        return self
 
     @staticmethod
     def as_tensor(value, like: "Tensor | None" = None) -> "Tensor":
@@ -287,8 +309,13 @@ class Tensor:
         return Tensor.from_op(data, (self,), lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
     def moveaxis(self, src: int, dst: int) -> "Tensor":
+        """A contiguous copy with axis ``src`` moved to ``dst``; it passes its input's rebuild through."""
         data = np.ascontiguousarray(np.moveaxis(self.data, src, dst))
-        return Tensor.from_op(data, (self,), lambda g: (np.ascontiguousarray(np.moveaxis(g, dst, src)),))
+        out = Tensor.from_op(data, (self,), lambda g: (np.ascontiguousarray(np.moveaxis(g, dst, src)),))
+        rebuild = self._rebuild
+        if rebuild is None:
+            return out
+        return out._with_rebuild(lambda: np.ascontiguousarray(np.moveaxis(rebuild(), src, dst)))
 
     def __getitem__(self, key) -> "Tensor":
         data = np.ascontiguousarray(self.data[key])
@@ -315,6 +342,11 @@ class Tensor:
         leaf (or to a node between the two) and was popped before.  That
         holds as long as no closure reads a leaf's data that it did not get
         through the graph.
+
+        A consumer's backward may call a producer's rebuild (``_with_rebuild``).
+        A rebuild reads only what its op's backward keeps, plus its op's
+        parents; every consumer pops before its producer, so the ``on_leaf``
+        callback has not yet changed those parents when a rebuild runs.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -350,7 +382,7 @@ class Tensor:
         while topo:  # popped in reverse topological order; a finished node keeps nothing
             node = topo.pop()
             grad, backward, parents = node.grad, node.backward, node.parents
-            node.grad, node.backward, node.parents = None, None, ()
+            node.grad, node.backward, node.parents, node.rebuild = None, None, (), None
             grads = () if backward is None or grad is None else backward(grad)
             for parent, g in zip(parents, grads):
                 if parent is not None and g is not None:

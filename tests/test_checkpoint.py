@@ -137,6 +137,17 @@ class TestLoadInto:
         assert back["optim.step"] is target and float(target[0]) == 7.0
         assert back["model.w"].dtype == np.float32 and np.array_equal(back["model.w"], np.arange(6).reshape(2, 3))
 
+    def test_skipped_entries_are_passed_over(self, tmp_path):
+        # the first entry is skipped, so the read must land past its payload on the next
+        moments = np.arange(12, dtype=np.float32)
+        save_tensors(str(tmp_path / "s.cvck"), {"optim.m": moments, "model.w": moments[:6].reshape(2, 3) + 1,
+                                                "optim.step": np.array([7.0]), "model.b": moments[:2]})
+        target = np.zeros((2, 3), dtype=np.float32)
+        back = load_tensors(str(tmp_path / "s.cvck"), into=lambda meta: {"model.w": target},
+                            skip=lambda name: name.startswith("optim."))
+        assert list(back) == ["model.w", "model.b"] and back["model.w"] is target
+        assert np.array_equal(target, np.arange(1, 7).reshape(2, 3)) and np.array_equal(back["model.b"], [0, 1])
+
     def test_rank_zero_entry_fills_in_place(self, tmp_path):
         save_tensors(str(tmp_path / "s.cvck"), {"s": np.array(-1.5)})
         target = np.zeros((), dtype=np.float32)
@@ -184,6 +195,20 @@ class TestLoadRejects:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"{peak} bytes allocated for a file of {len(blob) + 64}"
+
+    @pytest.mark.parametrize(
+        "blob, match",
+        [
+            (header(1) + entry("x", (4,), [1, 2, 3, 4])[:-2], "truncated checkpoint"),
+            (header(1) + struct.pack("<H", 1) + b"x" + struct.pack("<BB", 2, 0) + bytes(4), "dtype code 2"),
+            (header(2) + entry("x", (2,), [1, 2]) + entry("x", (2,), [3, 4]), "'x' appears twice"),
+        ],
+        ids=["truncated", "dtype", "twice"],
+    )
+    def test_skipped_entry_is_still_checked(self, tmp_path, blob, match):
+        (tmp_path / "s.cvck").write_bytes(blob)
+        with pytest.raises(CheckpointError, match=match):
+            load_tensors(str(tmp_path / "s.cvck"), skip=lambda name: True)
 
     @pytest.mark.parametrize("into", [False, True])
     def test_duplicate_entry_name(self, tmp_path, into):
@@ -234,8 +259,9 @@ class TestLoadRejects:
         cut=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
         flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)), max_size=4),
         into=st.booleans(),
+        skip=st.booleans(),
     )
-    def test_mutations_raise_only_checkpoint_error(self, tmp_path, cut, flips, into):
+    def test_mutations_raise_only_checkpoint_error(self, tmp_path, cut, flips, into, skip):
         blob = bytearray(two_tensor_file(tmp_path / "valid.cvck"))
         for pos, mask in flips:
             blob[pos % len(blob)] ^= mask
@@ -243,6 +269,7 @@ class TestLoadRejects:
             blob = blob[: cut % len(blob)]
         (tmp_path / "m.cvck").write_bytes(bytes(blob))
         try:
-            load_tensors(str(tmp_path / "m.cvck"), into=(lambda meta: two_tensor_targets()) if into else None)
+            load_tensors(str(tmp_path / "m.cvck"), into=(lambda meta: two_tensor_targets()) if into else None,
+                         skip=(lambda name: name.startswith("optim.")) if skip else None)
         except CheckpointError:
             pass  # a mutation the format cannot see (no checksum) may load

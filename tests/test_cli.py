@@ -32,6 +32,7 @@ from cvmhunet.data import (
 )
 from cvmhunet.losses import LossConfig
 from cvmhunet.network import CVMHUNet, NetworkConfig, param_count
+from cvmhunet.optim import AdamW
 from cvmhunet.tensor import Tensor
 
 TINY_MODEL = {
@@ -581,7 +582,7 @@ class TestEvalPredict:
         assert f"invalid {ckpt} model config: embed_dim must be an integer, got 'x'" in capsys.readouterr().err
 
     def test_last_checkpoint_restores_the_model_of_its_model_only_copy(self, trained, capsys):
-        # eval and predict of a last.cvck read its optim.* entries into arrays they then drop
+        # eval and predict of a last.cvck pass over its optim.* entries unread
         run = trained / "run"
         meta, tensors = read_checkpoint(run / "last.cvck")
         save_tensors(str(run / "model.cvck"), {k: v for k, v in tensors.items() if k.startswith("model.")}, meta)
@@ -812,11 +813,19 @@ class TestEvalPredict:
         assert "must be a JSON object" in capsys.readouterr().err
 
     def test_eval_corrupted_checkpoint_exits_4(self, trained, capsys):
+        # the cut falls in the last optim.* entry, which eval passes over unread
         ckpt = trained / "run" / "last.cvck"  # its header stays valid
         ckpt.write_bytes(ckpt.read_bytes()[:-2])
         code = main(["eval", "--checkpoint", str(ckpt), "--manifest", str(trained / "data" / "manifest.json")])
         assert code == 4
         assert "truncated" in capsys.readouterr().err
+
+    def test_predict_corrupted_checkpoint_exits_4(self, trained, capsys):
+        ckpt = trained / "run" / "last.cvck"
+        ckpt.write_bytes(ckpt.read_bytes()[:-2])
+        assert main(["predict", "--checkpoint", str(ckpt), *reader_args(trained, "predict")]) == 4
+        assert "truncated" in capsys.readouterr().err
+        assert not (trained / "pred.ppm").exists()
 
     def test_predict_missing_checkpoint_exits_4(self, dataset, capsys):
         code = main(
@@ -863,13 +872,16 @@ class TestEvalPredict:
 
 
 class TestRestore:
-    def checkpoint(self, tmp_path, seed=3):
+    def checkpoint(self, tmp_path, seed=3, name="best"):
+        """A ``best.cvck`` (the model alone) or a ``last.cvck`` (with the optimizer's moments)."""
         model = CVMHUNet(NetworkConfig.from_dict(DESK_MODEL), seed=seed)
-        _save_run_checkpoint(tmp_path / "best.cvck", model, None, {"seed": seed})
-        return model, tmp_path / "best.cvck"
+        optimizer = AdamW(model.parameters()) if name == "last" else None
+        _save_run_checkpoint(tmp_path / f"{name}.cvck", model, optimizer, {"seed": seed})
+        return model, tmp_path / f"{name}.cvck"
 
-    def test_restore_holds_the_weights_about_once(self, tmp_path):
-        model, path = self.checkpoint(tmp_path)
+    def restore_peak(self, tmp_path, name) -> float:
+        """The tracemalloc peak of ``_model_from_checkpoint`` of a ``name`` checkpoint over its parameter bytes."""
+        model, path = self.checkpoint(tmp_path, name=name)
         param_bytes = sum(p.data.nbytes for p in model.parameters())
         del model
         tracemalloc.start()
@@ -878,7 +890,17 @@ class TestRestore:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * param_bytes, f"restore peak is {peak / param_bytes:.2f}x the parameter bytes"
+        return peak / param_bytes
+
+    def test_restore_holds_the_weights_about_once(self, tmp_path):
+        ratio = self.restore_peak(tmp_path, "best")
+        assert ratio <= 1.5, f"restore peak is {ratio:.2f}x the parameter bytes"
+
+    def test_restore_of_a_last_checkpoint_reads_no_moments(self, tmp_path):
+        # a last.cvck holds twice the weights again in optim.* entries, which a restore
+        # without an optimizer passes over unread (3.18x when it read them)
+        ratio = self.restore_peak(tmp_path, "last")
+        assert ratio <= 1.2, f"restore peak is {ratio:.2f}x the parameter bytes"
 
     def test_unseeded_restore_equals_seeded(self, tmp_path):
         saved, path = self.checkpoint(tmp_path)

@@ -10,6 +10,8 @@ import cvmhunet.functional as F
 from cvmhunet.optim import AdamW
 from cvmhunet.tensor import Parameter, Tensor, no_grad
 
+from graph_walk import graph_arrays
+
 
 def t(data, rg=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg)
@@ -535,6 +537,107 @@ class TestFusedOps:
         gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
         with pytest.raises(ValueError, match="gate shape"):
             F.gated_layer_norm(x, gamma, beta, Tensor(np.zeros((1, 4, 2, 3))), axis=1)
+
+
+def _producer_operands(rng, dtype, n=2, c=12, hw=(5, 8)):
+    """(x, gamma, beta, gate) of a producer of (N, C, H, W) maps."""
+    ops = (rng.normal(size=(n, c) + hw), 1.0 + 0.3 * rng.normal(size=c), 0.3 * rng.normal(size=c),
+           2.0 * rng.normal(size=(n, c) + hw))
+    return [v.astype(dtype) for v in ops]
+
+
+def _train_batch_norm(x, gamma, beta, z):
+    c = x.shape[1]
+    return F.batch_norm(x, gamma, beta, np.zeros(c, np.float32), np.ones(c, np.float32), training=True)
+
+
+# every op whose result comes with a rebuild, on the operands of ``_producer_operands``
+_PRODUCERS = {
+    "layer_norm": lambda x, gamma, beta, z: F.layer_norm(x, gamma, beta, axis=1),
+    "batch_norm": _train_batch_norm,
+    "gated_layer_norm": lambda x, gamma, beta, z: F.gated_layer_norm(x, gamma, beta, z, axis=1),
+    "gelu": lambda x, gamma, beta, z: F.gelu(x),
+    # PatchExpand's norm over the last axis, moved back to channels first
+    "moveaxis": lambda x, gamma, beta, z: F.layer_norm(x.moveaxis(1, 3), gamma, beta, axis=-1).moveaxis(3, 1),
+}
+
+# producer -> the channel GEMM that consumes its output in the model: a linear or a 1x1 conv
+_CHAINS = {
+    "layer_norm-linear": ("layer_norm", (7, 12), F.linear),
+    "batch_norm-conv2d": ("batch_norm", (7, 12, 1, 1), F.conv2d),
+    "gated_layer_norm-linear": ("gated_layer_norm", (7, 12), F.linear),
+    "gelu-conv2d": ("gelu", (7, 12, 1, 1), F.conv2d),
+    "moveaxis-conv2d": ("moveaxis", (7, 12, 1, 1), F.conv2d),
+}
+
+
+class TestRebuilds:
+    """An op whose output is a cheap function of what its backward keeps gives a rebuild of
+    it (``Tensor._with_rebuild``); a linear or 1x1 conv that consumes the output keeps the
+    rebuild instead, and calls it in its backward for the weight grad."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(_PRODUCERS))
+    def test_rebuild_is_the_output_bitwise(self, op, dtype):
+        operands = _producer_operands(np.random.default_rng(45), dtype)
+        y = _PRODUCERS[op](*(Tensor(v, requires_grad=True) for v in operands))
+        rebuilt = y._rebuild()
+        assert rebuilt.dtype == y.data.dtype == dtype and not np.shares_memory(rebuilt, y.data)
+        np.testing.assert_array_equal(_bits(rebuilt), _bits(y.data))
+        with no_grad():  # no graph node, so nothing to attach a rebuild to
+            assert _PRODUCERS[op](*(Tensor(v) for v in operands))._rebuild is None
+
+    @pytest.mark.parametrize("chain", sorted(_CHAINS))
+    def test_consumer_keeps_the_rebuild_not_the_output(self, chain):
+        # the same chain with the producer's rebuild taken away keeps the output itself:
+        # every result is bitwise the same, and only that graph holds the output
+        producer, wshape, consumer = _CHAINS[chain]
+        operands = _producer_operands(np.random.default_rng(46), np.float32)
+        weight = np.random.default_rng(47).normal(size=wshape).astype(np.float32)
+        runs = []
+        for keep in (False, True):
+            ts = [Tensor(v, requires_grad=True) for v in operands + [weight]]
+            h = _PRODUCERS[producer](*ts[:4])
+            if keep:
+                h._node.rebuild = None
+            y = consumer(h, ts[4])
+            held = any(np.shares_memory(a, h.data) for a in graph_arrays(y))
+            (y * Tensor(np.linspace(-1.0, 1.0, y.size, dtype=np.float32).reshape(y.shape))).sum().backward()
+            runs.append((held, y.data, [t.grad for t in ts]))
+        (held_rebuilt, y_rebuilt, grads_rebuilt), (held_kept, y_kept, grads_kept) = runs
+        assert not held_rebuilt and held_kept
+        np.testing.assert_array_equal(_bits(y_rebuilt), _bits(y_kept))
+        for name, got, want in zip(("x", "gamma", "beta", "gate", "weight"), grads_rebuilt, grads_kept):
+            if want is None:  # the gate of a producer that does not read it
+                assert got is None, name
+            else:
+                np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+
+    @pytest.mark.filterwarnings("ignore:adamw. parameter . has no gradient")  # the operands a producer does not read
+    @pytest.mark.parametrize("chain", sorted(_CHAINS))
+    def test_in_sweep_update_equals_update_after_the_sweep(self, chain):
+        # AdamW.step(loss) updates each parameter as soon as its grad is final; the consumer's
+        # backward rebuilds the producer's output from gamma, beta and x, so the sweep must
+        # reach it before it hands those over
+        producer, wshape, consumer = _CHAINS[chain]
+        operands = _producer_operands(np.random.default_rng(48), np.float32)
+        weight = np.random.default_rng(49).normal(size=wshape).astype(np.float32)
+        states = []
+        for in_sweep in (True, False):
+            params = [Parameter(v.copy()) for v in operands + [weight]]
+            opt = AdamW(params, lr=0.1, weight_decay=0.1)
+            for _ in range(3):
+                loss = (consumer(_PRODUCERS[producer](*params[:4]), params[4]) ** 2).mean()
+                if in_sweep:
+                    opt.step(loss)
+                else:
+                    loss.backward()
+                    opt.step()
+                    for p in params:
+                        p.grad = None
+            states.append([p.data for p in params])
+        for got, want in zip(*states):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 class TestPools:

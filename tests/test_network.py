@@ -23,6 +23,7 @@ from cvmhunet.network import (
 from cvmhunet.tensor import Tensor, no_grad
 
 from gradcheck import check_gradients
+from graph_walk import graph_arrays
 
 TINY = NetworkConfig(
     embed_dim=8,
@@ -298,6 +299,51 @@ class TestForward:
 # README desk config, and the paper's layout (depths, state, frequencies) at width 32
 DESK = NetworkConfig(embed_dim=16, num_classes=4, input_size=(64, 64), state_dim=8, scan_block=32)
 PAPER_SHAPED = NetworkConfig(embed_dim=32, input_size=(64, 64))
+
+
+class TestGraphMemory:
+    """What one grad-mode forward of the paper-width model leaves in the graph (closure walk)."""
+
+    # bytes of the distinct arrays the closures hold at 128x128, batch 1, parameters excluded;
+    # 85.3 MB while a linear or 1x1 conv kept the norm and GELU outputs it consumes
+    PAPER_128_GRAPH_BYTES = 68_196_100
+
+    def test_dense_consumers_keep_no_norm_or_gelu_output(self, monkeypatch):
+        produced, consumed = [], []
+
+        def recorded(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                produced.append(out)
+                return out
+            return wrapper
+
+        def moveaxis(t, src, dst, fn=Tensor.moveaxis):  # PatchExpand moves its norm's output
+            out = fn(t, src, dst)
+            if any(t is p for p in produced):
+                produced.append(out)
+            return out
+
+        def channel_dense(x, weight, bias, fn=functional._channel_dense):
+            if any(x is p for p in produced) and not any(x is c for c in consumed):
+                consumed.append(x)
+            return fn(x, weight, bias)
+
+        for name in ("layer_norm", "gated_layer_norm", "gelu"):
+            monkeypatch.setattr(functional, name, recorded(getattr(functional, name)))
+        monkeypatch.setattr(Tensor, "moveaxis", moveaxis)
+        monkeypatch.setattr(functional, "_channel_dense", channel_dense)
+        cfg = NetworkConfig(input_size=(128, 128))
+        model = CVMHUNet(cfg, seed=0)
+        y = model(Tensor(rng(5).random((1, 3, 128, 128)).astype(np.float32)))
+        params = [p.data for p in model.parameters()]
+        held = [a for a in graph_arrays(y) if not any(np.shares_memory(a, p) for p in params)]
+        # per block the scan's input norm, its gated output norm, the fusion norm, the FFN's norm and
+        # GELU; then the three merges' norms and the two final expands' norms (through moveaxis)
+        blocks = sum(cfg.enc_depths) + sum(cfg.dec_depths)
+        assert len(consumed) == 5 * blocks + 3 + 2
+        assert not [a.shape for a in held if any(np.shares_memory(a, t.data) for t in consumed)]
+        assert sum(a.nbytes for a in held) <= self.PAPER_128_GRAPH_BYTES
 
 
 class TestBatchInvariance:

@@ -16,6 +16,7 @@ from cvmhunet.ssm import DirectionalSSM, default_dt_rank, selective_scan, sequen
 from cvmhunet.tensor import Tensor, no_grad
 
 from gradcheck import DEFAULT_TOL, check_gradients
+from graph_walk import closure_arrays, graph_arrays
 
 
 def kernel_scan(a, b):
@@ -264,44 +265,6 @@ def _carries(y):
     return fn.__closure__[fn.__code__.co_freevars.index("carries")].cell_contents
 
 
-def _closure_arrays(fn):
-    """The arrays ``fn``'s closure reaches, through nested functions, containers and tensors."""
-    found, seen, todo = [], set(), [fn]
-    while todo:
-        obj = todo.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            found.append(obj)
-        elif isinstance(obj, Tensor):
-            todo.append(obj.data)
-        elif isinstance(obj, (tuple, list)):
-            todo.extend(obj)
-        elif callable(obj) and getattr(obj, "__closure__", None):
-            todo.extend(cell.cell_contents for cell in obj.__closure__)
-    return found
-
-
-def _graph_arrays(y):
-    """The buffers the closures of ``y``'s graph hold, each once (a view counts as its base)."""
-    nodes, seen, todo = [], set(), [y._node]
-    while todo:
-        node = todo.pop()
-        if node is None or isinstance(node, Tensor) or id(node) in seen:  # no grad, or a leaf
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        todo.extend(node.parents)
-    held = {}
-    for node in nodes:
-        for a in _closure_arrays(node.backward):
-            while isinstance(a.base, np.ndarray):
-                a = a.base
-            held[id(a)] = a
-    return list(held.values())
-
-
 class TestRebuiltOperands:
     """``selective_scan(..., rebuild=...)`` gets ``u`` and ``delta`` again in its backward."""
 
@@ -313,7 +276,7 @@ class TestRebuiltOperands:
         for rebuild in (None, lambda: (ops[0].copy(), ops[1].copy())):
             tracked = [Tensor(v.copy(), requires_grad=True) for v in ops]
             y = selective_scan(*tracked, block=16, rebuild=rebuild)
-            held = _closure_arrays(y._backward)
+            held = closure_arrays(y._backward)
             kept = [any(np.shares_memory(a, t.data) for a in held) for t in tracked[:2]]
             assert not any(a.shape == (s, d) for a in held), "the (S, D) transpose of A is rebuilt, not kept"
             (y * w).sum().backward()
@@ -502,7 +465,7 @@ class TestS6Modules:
         x = Tensor(rng.normal(size=(1, 128, 16, 16)).astype(np.float32), requires_grad=True)
         y = m(x)
         params = [p.data for p in m.parameters()]
-        held = [a for a in _graph_arrays(y) if a.dtype == np.float32 and not any(np.shares_memory(a, p) for p in params)]
+        held = [a for a in graph_arrays(y) if a.dtype == np.float32 and not any(np.shares_memory(a, p) for p in params)]
         assert any(np.shares_memory(a, x.data) for a in held)
         others = [a for a in held if not np.shares_memory(a, x.data)]
         assert not [a.shape for a in others if a.size >= x.data.size]

@@ -135,21 +135,23 @@ def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
 
     When ``x`` comes with a rebuild (``Tensor._with_rebuild``), the graph keeps
     that in place of ``x``'s array, and the backward rebuilds the array for ``dw``.
+    The output's own rebuild runs the same GEMM on that rebuild (or on ``x``).
     """
-    forward, grads = _dense_kernel(x.data, weight.data, None if bias is None else bias.data, x._rebuild)
+    forward, output, grads = _dense_kernel(x.data, weight.data, None if bias is None else bias.data, x._rebuild)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor.from_op(forward(), parents, grads)
+    return Tensor.from_op(forward(), parents, grads)._with_rebuild(output)
 
 
 def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, rebuild=None):
-    """The two halves of the channel GEMM: ``forward()`` -> the output array and
-    ``grads(g)`` -> the grads of ``x``, ``weight`` (and ``bias``) for an output grad ``g``.
+    """The halves of the channel GEMM: ``forward()`` -> the output array, ``output()`` ->
+    the same array from what ``grads`` keeps, and ``grads(g)`` -> the grads of ``x``,
+    ``weight`` (and ``bias``) for an output grad ``g``.
 
     ``weight`` is (O, I) or (O, C, s, s) with I = C * s * s.  Each sample is one
     (O, I) @ (I, rest) product, with rest = 1 for an (N, I) input, so a sample's
-    output never depends on the rest of its batch.  Both halves read only views
+    output never depends on the rest of its batch.  All three read only views
     of the input and weight arrays; given ``rebuild()`` -> ``x``, bitwise,
-    ``grads`` calls it instead and keeps no view of ``x``.
+    ``output`` and ``grads`` call it instead and keep no view of ``x``.
     """
     n, din = x.shape[:2]
     dout = weight.shape[0]
@@ -158,8 +160,8 @@ def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, re
     xshape, wshape = x.shape, weight.shape
     rows = (lambda: xr) if rebuild is None else (lambda: rebuild().reshape(n, din, -1))
 
-    def forward():
-        out = np.matmul(w2, xr)
+    def product(a):
+        out = np.matmul(w2, a)
         if bias is not None:
             out += bias[:, None]
         return out.reshape((n, dout) + xshape[2:])
@@ -173,7 +175,7 @@ def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, re
             return dx.reshape(xshape), dw.reshape(wshape)
         return dx.reshape(xshape), dw.reshape(wshape), db
 
-    return forward, grads
+    return (lambda: product(xr)), (lambda: product(rows())), grads
 
 
 def linear_softplus(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -186,7 +188,7 @@ def linear_softplus(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """
     with no_grad():
         out = softplus(linear(x, weight, bias)).data
-    pre, grads = _dense_kernel(x.data, weight.data, bias.data)
+    _, pre, grads = _dense_kernel(x.data, weight.data, bias.data)
     return Tensor.from_op(out, (x, weight, bias), lambda g: grads(g * _logistic(pre())))
 
 
@@ -288,8 +290,9 @@ def _tap_conv(x: Tensor, weight: Tensor, bias: Tensor | None, padding: tuple[int
     cropped.  The backward runs the same kernel with the taps mirrored and each
     group's in/out channels swapped on ``g`` laid out in rows of stride ``wp``,
     which gathers into ``dx`` what each tap scattered, and takes ``dw`` as one
-    dot product per weight.  The graph keeps the unpadded input; the backward
-    pads it again for ``dw``.
+    dot product per weight.  The graph keeps the unpadded input, or its rebuild
+    (``Tensor._keep``); the backward pads it again for ``dw``, and the output's
+    rebuild runs the forward's kernel on it again.
     """
     n, c = x.shape[:2]
     o, cg = weight.shape[:2]
@@ -300,22 +303,27 @@ def _tap_conv(x: Tensor, weight: Tensor, bias: Tensor | None, padding: tuple[int
     _require(hp >= kh and wp >= kw, f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho, wo = hp - kh + 1, wp - kw + 1
     m = ho * wp - kw + 1  # flat outputs whose taps all stay inside the padded row
-    xd = x.data
+    xshape, wshape, xdtype = x.shape, weight.shape, x.dtype
+    oshape = (n, o, ho, wo) if x.ndim == 4 else (n, o, wo)
+    k = weight.data.reshape(o, cg, kh, kw)
+    b = None if bias is None else bias.data
+    dtype = np.result_type(xdtype, k)
+    source = x._keep()
 
-    def padded_rows():
-        xp = np.zeros((n, c, hp * wp), xd.dtype)
-        xp.reshape(n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w] = xd.reshape(n, c, h, w)
+    def padded_rows(a):
+        xp = np.zeros((n, c, hp * wp), a.dtype)
+        xp.reshape(n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w] = a.reshape(n, c, h, w)
         return xp
 
-    k = weight.data.reshape(o, cg, kh, kw)
-    dtype = np.result_type(xd, k)
-    flat = np.empty((n, o, ho * wp), dtype)
-    _correlate_rows(padded_rows(), k, wp, 0, flat[..., :m])
-    out = np.ascontiguousarray(flat.reshape(n, o, ho, wp)[..., :wo])
-    if bias is not None:
-        out += bias.data[:, None, None]
+    def correlate(a):
+        flat = np.empty((n, o, ho * wp), dtype)
+        _correlate_rows(padded_rows(a), k, wp, 0, flat[..., :m])
+        out = np.ascontiguousarray(flat.reshape(n, o, ho, wp)[..., :wo])
+        if b is not None:
+            out += b[:, None, None]
+        return out.reshape(oshape)
+
     parents = (x, weight) if bias is None else (x, weight, bias)
-    xshape, wshape = x.shape, weight.shape
     groups = c // cg
 
     def backward(g):
@@ -330,15 +338,15 @@ def _tap_conv(x: Tensor, weight: Tensor, bias: Tensor | None, padding: tuple[int
         dflat = np.empty((n, c, h * wp), dtype)
         span = (h - 1) * wp + w  # padded flat positions of the unpadded input, from its first
         _correlate_rows(gbuf, kt[..., ::-1, ::-1], wp, ph * wp + pw, dflat[..., :span])
-        dx = dflat.reshape(n, c, h, wp)[..., :w].astype(xd.dtype).reshape(xshape)
-        taps = _taps(padded_rows(), 0, wp, kh, kw, m).reshape(n, groups, 1, cg, kh, kw, m)
+        dx = dflat.reshape(n, c, h, wp)[..., :w].astype(xdtype).reshape(xshape)
+        taps = _taps(padded_rows(source()), 0, wp, kh, kw, m).reshape(n, groups, 1, cg, kh, kw, m)
         gm = gflat[..., :m].reshape(n, groups, o // groups, 1, 1, 1, m)
         dw = np.vecdot(taps, gm).sum(axis=0).reshape(wshape)
         if bias is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    return Tensor.from_op(out if x.ndim == 4 else out.reshape(n, o, wo), parents, backward)
+    return Tensor.from_op(correlate(x.data), parents, backward)._with_rebuild(lambda: correlate(source()))
 
 
 def depthwise_conv2d(
@@ -423,10 +431,10 @@ def gated_layer_norm(
     """``layer_norm(x, gamma, beta, axis, eps) * silu(gate)`` as one op.
 
     The graph keeps what ``layer_norm`` keeps (``xhat`` and ``1 / std``) and
-    ``gate``; the backward rebuilds the normalized output and ``silu(gate)``
-    from them, so neither operand of the product is held in between, and a
-    consumer can rebuild the product itself.  Every result is bitwise that of
-    the composition.
+    ``gate``, or its rebuild (``Tensor._keep``); the backward rebuilds the
+    normalized output and ``silu(gate)`` from them, so neither operand of the
+    product is held in between, and a consumer can rebuild the product itself.
+    Every result is bitwise that of the composition.
     """
     ax = axis % x.ndim
     c = x.shape[ax]
@@ -434,18 +442,20 @@ def gated_layer_norm(
              f"gated_layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match {c} features")
     _require(gate.shape == x.shape, f"gated_layer_norm: gate shape {gate.shape} != input shape {x.shape}")
     _, _, affine, grads = _norm_kernel(x, gamma, beta, (ax,), ax, eps)
-    z = gate.data
+    source = gate._keep()
 
-    def product():
+    def product(z):
         return affine() * (z * _logistic(z))
 
     def backward(g):
+        z = source()
         s = _logistic(z)
         act = z * s
         dz = (g * affine()) * (s + act * (1.0 - s))
         return (*grads(g * act), dz)
 
-    return Tensor.from_op(product(), (x, gamma, beta, gate), backward)._with_rebuild(product)
+    out = Tensor.from_op(product(gate.data), (x, gamma, beta, gate), backward)
+    return out._with_rebuild(lambda: product(source()))
 
 
 def batch_norm(
@@ -516,32 +526,37 @@ def softplus(x: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     """``x * sigmoid(x)`` as a single fused op; the backward recomputes ``sigmoid(x)``
-    and the output from the input, so the graph holds no array of its own for it."""
-    a = x.data
+    and the output from the input, or from the input's rebuild (``Tensor._keep``),
+    so the graph holds no array of its own for it.  The output's rebuild reruns
+    the forward on the same."""
+    source = x._keep()
+
+    def output(a):
+        return a * _logistic(a)
 
     def backward(g):
+        a = source()
         s = _logistic(a)
         out = a * s
         return (g * (s + out * (1.0 - s)),)
 
-    return Tensor.from_op(a * _logistic(a), (x,), backward)
+    return Tensor.from_op(output(x.data), (x,), backward)._with_rebuild(lambda: output(source()))
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, ``0.5 x (1 + erf(x / sqrt(2)))``, in the input's dtype.
-    The output is rebuilt from ``x`` and ``phi``, which the backward keeps, when a consumer needs it."""
+    The backward keeps ``phi`` and ``x``, or ``x``'s rebuild (``Tensor._keep``); the output
+    is rebuilt from the two when a consumer needs it."""
     inv_sqrt2, inv_sqrt2pi = (x.dtype.type(v) for v in (_INV_SQRT2, _INV_SQRT2PI))
-    a = x.data
-    phi = 0.5 * (1.0 + _erf(a * inv_sqrt2))
-
-    def output():
-        return a * phi
+    phi = 0.5 * (1.0 + _erf(x.data * inv_sqrt2))
+    source = x._keep()
 
     def backward(g):
+        a = source()
         pdf = inv_sqrt2pi * np.exp(-0.5 * a * a)
         return (g * (phi + a * pdf),)
 
-    return Tensor.from_op(output(), (x,), backward)._with_rebuild(output)
+    return Tensor.from_op(x.data * phi, (x,), backward)._with_rebuild(lambda: source() * phi)
 
 
 def log_softmax(x: Tensor, axis: int = 1) -> Tensor:

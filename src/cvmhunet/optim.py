@@ -17,6 +17,10 @@ from .tensor import Parameter, Tensor
 
 __all__ = ["AdamW"]
 
+# Elements of one slice of a parameter's update: the slice's parameter, grad,
+# moments and two temporaries then stay in a 2 MB L2 through all its passes.
+SLICE = 1 << 15
+
 
 class AdamW:
     def __init__(
@@ -57,44 +61,52 @@ class AdamW:
         a grad, keeps that grad, and warns about the others.  Parameters
         are independent, so the order of the updates does not change them.
 
-        Temporaries go into two scratch buffers that grow to the largest
-        parameter or grad met so far; they are per call, so nothing stays
-        resident between steps.  Each op runs in the dtype the expression
-        with fresh temporaries would use, so the result is bitwise the same:
-        the moment increments in the grad's dtype (a float64 grad of a
-        float32 parameter stays float64 until it is added), the update in
-        the parameter's.
+        A parameter is updated one slice of ``SLICE`` elements of its flat
+        view at a time, all passes on a slice before the next, so the slice
+        stays in cache between passes.  Temporaries go into two scratch
+        buffers of one slice each (at the larger of the parameter's and the
+        grad's itemsize); they are per call, so nothing stays resident
+        between steps.  Each op is elementwise and runs in the dtype the
+        whole-array expression with fresh temporaries would use, so the
+        result is bitwise the same: the moment increments in the grad's
+        dtype (a float64 grad of a float32 parameter stays float64 until it
+        is added), the update in the parameter's.
         """
         t = self.step_count + 1
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         scratch: list[np.ndarray] = []
         done = [False] * len(self.params)
+        decay = 1.0 - self.lr * self.weight_decay
 
         def update(i: int, p: Parameter) -> None:
-            g = p.grad
-            nbytes = max(p.data.nbytes, g.nbytes)
+            flat = [a.reshape(-1, copy=False) for a in (p.data, self._m[i], self._v[i])]
+            g = p.grad.reshape(-1)
+            nbytes = SLICE * max(p.data.itemsize, g.itemsize)
             if not scratch or scratch[0].nbytes < nbytes:
                 scratch[:] = np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8)
-            if not p.weight_decay_exempt and self.weight_decay != 0.0:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            m, v = self._m[i], self._v[i]
-            a, b = (_shaped_like(buf, g) for buf in scratch)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m += a
-            v *= self.beta2
-            np.multiply(g, g, out=b)
-            b *= 1.0 - self.beta2
-            v += b
-            a, b = (_shaped_like(buf, m) for buf in scratch)
-            np.divide(m, bc1, out=a)
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            a *= self.lr
-            p.data -= a
+            decayed = not p.weight_decay_exempt and self.weight_decay != 0.0
+            for start in range(0, g.size, SLICE):
+                pk, m, v = (a[start : start + SLICE] for a in flat)
+                gk = g[start : start + SLICE]
+                if decayed:
+                    pk *= decay
+                a, b = (_shaped_like(buf, gk) for buf in scratch)
+                m *= self.beta1
+                np.multiply(gk, 1.0 - self.beta1, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(gk, gk, out=b)
+                b *= 1.0 - self.beta2
+                v += b
+                a, b = (_shaped_like(buf, m) for buf in scratch)
+                np.divide(m, bc1, out=a)
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                a *= self.lr
+                pk -= a
 
         if loss is not None:
             index = {id(p): i for i, p in enumerate(self.params)}

@@ -24,8 +24,8 @@ interval), so the state trajectory is never materialized.
 ``DirectionalSSM`` runs the scan along four traversal orders of a feature
 map.  Each direction projects the map itself and gathers only that small
 projection into scan order; the scan's backward gathers the map again and
-reruns the timestep projection, so the graph keeps the module input once
-instead of each direction's (N, D, L) sequence and timesteps.
+reruns the timestep projection, so the graph keeps the module input (or its
+rebuild) once instead of each direction's (N, D, L) sequence and timesteps.
 """
 
 from __future__ import annotations
@@ -275,15 +275,15 @@ class DirectionalSSM(Module):
 
         ``x_proj`` runs on the map itself, one GEMM per position, and only its
         (r + 2S)-channel output is gathered into scan order.  Each scan's
-        backward gathers ``x`` again and reruns the dt projection
-        (``_rebuild_operands``), so the graph keeps ``x`` once instead of each
-        direction's sequence and timesteps.
+        backward gathers ``x`` again, from its rebuild if it has one, and
+        reruns the dt projection (``_rebuild_operands``), so the graph keeps
+        ``x`` at most once instead of each direction's sequence and timesteps.
         """
         n, c, h, w = x.shape
         if c != self.dim:
             raise ValueError(f"input has {c} channels, module built for {self.dim}")
         r, s = self.dt_rank, self.state_dim
-        a = -(self.A_log.exp())
+        a = _negative_exp(self.A_log)
         total: Tensor | None = None
         for k, order in enumerate(scan_orders(h, w, self.scan_mode)):
             seq = flatten_spatial(x, order)  # (N, C, L)
@@ -291,21 +291,32 @@ class DirectionalSSM(Module):
             code, dt_weight, dt_bias = projected[:, :r], self.dt_weight[k], self.dt_bias[k]
             dt = F.linear_softplus(code, dt_weight, dt_bias)  # (N, C, L)
             b_seq, c_seq = projected[:, r : r + s], projected[:, r + s :]  # (N, S, L) each
-            rebuild = _rebuild_operands(x.data, order.perm, code.data, dt_weight.data, dt_bias.data)
+            rebuild = _rebuild_operands(x._keep(), x.shape, order.perm, code.data, dt_weight.data, dt_bias.data)
             yseq = selective_scan(seq, dt, a[k], b_seq, c_seq, self.D_skip[k], block=self.scan_block, rebuild=rebuild)
             ymap = unflatten_spatial(yseq, order)
             total = ymap if total is None else total + ymap
         return total
 
 
-def _rebuild_operands(x: np.ndarray, perm: np.ndarray, code: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+def _negative_exp(x: Tensor) -> Tensor:
+    """``-exp(x)`` as one op whose backward, ``g * out``, keeps only its output."""
+    out = np.exp(x.data)
+    np.negative(out, out=out)
+    return Tensor.from_op(out, (x,), lambda g: (g * out,))
+
+
+def _rebuild_operands(
+    source: Callable[[], np.ndarray], shape: tuple[int, ...], perm: np.ndarray,
+    code: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+):
     """A callable that returns, bitwise, the scan's ``u`` = ``flatten_spatial`` of the
-    (N, C, H, W) map ``x`` in the order ``perm`` and its ``delta`` =
-    ``F.linear_softplus(code, weight, bias)``, without the public ops."""
-    n, c = x.shape[:2]
+    (N, C, H, W) map that ``source()`` returns (``Tensor._keep``), of shape ``shape``, in
+    the order ``perm`` and its ``delta`` = ``F.linear_softplus(code, weight, bias)``,
+    without the public ops."""
+    n, c = shape[:2]
 
     def rebuild():
-        u = np.ascontiguousarray(x.reshape(n, c, -1)[..., perm])
+        u = np.ascontiguousarray(source().reshape(n, c, -1)[..., perm])
         return u, F._linear_softplus_data(code, weight, bias)
 
     return rebuild

@@ -11,7 +11,9 @@ arrays and shapes its backward reads: an intermediate array that no
 backward reads is freed as soon as the forward drops its tensor.  An op
 whose output is a cheap function of arrays its backward keeps anyway also
 gives its node a ``rebuild`` of that output; a consumer that needs the output
-in its backward keeps the rebuild instead, so the output is not held twice.
+in its backward keeps the rebuild instead, so the output leaves the graph.
+During the sweep a rebuild runs once: the producer's node keeps its array,
+read-only, from the first consumer's call until the producer is popped.
 
 ``backward()`` on a scalar orders the nodes topologically, then pops them
 in reverse order.  Each popped node passes its grad on to its parents and
@@ -76,15 +78,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class _Node:
     """Graph role of one op result: its grad, its parents' nodes, its backward and, where
-    its op gives one, its rebuild; no data."""
+    its op gives one, its rebuild and the rebuild's memo; no data."""
 
-    __slots__ = ("grad", "parents", "backward", "rebuild")
+    __slots__ = ("grad", "parents", "backward", "rebuild", "memo")
 
     def __init__(self, parents: tuple, backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
         self.grad: np.ndarray | None = None
         self.parents = parents
         self.backward = backward
         self.rebuild: Callable[[], np.ndarray] | None = None
+        self.memo: np.ndarray | None = None
+
+    def rebuilt(self) -> np.ndarray:
+        """``rebuild()``, computed on the first call and returned, read-only, by every
+        later one until the sweep pops this node and drops it."""
+        if self.memo is None:
+            memo = self.rebuild()
+            memo.flags.writeable = False
+            self.memo = memo
+        return self.memo
 
 
 class Tensor:
@@ -144,20 +156,35 @@ class Tensor:
 
     @property
     def _rebuild(self) -> Callable[[], np.ndarray] | None:
-        """``rebuild()`` -> this op result's array, bitwise, or ``None`` (see ``_with_rebuild``)."""
-        return None if self._node is None else self._node.rebuild
+        """The memoized rebuild of this op result's array, or ``None`` (see ``_with_rebuild``)."""
+        node = self._node
+        return None if node is None or node.rebuild is None else node.rebuilt
 
     def _with_rebuild(self, rebuild: Callable[[], np.ndarray]) -> "Tensor":
         """Attach ``rebuild`` to this op result's graph node (if it has one) and return it.
 
         ``rebuild()`` recomputes ``self.data`` bit for bit from arrays the op's
         backward keeps anyway (and its parents' data), so a consumer whose
-        backward needs this array can keep ``rebuild`` in its place and the
-        array leaves the graph.  See ``backward`` for when it may run.
+        backward needs this array can keep ``_rebuild`` in its place and the
+        array leaves the graph.  ``_rebuild`` is memoized per sweep: the first
+        call runs ``rebuild()``, marks its array read-only and stores it on the
+        node, every later call returns that array, and the sweep drops it when
+        it pops this node, after every consumer.  So a rebuild costs one
+        recompute however many consumers keep it.  See ``backward`` for when
+        it may run.
         """
         if self._node is not None:
             self._node.rebuild = rebuild
         return self
+
+    def _keep(self) -> Callable[[], np.ndarray]:
+        """What a consumer whose backward reads this array keeps of it: a callable that
+        returns the array, the rebuild where there is one (``_rebuild``)."""
+        rebuild = self._rebuild
+        if rebuild is not None:
+            return rebuild
+        data = self.data
+        return lambda: data
 
     @staticmethod
     def as_tensor(value, like: "Tensor | None" = None) -> "Tensor":
@@ -346,7 +373,10 @@ class Tensor:
         A consumer's backward may call a producer's rebuild (``_with_rebuild``).
         A rebuild reads only what its op's backward keeps, plus its op's
         parents; every consumer pops before its producer, so the ``on_leaf``
-        callback has not yet changed those parents when a rebuild runs.
+        callback has not yet changed those parents when a rebuild runs.  The
+        rebuild's array is memoized on the producer's node from the first
+        consumer's call until the producer pops, read-only: a consumer must
+        not write into it.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -382,7 +412,7 @@ class Tensor:
         while topo:  # popped in reverse topological order; a finished node keeps nothing
             node = topo.pop()
             grad, backward, parents = node.grad, node.backward, node.parents
-            node.grad, node.backward, node.parents, node.rebuild = None, None, (), None
+            node.grad, node.backward, node.parents, node.rebuild, node.memo = None, None, (), None, None
             grads = () if backward is None or grad is None else backward(grad)
             for parent, g in zip(parents, grads):
                 if parent is not None and g is not None:

@@ -1,7 +1,9 @@
 """Neural-net ops against naive loop oracles and hand-computed values."""
 
+import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import cvmhunet.functional as F
 from cvmhunet.optim import AdamW
 from cvmhunet.tensor import Parameter, Tensor, no_grad
 
-from graph_walk import graph_arrays
+from graph_walk import closure_arrays, graph_arrays
 
 
 def t(data, rg=False):
@@ -551,6 +553,11 @@ def _train_batch_norm(x, gamma, beta, z):
     return F.batch_norm(x, gamma, beta, np.zeros(c, np.float32), np.ones(c, np.float32), training=True)
 
 
+def _weight(x, *shape, seed=44):
+    """A fixed weight of ``shape`` in ``x``'s dtype."""
+    return Tensor(np.random.default_rng(seed).normal(size=shape).astype(x.dtype))
+
+
 # every op whose result comes with a rebuild, on the operands of ``_producer_operands``
 _PRODUCERS = {
     "layer_norm": lambda x, gamma, beta, z: F.layer_norm(x, gamma, beta, axis=1),
@@ -559,6 +566,12 @@ _PRODUCERS = {
     "gelu": lambda x, gamma, beta, z: F.gelu(x),
     # PatchExpand's norm over the last axis, moved back to channels first
     "moveaxis": lambda x, gamma, beta, z: F.layer_norm(x.moveaxis(1, 3), gamma, beta, axis=-1).moveaxis(3, 1),
+    "linear": lambda x, gamma, beta, z: F.linear(x, _weight(x, 7, 12), _weight(x, 7, seed=43)),
+    "conv2d-1x1": lambda x, gamma, beta, z: F.conv2d(x, _weight(x, 7, 12, 1, 1), gamma[:7]),
+    "conv2d-patch": lambda x, gamma, beta, z: F.conv2d(x.reshape(2, 12, 4, 10), _weight(x, 7, 12, 2, 2), stride=2),
+    "depthwise_conv2d": lambda x, gamma, beta, z: F.depthwise_conv2d(x, _weight(x, 12, 1, 3, 3), beta, padding=1),
+    "conv1d": lambda x, gamma, beta, z: F.conv1d(x.reshape(24, 1, 40), _weight(x, 1, 1, 5), gamma[:1]),
+    "silu": lambda x, gamma, beta, z: F.silu(x),
 }
 
 # producer -> the channel GEMM that consumes its output in the model: a linear or a 1x1 conv
@@ -628,6 +641,158 @@ class TestRebuilds:
             opt = AdamW(params, lr=0.1, weight_decay=0.1)
             for _ in range(3):
                 loss = (consumer(_PRODUCERS[producer](*params[:4]), params[4]) ** 2).mean()
+                if in_sweep:
+                    opt.step(loss)
+                else:
+                    loss.backward()
+                    opt.step()
+                    for p in params:
+                        p.grad = None
+            states.append([p.data for p in params])
+        for got, want in zip(*states):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _chain_params(rng, *shapes):
+    return [Parameter(rng.normal(size=s).astype(np.float32)) for s in shapes]
+
+
+# producer chains of the model whose intermediate outputs all leave the graph: the cross-scan
+# front and gate (``CrossScanModule``), and the FFN (``EFFN``); each maps its parameters to
+# the chain's output and the intermediate outputs
+def _front(x, w1, wd, bd, w2):
+    h = [F.linear(x, w1)]
+    h.append(F.depthwise_conv2d(h[-1], wd, bd, padding=1))
+    h.append(F.silu(h[-1]))
+    return F.linear(h[-1], w2), h
+
+
+def _gate(x, w1, wg, gamma, beta, w2):
+    h = [F.linear(x, wg)]  # the norm's input is not kept either way: its backward reads xhat
+    h.append(F.gated_layer_norm(F.linear(x, w1), gamma, beta, h[0], axis=1))
+    return F.linear(h[-1], w2), h
+
+
+def _ffn(x, w1, b1, wd, w2, b2):
+    h = [F.conv2d(x, w1, b1)]
+    h.append(F.depthwise_conv2d(h[-1], wd, padding=1))
+    h.append(F.gelu(h[-1]))
+    return F.conv2d(h[-1], w2, b2), h
+
+
+_REBUILT_CHAINS = {
+    "linear-depthwise-silu-linear": (_front, [(2, 12, 5, 8), (10, 12), (10, 1, 3, 3), (10,), (7, 10)]),
+    "linear-gated_layer_norm-linear": (_gate, [(2, 12, 5, 8), (10, 12), (10, 12), (10,), (10,), (7, 10)]),
+    "conv2d-depthwise-gelu-conv2d": (_ffn, [(2, 12, 5, 8), (10, 12, 1, 1), (10,), (10, 1, 3, 3), (7, 10, 1, 1), (7,)]),
+}
+
+
+def _counted(node, calls: list):
+    """Replace ``node``'s rebuild by one that appends a weakref to each array it computes to ``calls``."""
+    rebuild = node.rebuild
+
+    def counting():
+        out = rebuild()
+        calls.append(weakref.ref(out))
+        return out
+
+    node.rebuild = counting
+
+
+class TestRebuildMemo:
+    """A rebuild runs once per sweep: its array is kept, read-only, on the producer's node
+    from the first consumer's call until the producer pops (``Tensor._with_rebuild``)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_k_consumers_compute_the_rebuild_once(self, k):
+        # a linear, a depthwise conv, a silu and a gelu each keep the linear output's rebuild
+        x, w, w2, wd = _chain_params(np.random.default_rng(60), (2, 12, 5, 8), (10, 12), (7, 10), (10, 1, 3, 3))
+        h = F.linear(x, w)
+        calls = []
+        _counted(h._node, calls)
+        consumers = [lambda: F.linear(h, w2), lambda: F.depthwise_conv2d(h, wd, padding=1), lambda: F.silu(h),
+                     lambda: F.gelu(h)][:k]
+        ys = [c() for c in consumers]
+        assert not any(np.shares_memory(a, h.data) for y in ys for a in graph_arrays(y))
+        sum(((y * y).sum() for y in ys), Tensor(np.float32(0.0))).backward()
+        assert len(calls) == 1
+
+    def test_norm_with_two_dense_consumers_is_computed_once(self, monkeypatch):
+        # CrossScanModule's input norm feeds main_proj and gate_proj: one computation per sweep
+        from cvmhunet.blocks import CrossScanModule
+        from cvmhunet.network import NetworkConfig
+
+        calls = []
+        with_rebuild = Tensor._with_rebuild
+
+        def recorded(self, rebuild):
+            if sys._getframe(1).f_code.co_name == "_normalize":
+                def counting():
+                    calls.append(1)
+                    return rebuild()
+                return with_rebuild(self, counting)
+            return with_rebuild(self, rebuild)
+
+        monkeypatch.setattr(Tensor, "_with_rebuild", recorded)
+        m = CrossScanModule(8, NetworkConfig(embed_dim=8, state_dim=4), np.random.default_rng(61))
+        m.out_proj.weight.data[...] = 0.1  # a live output projection, so grads reach the norm
+        x = Tensor(np.random.default_rng(62).normal(size=(1, 8, 4, 4)).astype(np.float32), requires_grad=True)
+        (m(x) ** 2).sum().backward()
+        assert calls == [1]
+
+    def test_memo_is_released_when_the_producer_pops(self):
+        x, w, w2, w3 = _chain_params(np.random.default_rng(63), (2, 12, 5, 8), (10, 12), (7, 10), (6, 10))
+        h = F.linear(x, w)
+        calls, alive = [], []
+        _counted(h._node, calls)
+        backward = h._node.backward
+        h._node.backward = lambda g: (alive.append(calls[0]() is not None), backward(g))[1]
+        y = F.linear(h, w2).sum() + F.linear(h, w3).sum()
+        del h
+        y.backward()
+        assert len(calls) == 1 and alive == [False] and calls[0]() is None
+
+    def test_memoized_array_is_read_only(self):
+        x, w = _chain_params(np.random.default_rng(64), (2, 12, 5, 8), (10, 12))
+        h = F.linear(x, w)
+        rebuilt = h._rebuild()
+        assert h._rebuild() is rebuilt and not rebuilt.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rebuilt += 1.0
+        np.testing.assert_array_equal(rebuilt, h.data)
+
+    @pytest.mark.parametrize("chain", sorted(_REBUILT_CHAINS))
+    def test_chain_keeps_no_intermediate_and_equals_keeping_them(self, chain, monkeypatch):
+        # the same chain with every rebuild switched off keeps its intermediate outputs:
+        # every result is bitwise the same, and only that graph holds them
+        fn, shapes = _REBUILT_CHAINS[chain]
+        runs = []
+        for keep in (False, True):
+            if keep:
+                monkeypatch.setattr(Tensor, "_with_rebuild", lambda self, rebuild: self)
+            params = _chain_params(np.random.default_rng(65), *shapes)
+            y, hs = fn(*params)
+            held = graph_arrays(y)
+            kept = [any(np.shares_memory(a, h.data) for a in held) for h in hs]
+            (y * Tensor(np.linspace(-1.0, 1.0, y.size, dtype=np.float32).reshape(y.shape))).sum().backward()
+            runs.append((kept, y.data, [p.grad for p in params]))
+        (kept_rebuilt, y_rebuilt, grads_rebuilt), (kept_kept, y_kept, grads_kept) = runs
+        assert not any(kept_rebuilt) and all(kept_kept)
+        np.testing.assert_array_equal(_bits(y_rebuilt), _bits(y_kept))
+        for i, (got, want) in enumerate(zip(grads_rebuilt, grads_kept)):
+            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"parameter {i}")
+
+    @pytest.mark.parametrize("chain", sorted(_REBUILT_CHAINS))
+    def test_in_sweep_update_equals_update_after_the_sweep(self, chain):
+        # each rebuild in the chain reads parameters the sweep hands over to AdamW: it must run
+        # before their update, and its memo must not outlive it
+        fn, shapes = _REBUILT_CHAINS[chain]
+        states = []
+        for in_sweep in (True, False):
+            params = _chain_params(np.random.default_rng(66), *shapes)
+            opt = AdamW(params, lr=0.1, weight_decay=0.1)
+            for _ in range(3):
+                loss = (fn(*params)[0] ** 2).mean()
                 if in_sweep:
                     opt.step(loss)
                 else:

@@ -23,7 +23,7 @@ from cvmhunet.network import (
 from cvmhunet.tensor import Tensor, no_grad
 
 from gradcheck import check_gradients
-from graph_walk import graph_arrays
+from graph_walk import Producers, graph_arrays
 
 TINY = NetworkConfig(
     embed_dim=8,
@@ -305,8 +305,14 @@ class TestGraphMemory:
     """What one grad-mode forward of the paper-width model leaves in the graph (closure walk)."""
 
     # bytes of the distinct arrays the closures hold at 128x128, batch 1, parameters excluded;
-    # 85.3 MB while a linear or 1x1 conv kept the norm and GELU outputs it consumes
-    PAPER_128_GRAPH_BYTES = 68_196_100
+    # 68.2 MB while the outputs of REBUILT were kept, and 85.3 MB while a linear or 1x1 conv
+    # also kept the norm and GELU outputs it consumes
+    PAPER_128_GRAPH_BYTES = 41_555_716
+    # producers (``graph_walk.Producers`` labels) whose outputs the graph rebuilds: the
+    # cross-scan's projections, its depthwise conv and silu, and the FFN's expand and depthwise conv
+    REBUILT = ("CrossScanModule.main_proj: _channel_dense", "CrossScanModule.gate_proj: _channel_dense",
+               "CrossScanModule.dwconv: _tap_conv", "CVSSBlock.cross_scan: silu",
+               "EFFN.pw1: _channel_dense", "EFFN.dw: _tap_conv")
 
     def test_dense_consumers_keep_no_norm_or_gelu_output(self, monkeypatch):
         produced, consumed = [], []
@@ -344,6 +350,17 @@ class TestGraphMemory:
         assert len(consumed) == 5 * blocks + 3 + 2
         assert not [a.shape for a in held if any(np.shares_memory(a, t.data) for t in consumed)]
         assert sum(a.nbytes for a in held) <= self.PAPER_128_GRAPH_BYTES
+
+    def test_rebuilt_outputs_leave_the_graph(self):
+        model = CVMHUNet(NetworkConfig(input_size=(128, 128)), seed=0)
+        with Producers(model) as producers:
+            y = model(Tensor(rng(5).random((1, 3, 128, 128)).astype(np.float32)))
+        assert set(self.REBUILT) <= producers.labels
+        held = producers.breakdown(y, exclude=[p.data for p in model.parameters()])
+        assert not [label for label in held if label in self.REBUILT]
+        total = sum(held.values())
+        by_producer = ", ".join(f"{label} {size / 1e6:.2f} MB" for label, size in list(held.items())[:12])
+        assert total <= self.PAPER_128_GRAPH_BYTES, f"{total:,} bytes held; largest producers: {by_producer}"
 
 
 class TestBatchInvariance:

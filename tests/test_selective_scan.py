@@ -471,6 +471,17 @@ class TestS6Modules:
         assert not [a.shape for a in others if a.size >= x.data.size]
         assert sum(a.nbytes for a in others) < x.data.nbytes, [a.shape for a in others]
 
+    def test_graph_holds_A_once(self):
+        # A = -exp(A_log) is one op whose backward reads its output, which the four scans
+        # keep views of: one (4, D, S) array, not the exponential and its negation
+        rng = np.random.default_rng(9)
+        m = DirectionalSSM(8, default_dt_rank(8), 3, "cs2d", 64, rng=rng)
+        x = Tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32), requires_grad=True)
+        y = m(x)
+        params = [p.data for p in m.parameters()]
+        held = [a.shape for a in graph_arrays(y) if not any(np.shares_memory(a, p) for p in params)]
+        assert held.count((4, 8, 3)) == 1, held
+
     def test_old_direction_keys_are_rejected(self, tmp_path):
         # a state saved when each direction was its own module held directions.{k}.<name>; a load
         # into the stacked parameters finds none of them in the file

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cvmhunet.functional as F
+from cvmhunet import optim
 from cvmhunet.optim import AdamW
 from cvmhunet.tensor import Parameter, Tensor, cat, is_grad_enabled, no_grad
 
@@ -247,8 +248,8 @@ class TestSavedMemory:
 
     def test_step_with_loss_frees_each_grad_at_its_update(self):
         # h - w reads nothing in backward, so the graph holds no activations: above it
-        # the step holds AdamW's two scratch buffers (each the size of a weight), the grad
-        # passed down the chain and the weights' grads
+        # the step holds AdamW's two scratch buffers (each one float32 slice of a weight),
+        # the grad passed down the chain and the weights' grads
         def run(fused):
             rng = np.random.default_rng(0)
             x = Tensor(rng.normal(size=self.N).astype(np.float32))
@@ -272,7 +273,7 @@ class TestSavedMemory:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            return (peak - graph) / x.data.nbytes - 2.0, [w.data for w in ws]
+            return (peak - graph - 2 * optim.SLICE * 4) / x.data.nbytes, [w.data for w in ws]
 
         held, fused = run(True)
         held_separately, separate = run(False)

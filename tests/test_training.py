@@ -8,7 +8,7 @@ from cvmhunet.metrics import ConfusionMatrix, compute_metrics
 from cvmhunet.checkpoint import CheckpointError, load_tensors, model_state, save_tensors
 from cvmhunet.data import load_pair, normalize_image, synth_generate
 from cvmhunet.network import CVMHUNet, NetworkConfig
-from cvmhunet.optim import AdamW
+from cvmhunet.optim import SLICE, AdamW
 from cvmhunet.tensor import Parameter, Tensor
 
 from gradcheck import check_gradients
@@ -228,12 +228,14 @@ class TestAdamW:
         assert abs(float(p.data[0]) - ref) < 1e-14
 
     def test_in_place_step_equals_array_formula_bitwise(self):
-        # the update written with fresh temporaries, as numpy evaluates it op by op
+        # the update written with fresh temporaries on whole arrays, as numpy evaluates it op by
+        # op; the last two parameters span several of the update's slices, none a whole number
         lr, wd, b1, b2, eps = 0.003, 0.05, 0.9, 0.999, 1e-8
-        shapes = [(4, 5), (7,), (2, 3, 3)]
+        shapes = [(4, 5), (7,), (2, 3, 3), (2 * SLICE + 123,), (3, SLICE // 2 + 5)]
         params = [Parameter(rng(i).normal(size=s).astype(np.float32), weight_decay_exempt=i == 1)
                   for i, s in enumerate(shapes)]
-        grad_dtypes = [np.float32, np.float32, np.float64]  # a float64 grad reaches a float32 parameter
+        # a float64 grad reaches a float32 parameter
+        grad_dtypes = [np.float32, np.float32, np.float64, np.float32, np.float64]
         ref_p = [p.data.copy() for p in params]
         ref_m = [np.zeros_like(p.data) for p in params]
         ref_v = [np.zeros_like(p.data) for p in params]

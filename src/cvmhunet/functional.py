@@ -134,31 +134,31 @@ def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and patch ``conv2d``.
 
     When ``x`` comes with a rebuild (``Tensor._with_rebuild``), the graph keeps
-    that in place of ``x``'s array, and the backward rebuilds the array for ``dw``.
-    The output's own rebuild runs the same GEMM on that rebuild (or on ``x``).
+    that in place of ``x``'s array (``Tensor._keep``), and the backward rebuilds
+    the array for ``dw``.  The output's own rebuild runs the same GEMM on it.
     """
-    forward, output, grads = _dense_kernel(x.data, weight.data, None if bias is None else bias.data, x._rebuild)
+    forward, output, grads = _dense_kernel(x.data, weight.data, None if bias is None else bias.data, x._keep())
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor.from_op(forward(), parents, grads)._with_rebuild(output)
 
 
-def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, rebuild=None):
+def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, source):
     """The halves of the channel GEMM: ``forward()`` -> the output array, ``output()`` ->
     the same array from what ``grads`` keeps, and ``grads(g)`` -> the grads of ``x``,
     ``weight`` (and ``bias``) for an output grad ``g``.
 
     ``weight`` is (O, I) or (O, C, s, s) with I = C * s * s.  Each sample is one
     (O, I) @ (I, rest) product, with rest = 1 for an (N, I) input, so a sample's
-    output never depends on the rest of its batch.  All three read only views
-    of the input and weight arrays; given ``rebuild()`` -> ``x``, bitwise,
-    ``output`` and ``grads`` call it instead and keep no view of ``x``.
+    output never depends on the rest of its batch.  ``forward`` reads ``x``;
+    ``output`` and ``grads`` call ``source()`` -> ``x``, bitwise, instead
+    (``Tensor._keep``), and all three keep only views of the weight and bias.
     """
     n, din = x.shape[:2]
     dout = weight.shape[0]
     w2 = weight.reshape(dout, din)
     xr = x.reshape(n, din, -1)
     xshape, wshape = x.shape, weight.shape
-    rows = (lambda: xr) if rebuild is None else (lambda: rebuild().reshape(n, din, -1))
+    rows = lambda: source().reshape(n, din, -1)
 
     def product(a):
         out = np.matmul(w2, a)
@@ -182,20 +182,21 @@ def linear_softplus(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """``softplus(linear(x, weight, bias))`` as one op that keeps no array of its own.
 
     The forward is that composition (under ``no_grad``); the graph keeps only
-    what ``linear`` keeps, views of ``x`` and ``weight``.  The backward rebuilds
-    the pre-activation with the same GEMM, so every result is bitwise that of
-    the composition, without its (N, Dout, *rest) softplus input held in between.
+    what ``linear`` keeps.  The output's rebuild and the backward share one
+    rerun of the GEMM per sweep for the pre-activation, so every result is
+    bitwise that of the composition, without its softplus input held in between.
     """
     with no_grad():
         out = softplus(linear(x, weight, bias)).data
-    _, pre, grads = _dense_kernel(x.data, weight.data, bias.data)
-    return Tensor.from_op(out, (x, weight, bias), lambda g: grads(g * _logistic(pre())))
+    _, pre, grads = _dense_kernel(x.data, weight.data, bias.data, x._keep())
+    held = []  # the rebuild's pre-activation, until the backward takes it
 
+    def rebuild():
+        held.append(pre())
+        return _softplus(held[-1])
 
-def _linear_softplus_data(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """The array ``linear_softplus`` returns, bitwise, computed from arrays without the
-    public ops: for a backward that rebuilds that array instead of keeping it."""
-    return _softplus(_dense_kernel(x, weight, bias)[0]())
+    backward = lambda g: grads(g * _logistic(held.pop() if held else pre()))
+    return Tensor.from_op(out, (x, weight, bias), backward)._with_rebuild(rebuild)
 
 
 def _space_to_depth(x: Tensor, s: int) -> Tensor:
@@ -579,8 +580,11 @@ def log_softmax(x: Tensor, axis: int = 1) -> Tensor:
 
 
 def permute_last(x: Tensor, perm: np.ndarray, inv: np.ndarray) -> Tensor:
-    """Reorder the last axis by a permutation; backward applies its inverse ``inv``."""
+    """Reorder the last axis by a permutation; backward applies its inverse ``inv``.
+    It passes its input's rebuild through (``Tensor._passed``)."""
     length = x.shape[-1]
     _require(perm.shape == (length,), f"permute_last: permutation length {perm.shape} != axis length {length}")
-    out = np.ascontiguousarray(x.data[..., perm])
-    return Tensor.from_op(out, (x,), lambda g: (np.ascontiguousarray(g[..., inv]),))
+    def gather(a):
+        return np.ascontiguousarray(a[..., perm])
+
+    return x._passed(Tensor.from_op(gather(x.data), (x,), lambda g: (np.ascontiguousarray(g[..., inv]),)), gather)

@@ -65,9 +65,9 @@ class AdamW:
         view at a time, all passes on a slice before the next, so the slice
         stays in cache between passes.  Temporaries go into two scratch
         buffers of one slice each (at the larger of the parameter's and the
-        grad's itemsize); they are per call, so nothing stays resident
-        between steps.  Each op is elementwise and runs in the dtype the
-        whole-array expression with fresh temporaries would use, so the
+        grad's itemsize); a parameter of one slice or less is updated whole,
+        with fresh temporaries.  Each op is elementwise and runs in the dtype
+        the whole-array expression with fresh temporaries would use, so the
         result is bitwise the same: the moment increments in the grad's
         dtype (a float64 grad of a float32 parameter stays float64 until it
         is added), the update in the parameter's.
@@ -79,19 +79,25 @@ class AdamW:
         done = [False] * len(self.params)
         decay = 1.0 - self.lr * self.weight_decay
 
+        def sliced(like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return _shaped_like(scratch[0], like), _shaped_like(scratch[1], like)
+
         def update(i: int, p: Parameter) -> None:
-            flat = [a.reshape(-1, copy=False) for a in (p.data, self._m[i], self._v[i])]
-            g = p.grad.reshape(-1)
-            nbytes = SLICE * max(p.data.itemsize, g.itemsize)
-            if not scratch or scratch[0].nbytes < nbytes:
-                scratch[:] = np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8)
+            arrays = (p.data, self._m[i], self._v[i], p.grad)
+            if p.grad.size <= SLICE:
+                parts, temporaries = [arrays], lambda like: (np.empty_like(like), np.empty_like(like))
+            else:
+                flat = [a.reshape(-1, copy=False) for a in arrays[:3]] + [p.grad.reshape(-1)]
+                nbytes = SLICE * max(p.data.itemsize, p.grad.itemsize)
+                if not scratch or scratch[0].nbytes < nbytes:
+                    scratch[:] = np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8)
+                parts = ([a[start : start + SLICE] for a in flat] for start in range(0, p.grad.size, SLICE))
+                temporaries = sliced
             decayed = not p.weight_decay_exempt and self.weight_decay != 0.0
-            for start in range(0, g.size, SLICE):
-                pk, m, v = (a[start : start + SLICE] for a in flat)
-                gk = g[start : start + SLICE]
+            for pk, m, v, gk in parts:
                 if decayed:
                     pk *= decay
-                a, b = (_shaped_like(buf, gk) for buf in scratch)
+                a, b = temporaries(gk)
                 m *= self.beta1
                 np.multiply(gk, 1.0 - self.beta1, out=a)
                 m += a
@@ -99,7 +105,7 @@ class AdamW:
                 np.multiply(gk, gk, out=b)
                 b *= 1.0 - self.beta2
                 v += b
-                a, b = (_shaped_like(buf, m) for buf in scratch)
+                a, b = temporaries(m)
                 np.divide(m, bc1, out=a)
                 np.divide(v, bc2, out=b)
                 np.sqrt(b, out=b)

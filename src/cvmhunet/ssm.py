@@ -23,15 +23,14 @@ interval), so the state trajectory is never materialized.
 
 ``DirectionalSSM`` runs the scan along four traversal orders of a feature
 map.  Each direction projects the map itself and gathers only that small
-projection into scan order; the scan's backward gathers the map again and
-reruns the timestep projection, so the graph keeps the module input (or its
-rebuild) once instead of each direction's (N, D, L) sequence and timesteps.
+projection into scan order; the scan keeps its operands' rebuilds, so the
+graph keeps the module input (or its rebuild) once, and none of each
+direction's sequence, projection, timesteps or ``A``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -111,8 +110,6 @@ def selective_scan(
     C: Tensor,
     D: Tensor,
     block: int = DEFAULT_SCAN_BLOCK,
-    *,
-    rebuild: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> Tensor:
     """Input-dependent state-space recurrence; single autograd op.
 
@@ -127,9 +124,7 @@ def selective_scan(
     its carry with the forward's own ops (so bitwise the same), and then
     forms every gradient tile by tile, last tile first.  No (L, N, S, D)
     array is ever allocated, and the result does not depend on ``block``.
-
-    ``rebuild``, if given, returns the arrays of ``u`` and ``delta`` again,
-    bitwise; the graph then keeps neither, and the backward calls it instead.
+    The graph keeps ``u``, ``delta``, ``A``, ``B`` and ``C`` as ``Tensor._keep``.
     """
     n, d, length = u.shape
     s = A.shape[1]
@@ -181,12 +176,12 @@ def selective_scan(
             h[0] = hc[-1]
     y = D.data[:, None] * u.data
     y += yt[:, :, 0].transpose(1, 2, 0)
-    saved = (u.data, delta.data) if rebuild is None else None
+    kept, d_skip = [t._keep() for t in operands[:5]], D.data
 
     def backward(g):
-        u_data, delta_data = saved if rebuild is None else rebuild()
-        at = np.ascontiguousarray(A.data.T)
-        ut, dt, bt, ct, gt = (_time_major(x) for x in (u_data, delta_data, B.data, C.data, g))
+        u_data, delta_data, a_data, b_data, c_data = (keep() for keep in kept)
+        at = np.ascontiguousarray(a_data.T)
+        ut, dt, bt, ct, gt = (_time_major(x) for x in (u_data, delta_data, b_data, c_data, g))
         dtu = dt * ut
         abar = np.empty((chunk, n, s, d), dtype)
         h = np.empty((chunk + 1, n, s, d), dtype)
@@ -222,7 +217,7 @@ def selective_scan(
                 dA += np.einsum("tnsd,tnd->sd", d_dta, dt[tc])
         lam_b = lam_b[:, :, 0]
         ddelta += lam_b * ut
-        du = lam_b * dt + gt * D.data
+        du = lam_b * dt + gt * d_skip
         dD = np.einsum("ndl,ndl->d", g, u_data)
         return _time_last(du), _time_last(ddelta), dA.T.copy(), _time_last(dB[..., 0]), _time_last(dC[..., 0]), dD
 
@@ -274,10 +269,10 @@ class DirectionalSSM(Module):
         """(N, C, H, W) -> (N, C, H, W); sum of per-direction scan outputs.
 
         ``x_proj`` runs on the map itself, one GEMM per position, and only its
-        (r + 2S)-channel output is gathered into scan order.  Each scan's
-        backward gathers ``x`` again, from its rebuild if it has one, and
-        reruns the dt projection (``_rebuild_operands``), so the graph keeps
-        ``x`` at most once instead of each direction's sequence and timesteps.
+        (r + 2S)-channel output is gathered into scan order.  Each scan keeps
+        its operands' rebuilds, so its backward gathers ``x`` (or its rebuild)
+        again and reruns ``x_proj``, the dt projection and ``-exp(A_log)``, each
+        once per sweep.
         """
         n, c, h, w = x.shape
         if c != self.dim:
@@ -288,35 +283,17 @@ class DirectionalSSM(Module):
         for k, order in enumerate(scan_orders(h, w, self.scan_mode)):
             seq = flatten_spatial(x, order)  # (N, C, L)
             projected = flatten_spatial(F.linear(x, self.x_proj_weight[k]), order)  # (N, r + 2S, L)
-            code, dt_weight, dt_bias = projected[:, :r], self.dt_weight[k], self.dt_bias[k]
-            dt = F.linear_softplus(code, dt_weight, dt_bias)  # (N, C, L)
+            dt = F.linear_softplus(projected[:, :r], self.dt_weight[k], self.dt_bias[k])  # (N, C, L)
             b_seq, c_seq = projected[:, r : r + s], projected[:, r + s :]  # (N, S, L) each
-            rebuild = _rebuild_operands(x._keep(), x.shape, order.perm, code.data, dt_weight.data, dt_bias.data)
-            yseq = selective_scan(seq, dt, a[k], b_seq, c_seq, self.D_skip[k], block=self.scan_block, rebuild=rebuild)
+            yseq = selective_scan(seq, dt, a[k], b_seq, c_seq, self.D_skip[k], block=self.scan_block)
             ymap = unflatten_spatial(yseq, order)
             total = ymap if total is None else total + ymap
         return total
 
 
 def _negative_exp(x: Tensor) -> Tensor:
-    """``-exp(x)`` as one op whose backward, ``g * out``, keeps only its output."""
-    out = np.exp(x.data)
-    np.negative(out, out=out)
-    return Tensor.from_op(out, (x,), lambda g: (g * out,))
-
-
-def _rebuild_operands(
-    source: Callable[[], np.ndarray], shape: tuple[int, ...], perm: np.ndarray,
-    code: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-):
-    """A callable that returns, bitwise, the scan's ``u`` = ``flatten_spatial`` of the
-    (N, C, H, W) map that ``source()`` returns (``Tensor._keep``), of shape ``shape``, in
-    the order ``perm`` and its ``delta`` = ``F.linear_softplus(code, weight, bias)``,
-    without the public ops."""
-    n, c = shape[:2]
-
-    def rebuild():
-        u = np.ascontiguousarray(source().reshape(n, c, -1)[..., perm])
-        return u, F._linear_softplus_data(code, weight, bias)
-
-    return rebuild
+    """``-exp(x)`` as one op that keeps only ``x``'s array: its backward, ``g * out``, and
+    the output's rebuild form ``out`` again."""
+    a = x.data
+    forward = lambda: np.negative(np.exp(a))
+    return Tensor.from_op(forward(), (x,), lambda g: (g * forward(),))._with_rebuild(forward)

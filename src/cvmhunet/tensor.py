@@ -186,6 +186,14 @@ class Tensor:
         data = self.data
         return lambda: data
 
+    def _passed(self, out: "Tensor", fn: Callable[[np.ndarray], np.ndarray]) -> "Tensor":
+        """``out`` = ``fn(self.data)`` (a reshape, gather or slice) with the rebuild ``fn`` of this
+        tensor's rebuild, or of its array if it is a leaf in the graph, which holds it anyway."""
+        if self._rebuild is None and (self._node is not None or not self.requires_grad):
+            return out
+        source = self._keep()
+        return out._with_rebuild(lambda: fn(source()))
+
     @staticmethod
     def as_tensor(value, like: "Tensor | None" = None) -> "Tensor":
         if isinstance(value, Tensor):
@@ -323,8 +331,8 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         old = self.shape
-        data = self.data.reshape(shape)
-        return Tensor.from_op(data, (self,), lambda g: (g.reshape(old),))
+        out = Tensor.from_op(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
+        return self._passed(out, lambda a: a.reshape(shape))
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -336,24 +344,25 @@ class Tensor:
         return Tensor.from_op(data, (self,), lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
     def moveaxis(self, src: int, dst: int) -> "Tensor":
-        """A contiguous copy with axis ``src`` moved to ``dst``; it passes its input's rebuild through."""
-        data = np.ascontiguousarray(np.moveaxis(self.data, src, dst))
-        out = Tensor.from_op(data, (self,), lambda g: (np.ascontiguousarray(np.moveaxis(g, dst, src)),))
-        rebuild = self._rebuild
-        if rebuild is None:
-            return out
-        return out._with_rebuild(lambda: np.ascontiguousarray(np.moveaxis(rebuild(), src, dst)))
+        """A contiguous copy with axis ``src`` moved to ``dst``."""
+        def move(a):
+            return np.ascontiguousarray(np.moveaxis(a, src, dst))
+
+        out = Tensor.from_op(move(self.data), (self,), lambda g: (np.ascontiguousarray(np.moveaxis(g, dst, src)),))
+        return self._passed(out, move)
 
     def __getitem__(self, key) -> "Tensor":
-        data = np.ascontiguousarray(self.data[key])
         shape, dtype = self.shape, self.dtype
+
+        def take(a):
+            return np.ascontiguousarray(a[key])
 
         def backward(g):
             full = np.zeros(shape, dtype)
             full[key] = g
             return (full,)
 
-        return Tensor.from_op(data, (self,), backward)
+        return self._passed(Tensor.from_op(take(self.data), (self,), backward), take)
 
     # -- autodiff ---------------------------------------------------------------
 

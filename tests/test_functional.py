@@ -10,6 +10,7 @@ import pytest
 
 import cvmhunet.functional as F
 from cvmhunet.optim import AdamW
+from cvmhunet.ssm import _negative_exp
 from cvmhunet.tensor import Parameter, Tensor, no_grad
 
 from graph_walk import closure_arrays, graph_arrays
@@ -558,6 +559,13 @@ def _weight(x, *shape, seed=44):
     return Tensor(np.random.default_rng(seed).normal(size=shape).astype(x.dtype))
 
 
+def _norm(x, gamma, beta):
+    return F.layer_norm(x, gamma, beta, axis=1)
+
+
+_PERM = np.random.default_rng(45).permutation(40)
+_INV = np.argsort(_PERM)
+
 # every op whose result comes with a rebuild, on the operands of ``_producer_operands``
 _PRODUCERS = {
     "layer_norm": lambda x, gamma, beta, z: F.layer_norm(x, gamma, beta, axis=1),
@@ -572,6 +580,12 @@ _PRODUCERS = {
     "depthwise_conv2d": lambda x, gamma, beta, z: F.depthwise_conv2d(x, _weight(x, 12, 1, 3, 3), beta, padding=1),
     "conv1d": lambda x, gamma, beta, z: F.conv1d(x.reshape(24, 1, 40), _weight(x, 1, 1, 5), gamma[:1]),
     "silu": lambda x, gamma, beta, z: F.silu(x),
+    "linear_softplus": lambda x, gamma, beta, z: F.linear_softplus(x, _weight(x, 7, 12), _weight(x, 7, seed=43)),
+    "_negative_exp": lambda x, gamma, beta, z: _negative_exp(gamma),
+    # pass-throughs of a norm's rebuild: the scan's gathers and slices
+    "reshape": lambda x, gamma, beta, z: _norm(x, gamma, beta).reshape(2, 12, 40),
+    "permute_last": lambda x, gamma, beta, z: F.permute_last(_norm(x, gamma, beta).reshape(2, 12, 40), _PERM, _INV),
+    "__getitem__": lambda x, gamma, beta, z: _norm(x, gamma, beta)[:, 3:9],
 }
 
 # producer -> the channel GEMM that consumes its output in the model: a linear or a 1x1 conv

@@ -305,13 +305,17 @@ class TestGraphMemory:
     """What one grad-mode forward of the paper-width model leaves in the graph (closure walk)."""
 
     # bytes of the distinct arrays the closures hold at 128x128, batch 1, parameters excluded;
-    # 68.2 MB while the outputs of REBUILT were kept, and 85.3 MB while a linear or 1x1 conv
-    # also kept the norm and GELU outputs it consumes
-    PAPER_128_GRAPH_BYTES = 41_555_716
+    # 41,555,716 while the scan kept its gathered projections and A, 68.2 MB while the cross-scan
+    # front, gate and FFN expand were kept too, and 85.3 MB while a linear or 1x1 conv also kept
+    # the norm and GELU outputs it consumes
+    PAPER_128_GRAPH_BYTES = 35_755_780
     # producers (``graph_walk.Producers`` labels) whose outputs the graph rebuilds: the
-    # cross-scan's projections, its depthwise conv and silu, and the FFN's expand and depthwise conv
+    # cross-scan's projections, its depthwise conv and silu, the scan's gathered x_proj output
+    # (whose slices are its B, C and dt code) and A = -exp(A_log), and the FFN's expand and
+    # depthwise conv
     REBUILT = ("CrossScanModule.main_proj: _channel_dense", "CrossScanModule.gate_proj: _channel_dense",
                "CrossScanModule.dwconv: _tap_conv", "CVSSBlock.cross_scan: silu",
+               "CrossScanModule.ssm: permute_last", "CrossScanModule.ssm: _negative_exp",
                "EFFN.pw1: _channel_dense", "EFFN.dw: _tap_conv")
 
     def test_dense_consumers_keep_no_norm_or_gelu_output(self, monkeypatch):

@@ -265,24 +265,32 @@ def _carries(y):
     return fn.__closure__[fn.__code__.co_freevars.index("carries")].cell_contents
 
 
+def _operand(leaf, rebuilt):
+    """An op result equal to ``leaf``; with ``rebuilt``, its rebuild returns a fresh copy of it."""
+    out = Tensor.from_op(leaf.data.copy(), (leaf,), lambda g: (g,))
+    return out._with_rebuild(lambda: leaf.data.copy()) if rebuilt else out
+
+
 class TestRebuiltOperands:
-    """``selective_scan(..., rebuild=...)`` gets ``u`` and ``delta`` again in its backward."""
+    """``selective_scan`` keeps what a consumer keeps of ``u``, ``delta``, ``A``, ``B`` and
+    ``C`` (``Tensor._keep``): the operand's rebuild where it has one, else its array."""
 
     def test_rebuild_keeps_output_and_grads_and_neither_operand(self):
         n, d, s, length = 2, 5, 4, 45
         ops = _scan_operands(np.random.default_rng(26), n, d, s, length)
         w = Tensor(np.random.default_rng(27).normal(size=(n, d, length)).astype(np.float32))
         runs = []
-        for rebuild in (None, lambda: (ops[0].copy(), ops[1].copy())):
-            tracked = [Tensor(v.copy(), requires_grad=True) for v in ops]
-            y = selective_scan(*tracked, block=16, rebuild=rebuild)
-            held = closure_arrays(y._backward)
-            kept = [any(np.shares_memory(a, t.data) for a in held) for t in tracked[:2]]
+        for rebuilt in (False, True):
+            leaves = [Tensor(v.copy(), requires_grad=True) for v in ops]
+            tracked = [_operand(t, rebuilt) for t in leaves[:5]] + leaves[5:]
+            y = selective_scan(*tracked, block=16)
+            held = closure_arrays(y._backward, through_rebuilds=False)
+            kept = [any(np.shares_memory(a, t.data) for a in held) for t in tracked[:5]]
             assert not any(a.shape == (s, d) for a in held), "the (S, D) transpose of A is rebuilt, not kept"
             (y * w).sum().backward()
-            runs.append((y.data, [t.grad for t in tracked], kept))
+            runs.append((y.data, [t.grad for t in leaves], kept))
         (y_kept, grads_kept, kept), (y_rebuilt, grads_rebuilt, rebuilt) = runs
-        assert kept == [True, True] and rebuilt == [False, False]
+        assert kept == [True] * 5 and rebuilt == [False] * 5
         np.testing.assert_array_equal(y_rebuilt, y_kept)
         for name, want, got in zip(("u", "delta", "A", "B", "C", "D"), grads_kept, grads_rebuilt):
             np.testing.assert_array_equal(got, want, err_msg=name)
@@ -471,16 +479,41 @@ class TestS6Modules:
         assert not [a.shape for a in others if a.size >= x.data.size]
         assert sum(a.nbytes for a in others) < x.data.nbytes, [a.shape for a in others]
 
-    def test_graph_holds_A_once(self):
-        # A = -exp(A_log) is one op whose backward reads its output, which the four scans
-        # keep views of: one (4, D, S) array, not the exponential and its negation
+    def test_graph_holds_no_A(self):
+        # A = -exp(A_log) is one op with a rebuild, which its four row slices pass through to
+        # the scans: neither the (4, D, S) array nor a (D, S) row of it stays in the graph
         rng = np.random.default_rng(9)
         m = DirectionalSSM(8, default_dt_rank(8), 3, "cs2d", 64, rng=rng)
         x = Tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32), requires_grad=True)
         y = m(x)
         params = [p.data for p in m.parameters()]
         held = [a.shape for a in graph_arrays(y) if not any(np.shares_memory(a, p) for p in params)]
-        assert held.count((4, 8, 3)) == 1, held
+        assert (4, 8, 3) not in held and (8, 3) not in held, held
+
+    def test_one_dt_gemm_per_direction_per_sweep(self, monkeypatch):
+        # the scan's rebuild of its timesteps and linear_softplus's own backward share one
+        # pre-activation: the dt GEMM (an (8, 1) weight here) runs once per direction
+        calls = []
+        kernel = F._dense_kernel
+
+        def counted(*args):
+            halves = kernel(*args)
+            if args[1].shape != (8, 1):
+                return halves
+
+            def count(fn):
+                return lambda *args: (calls.append(1), fn(*args))[1]
+
+            return (count(halves[0]), count(halves[1]), halves[2])
+
+        monkeypatch.setattr(F, "_dense_kernel", counted)
+        rng = np.random.default_rng(10)
+        m = DirectionalSSM(8, default_dt_rank(8), 4, "cs2d", 64, rng=rng)
+        x = Tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32), requires_grad=True)
+        y = m(x)
+        calls.clear()  # the forward's own GEMMs
+        (y * y).sum().backward()
+        assert len(calls) == 4
 
     def test_old_direction_keys_are_rejected(self, tmp_path):
         # a state saved when each direction was its own module held directions.{k}.<name>; a load

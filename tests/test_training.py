@@ -12,6 +12,7 @@ from cvmhunet.optim import SLICE, AdamW
 from cvmhunet.tensor import Parameter, Tensor
 
 from gradcheck import check_gradients
+from graph_walk import Producers
 
 
 def rng(seed=0):
@@ -229,13 +230,14 @@ class TestAdamW:
 
     def test_in_place_step_equals_array_formula_bitwise(self):
         # the update written with fresh temporaries on whole arrays, as numpy evaluates it op by
-        # op; the last two parameters span several of the update's slices, none a whole number
+        # op; the fourth and fifth parameters span several of the update's slices, none a whole
+        # number, and the last two are updated whole, one of exactly one slice
         lr, wd, b1, b2, eps = 0.003, 0.05, 0.9, 0.999, 1e-8
-        shapes = [(4, 5), (7,), (2, 3, 3), (2 * SLICE + 123,), (3, SLICE // 2 + 5)]
+        shapes = [(4, 5), (7,), (2, 3, 3), (2 * SLICE + 123,), (3, SLICE // 2 + 5), (SLICE // 4, 4), (SLICE - 1,)]
         params = [Parameter(rng(i).normal(size=s).astype(np.float32), weight_decay_exempt=i == 1)
                   for i, s in enumerate(shapes)]
         # a float64 grad reaches a float32 parameter
-        grad_dtypes = [np.float32, np.float32, np.float64, np.float32, np.float64]
+        grad_dtypes = [np.float32, np.float32, np.float64, np.float32, np.float64, np.float32, np.float64]
         ref_p = [p.data.copy() for p in params]
         ref_m = [np.zeros_like(p.data) for p in params]
         ref_v = [np.zeros_like(p.data) for p in params]
@@ -415,6 +417,49 @@ class TestAdamW:
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
+
+
+class TestRebuildOracle:
+    """Rebuilds change only what the graph keeps: the tiny network of the gradient-check
+    suite, which has every layer kind, trains bitwise the same with no rebuild attached."""
+
+    TINY = NetworkConfig(embed_dim=8, num_classes=3, input_size=(32, 32), state_dim=4, scan_block=16, freq_k=4)
+    # the scan's gathered x_proj output (whose slices are its B, C and dt code) and A = -exp(A_log)
+    SCAN_OPERANDS = {"CrossScanModule.ssm: permute_last", "CrossScanModule.ssm: _negative_exp"}
+
+    def test_in_sweep_steps_equal_steps_without_rebuilds_bitwise(self, monkeypatch):
+        runs = []
+        for rebuilds in (True, False):
+            if not rebuilds:
+                monkeypatch.setattr(Tensor, "_with_rebuild", lambda self, rebuild: self)
+            model = CVMHUNet(self.TINY, seed=7)
+            model.train()
+            noise = rng(8)
+            for p in model.parameters():  # zero-initialized projections made live, so grads reach every layer
+                p.data += (0.05 * noise.normal(size=p.shape)).astype(p.data.dtype)
+            opt = AdamW(model.parameters(), lr=0.01)
+            data = rng(9)
+            losses, held = [], []
+            for _ in range(3):
+                x = Tensor(data.normal(size=(2, 3, 32, 32)).astype(np.float32))
+                y = data.integers(0, 3, size=(2, 32, 32))
+                with Producers(model) as producers:
+                    logits = model(x)
+                total = segmentation_loss(logits, y)[0]
+                held.append(set(producers.breakdown(total, exclude=[p.data for p in model.parameters()])))
+                losses.append(total.data.copy())
+                opt.step(total)
+            runs.append((held, losses, model_state(model), opt._m, opt._v))
+        (held, losses, state, m, v), (held_kept, losses_kept, state_kept, m_kept, v_kept) = runs
+        assert not any(h & self.SCAN_OPERANDS for h in held)
+        assert all(self.SCAN_OPERANDS <= h for h in held_kept)
+        np.testing.assert_array_equal(np.array(losses).view(np.uint32), np.array(losses_kept).view(np.uint32))
+        assert list(state) == list(state_kept)
+        for name, arr in state.items():
+            np.testing.assert_array_equal(arr.view(np.uint32), state_kept[name].view(np.uint32), err_msg=name)
+        for i in range(len(m)):
+            np.testing.assert_array_equal(m[i].view(np.uint32), m_kept[i].view(np.uint32))
+            np.testing.assert_array_equal(v[i].view(np.uint32), v_kept[i].view(np.uint32))
 
 
 class TestConfusionMatrix:

@@ -37,10 +37,10 @@ class CrossScanModule(Module):
     ``out = x + out_proj( norm(ssm(silu(dwconv(main(x̂))))) * silu(gate(x̂)) )``
     with ``x̂ = layer_norm(x)``.  Every step runs on the (N, C, H, W) map: the
     three projections are ``linear`` over the channel axis, and the scan
-    takes its (N, C, L) sequences from the same layout.  The output norm
-    and the gate are one op, ``gated_layer_norm``, so the graph holds neither
-    operand of their product.  The output projection starts at zero, so the
-    module starts as the identity.
+    takes its (N, C, L) sequences from the same layout.  Both factors of the
+    gated product come with a rebuild, and so does the product
+    (``Tensor.__mul__``), so the graph holds neither factor nor the product.
+    The output projection starts at zero, so the module starts as the identity.
     """
 
     def __init__(self, dim: int, cfg: NetworkConfig, rng: np.random.Generator):
@@ -57,9 +57,7 @@ class CrossScanModule(Module):
     def forward(self, x: Tensor) -> Tensor:
         feats = self.norm(x)
         main = self.ssm(F.silu(self.dwconv(self.main_proj(feats))))
-        norm = self.out_norm
-        gated = F.gated_layer_norm(main, norm.gamma, norm.beta, self.gate_proj(feats), axis=norm.axis, eps=norm.eps)
-        return x + self.out_proj(gated)
+        return x + self.out_proj(self.out_norm(main) * F.silu(self.gate_proj(feats)))
 
 
 class ChannelAttention(Module):

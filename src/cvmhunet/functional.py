@@ -7,6 +7,12 @@ of two kernels: non-overlapping patches (1x1, and the strided patch embedding)
 are a space-to-depth reshape and that same channel GEMM; stride-1 convs (dense,
 depthwise and ``conv1d``) contract contiguous tap slices of flat channel rows
 with a batched matmul.  Backwards are analytic.
+The channel GEMM, the stride-1 convs, ``silu``, ``gelu`` and ``softplus`` keep
+their input as ``Tensor._keep`` (its rebuild where it has one); they and the
+training-mode norms give their output a rebuild (``Tensor._with_rebuild``), as
+``Tensor.__mul__`` does for a product of two such outputs.  So a composition
+such as ``softplus(linear(x))`` or ``layer_norm(x) * silu(z)`` holds none of its
+intermediate outputs, and no op is fused by hand.
 Dtype follows the inputs, so every op runs in float64 when gradient checking.
 """
 
@@ -14,16 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 __all__ = [
     "linear",
-    "linear_softplus",
     "conv2d",
     "depthwise_conv2d",
     "conv1d",
     "layer_norm",
-    "gated_layer_norm",
     "batch_norm",
     "relu",
     "silu",
@@ -133,70 +137,36 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def _channel_dense(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     """``out[n, o, ...] = sum_i w[o, i] x[n, i, ...] + b[o]`` for ``linear`` and patch ``conv2d``.
 
-    When ``x`` comes with a rebuild (``Tensor._with_rebuild``), the graph keeps
-    that in place of ``x``'s array (``Tensor._keep``), and the backward rebuilds
-    the array for ``dw``.  The output's own rebuild runs the same GEMM on it.
-    """
-    forward, output, grads = _dense_kernel(x.data, weight.data, None if bias is None else bias.data, x._keep())
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor.from_op(forward(), parents, grads)._with_rebuild(output)
-
-
-def _dense_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, source):
-    """The halves of the channel GEMM: ``forward()`` -> the output array, ``output()`` ->
-    the same array from what ``grads`` keeps, and ``grads(g)`` -> the grads of ``x``,
-    ``weight`` (and ``bias``) for an output grad ``g``.
-
     ``weight`` is (O, I) or (O, C, s, s) with I = C * s * s.  Each sample is one
     (O, I) @ (I, rest) product, with rest = 1 for an (N, I) input, so a sample's
-    output never depends on the rest of its batch.  ``forward`` reads ``x``;
-    ``output`` and ``grads`` call ``source()`` -> ``x``, bitwise, instead
-    (``Tensor._keep``), and all three keep only views of the weight and bias.
+    output never depends on the rest of its batch.  The graph keeps ``x`` as
+    ``Tensor._keep``, its rebuild where it has one, and views of the weight and
+    bias; the backward reads it for ``dw``, and the output's rebuild runs the
+    same GEMM on it.
     """
     n, din = x.shape[:2]
     dout = weight.shape[0]
-    w2 = weight.reshape(dout, din)
-    xr = x.reshape(n, din, -1)
+    w2 = weight.data.reshape(dout, din)
+    b = None if bias is None else bias.data
     xshape, wshape = x.shape, weight.shape
-    rows = lambda: source().reshape(n, din, -1)
+    source = x._keep()
 
     def product(a):
-        out = np.matmul(w2, a)
-        if bias is not None:
-            out += bias[:, None]
+        out = np.matmul(w2, a.reshape(n, din, -1))
+        if b is not None:
+            out += b[:, None]
         return out.reshape((n, dout) + xshape[2:])
 
-    def grads(g):
+    def backward(g):
         g3 = g.reshape(n, dout, -1)
         dx = np.matmul(w2.T, g3)
-        dw = np.tensordot(g3, rows(), axes=[(0, 2), (0, 2)])
-        db = g3.sum(axis=(0, 2))
+        dw = np.tensordot(g3, source().reshape(n, din, -1), axes=[(0, 2), (0, 2)])
         if bias is None:
             return dx.reshape(xshape), dw.reshape(wshape)
-        return dx.reshape(xshape), dw.reshape(wshape), db
+        return dx.reshape(xshape), dw.reshape(wshape), g3.sum(axis=(0, 2))
 
-    return (lambda: product(xr)), (lambda: product(rows())), grads
-
-
-def linear_softplus(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``softplus(linear(x, weight, bias))`` as one op that keeps no array of its own.
-
-    The forward is that composition (under ``no_grad``); the graph keeps only
-    what ``linear`` keeps.  The output's rebuild and the backward share one
-    rerun of the GEMM per sweep for the pre-activation, so every result is
-    bitwise that of the composition, without its softplus input held in between.
-    """
-    with no_grad():
-        out = softplus(linear(x, weight, bias)).data
-    _, pre, grads = _dense_kernel(x.data, weight.data, bias.data, x._keep())
-    held = []  # the rebuild's pre-activation, until the backward takes it
-
-    def rebuild():
-        held.append(pre())
-        return _softplus(held[-1])
-
-    backward = lambda g: grads(g * _logistic(held.pop() if held else pre()))
-    return Tensor.from_op(out, (x, weight, bias), backward)._with_rebuild(rebuild)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor.from_op(product(x.data), parents, backward)._with_rebuild(lambda: product(source()))
 
 
 def _space_to_depth(x: Tensor, s: int) -> Tensor:
@@ -382,16 +352,9 @@ def _normalize(
     x: Tensor, gamma: Tensor, beta: Tensor, stats_axes: tuple[int, ...], feature_axis: int, eps: float
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """``(x - mean) / sqrt(var + eps) * gamma + beta``, the statistics over ``stats_axes``
-    and the affine along ``feature_axis``.  Returns the result, rebuilt from ``xhat`` when
-    a consumer needs it, and the mean and variance (shaped for broadcasting against ``x``)."""
-    mu, var, affine, grads = _norm_kernel(x, gamma, beta, stats_axes, feature_axis, eps)
-    return Tensor.from_op(affine(), (x, gamma, beta), grads)._with_rebuild(affine), mu, var
-
-
-def _norm_kernel(x: Tensor, gamma: Tensor, beta: Tensor, stats_axes: tuple[int, ...], feature_axis: int, eps: float):
-    """Statistics of ``_normalize`` and the two halves of its op: returns the mean, the
-    variance, ``affine()`` -> ``xhat * gamma + beta`` and ``grads(g)`` -> the grads of
-    ``x``, ``gamma`` and ``beta``.  Both halves read only ``xhat`` and ``1 / std``."""
+    and the affine along ``feature_axis``.  Returns the result and the mean and variance
+    (shaped for broadcasting against ``x``).  The backward reads only ``xhat`` and
+    ``1 / std``, and the result's rebuild forms ``xhat * gamma + beta`` again."""
     bshape = [1] * x.ndim
     bshape[feature_axis] = x.shape[feature_axis]
     gam = gamma.data.reshape(bshape)
@@ -406,7 +369,7 @@ def _norm_kernel(x: Tensor, gamma: Tensor, beta: Tensor, stats_axes: tuple[int, 
     def affine():
         return xhat * gam + bet
 
-    def grads(g):
+    def backward(g):
         dgamma = (g * xhat).sum(axis=affine_axes)
         dbeta = g.sum(axis=affine_axes)
         dxhat = g * gam
@@ -414,7 +377,7 @@ def _norm_kernel(x: Tensor, gamma: Tensor, beta: Tensor, stats_axes: tuple[int, 
         m2 = (dxhat * xhat).mean(axis=stats_axes, keepdims=True)
         return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
 
-    return mu, var, affine, grads
+    return Tensor.from_op(affine(), (x, gamma, beta), backward)._with_rebuild(affine), mu, var
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
@@ -424,39 +387,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: floa
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match {c} features")
     return _normalize(x, gamma, beta, (ax,), ax, eps)[0]
-
-
-def gated_layer_norm(
-    x: Tensor, gamma: Tensor, beta: Tensor, gate: Tensor, axis: int = -1, eps: float = 1e-5
-) -> Tensor:
-    """``layer_norm(x, gamma, beta, axis, eps) * silu(gate)`` as one op.
-
-    The graph keeps what ``layer_norm`` keeps (``xhat`` and ``1 / std``) and
-    ``gate``, or its rebuild (``Tensor._keep``); the backward rebuilds the
-    normalized output and ``silu(gate)`` from them, so neither operand of the
-    product is held in between, and a consumer can rebuild the product itself.
-    Every result is bitwise that of the composition.
-    """
-    ax = axis % x.ndim
-    c = x.shape[ax]
-    _require(gamma.shape == (c,) and beta.shape == (c,),
-             f"gated_layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match {c} features")
-    _require(gate.shape == x.shape, f"gated_layer_norm: gate shape {gate.shape} != input shape {x.shape}")
-    _, _, affine, grads = _norm_kernel(x, gamma, beta, (ax,), ax, eps)
-    source = gate._keep()
-
-    def product(z):
-        return affine() * (z * _logistic(z))
-
-    def backward(g):
-        z = source()
-        s = _logistic(z)
-        act = z * s
-        dz = (g * affine()) * (s + act * (1.0 - s))
-        return (*grads(g * act), dz)
-
-    out = Tensor.from_op(product(gate.data), (x, gamma, beta, gate), backward)
-    return out._with_rebuild(lambda: product(source()))
 
 
 def batch_norm(
@@ -520,13 +450,15 @@ def _softplus(a: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: Tensor) -> Tensor:
-    """``log(1 + e^x) = log1p(e^-|x|) + max(x, 0)``, never overflowing."""
-    a = x.data
-    return Tensor.from_op(_softplus(a), (x,), lambda g: (g * _logistic(a),))
+    """``log(1 + e^x) = log1p(e^-|x|) + max(x, 0)``, never overflowing.  The backward
+    reads the input, or its rebuild (``Tensor._keep``), and so does the output's rebuild."""
+    source = x._keep()
+    out = Tensor.from_op(_softplus(x.data), (x,), lambda g: (g * _logistic(source()),))
+    return out._with_rebuild(lambda: _softplus(source()))
 
 
 def silu(x: Tensor) -> Tensor:
-    """``x * sigmoid(x)`` as a single fused op; the backward recomputes ``sigmoid(x)``
+    """``x * sigmoid(x)`` as one op; the backward recomputes ``sigmoid(x)``
     and the output from the input, or from the input's rebuild (``Tensor._keep``),
     so the graph holds no array of its own for it.  The output's rebuild reruns
     the forward on the same."""

@@ -269,10 +269,12 @@ class DirectionalSSM(Module):
         """(N, C, H, W) -> (N, C, H, W); sum of per-direction scan outputs.
 
         ``x_proj`` runs on the map itself, one GEMM per position, and only its
-        (r + 2S)-channel output is gathered into scan order.  Each scan keeps
-        its operands' rebuilds, so its backward gathers ``x`` (or its rebuild)
-        again and reruns ``x_proj``, the dt projection and ``-exp(A_log)``, each
-        once per sweep.
+        (r + 2S)-channel output is gathered into scan order.  The timesteps are
+        ``softplus(linear(code))``.  Each scan keeps its operands' rebuilds, so
+        its backward gathers ``x`` (or its rebuild) again and reruns ``x_proj``,
+        the dt GEMM and its softplus, and ``-exp(A_log)``, each once per sweep:
+        the softplus's backward reads the same memoized GEMM output its rebuild
+        did.
         """
         n, c, h, w = x.shape
         if c != self.dim:
@@ -283,7 +285,7 @@ class DirectionalSSM(Module):
         for k, order in enumerate(scan_orders(h, w, self.scan_mode)):
             seq = flatten_spatial(x, order)  # (N, C, L)
             projected = flatten_spatial(F.linear(x, self.x_proj_weight[k]), order)  # (N, r + 2S, L)
-            dt = F.linear_softplus(projected[:, :r], self.dt_weight[k], self.dt_bias[k])  # (N, C, L)
+            dt = F.softplus(F.linear(projected[:, :r], self.dt_weight[k], self.dt_bias[k]))  # (N, C, L)
             b_seq, c_seq = projected[:, r : r + s], projected[:, r + s :]  # (N, S, L) each
             yseq = selective_scan(seq, dt, a[k], b_seq, c_seq, self.D_skip[k], block=self.scan_block)
             ymap = unflatten_spatial(yseq, order)

@@ -14,6 +14,7 @@ gives its node a ``rebuild`` of that output; a consumer that needs the output
 in its backward keeps the rebuild instead, so the output leaves the graph.
 During the sweep a rebuild runs once: the producer's node keeps its array,
 read-only, from the first consumer's call until the producer is popped.
+No chain of rebuilds, each calling the next, is longer than ``MAX_REBUILD_CHAIN``.
 
 ``backward()`` on a scalar orders the nodes topologically, then pops them
 in reverse order.  Each popped node passes its grad on to its parents and
@@ -45,6 +46,8 @@ __all__ = [
 
 _GRAD_ENABLED = True
 DEFAULT_DTYPE = np.float32
+# The longest chain of rebuilds one rebuild runs, itself included (``_with_rebuild``).
+MAX_REBUILD_CHAIN = 64
 
 
 def is_grad_enabled() -> bool:
@@ -78,9 +81,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class _Node:
     """Graph role of one op result: its grad, its parents' nodes, its backward and, where
-    its op gives one, its rebuild and the rebuild's memo; no data."""
+    its op gives one, its rebuild, the rebuild's memo and the length of its chain; no data."""
 
-    __slots__ = ("grad", "parents", "backward", "rebuild", "memo")
+    __slots__ = ("grad", "parents", "backward", "rebuild", "memo", "chain")
 
     def __init__(self, parents: tuple, backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
         self.grad: np.ndarray | None = None
@@ -88,12 +91,13 @@ class _Node:
         self.backward = backward
         self.rebuild: Callable[[], np.ndarray] | None = None
         self.memo: np.ndarray | None = None
+        self.chain = 0
 
     def rebuilt(self) -> np.ndarray:
         """``rebuild()``, computed on the first call and returned, read-only, by every
         later one until the sweep pops this node and drops it."""
         if self.memo is None:
-            memo = self.rebuild()
+            memo = np.asarray(self.rebuild())  # an op on 0-d arrays returns a numpy scalar
             memo.flags.writeable = False
             self.memo = memo
         return self.memo
@@ -158,7 +162,7 @@ class Tensor:
     def _rebuild(self) -> Callable[[], np.ndarray] | None:
         """The memoized rebuild of this op result's array, or ``None`` (see ``_with_rebuild``)."""
         node = self._node
-        return None if node is None or node.rebuild is None else node.rebuilt
+        return None if node is None or node.rebuild is None or node.chain >= MAX_REBUILD_CHAIN else node.rebuilt
 
     def _with_rebuild(self, rebuild: Callable[[], np.ndarray]) -> "Tensor":
         """Attach ``rebuild`` to this op result's graph node (if it has one) and return it.
@@ -172,9 +176,19 @@ class Tensor:
         it pops this node, after every consumer.  So a rebuild costs one
         recompute however many consumers keep it.  See ``backward`` for when
         it may run.
+
+        ``rebuild()`` may call the rebuilds of its op's parents, which call
+        theirs, so its node counts the longest such chain, itself included, as
+        if it read every parent's rebuild.  A node whose chain is
+        ``MAX_REBUILD_CHAIN`` long offers no ``_rebuild``: its consumers keep
+        the array, and their chains start anew, so a rebuild recurses no deeper
+        however long the graph.
         """
-        if self._node is not None:
-            self._node.rebuild = rebuild
+        node = self._node
+        if node is not None:
+            node.rebuild = rebuild
+            node.chain = 1 + max((p.chain for p in node.parents if type(p) is _Node and p.rebuild is not None
+                                  and p.chain < MAX_REBUILD_CHAIN), default=0)
         return self
 
     def _keep(self) -> Callable[[], np.ndarray]:
@@ -234,16 +248,19 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
+        """The product keeps its factors as ``_keep``; when both come with a rebuild it
+        gets the rebuild of their product, so it holds no array of its own."""
         other = Tensor.as_tensor(other, like=self)
-        data = self.data * other.data
-        return Tensor.from_op(
-            data,
+        sa, sb = self.shape, other.shape
+        a, b = self._keep(), other._keep()
+        out = Tensor.from_op(
+            self.data * other.data,
             (self, other),
-            lambda g: (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
-            ),
+            lambda g: (_unbroadcast(g * b(), sa), _unbroadcast(g * a(), sb)),
         )
+        if self._rebuild is None or other._rebuild is None:
+            return out
+        return out._with_rebuild(lambda: a() * b())
 
     __rmul__ = __mul__
 

@@ -247,8 +247,10 @@ def test_small_mlp_composite(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fused_ops(seed):
-    # linear_softplus on a (N, r, L) code as the scan's dt projection uses it, and
-    # gated_layer_norm over the channel axis of a map as the cross-scan output does
+    # the compositions that were hand-fused ops: softplus(linear(code)) on a (N, r, L) code
+    # as the scan's dt projection uses it, and layer_norm(x) * silu(z) over the channel axis
+    # of a map as the cross-scan output does; the softplus and the product keep their
+    # inputs' rebuilds
     rng = np.random.default_rng(seed)
     code = leaf(rng, (2, 3, 7))
     w = leaf(rng, (5, 3), scale=0.5)
@@ -260,8 +262,8 @@ def test_fused_ops(seed):
 
     def f():
         wsum = np.random.default_rng(seed)
-        return (weighted_sum(F.linear_softplus(code, w, b), wsum)
-                + weighted_sum(F.gated_layer_norm(x, g, beta, z, axis=1), wsum))
+        return (weighted_sum(F.softplus(F.linear(code, w, b)), wsum)
+                + weighted_sum(F.layer_norm(x, g, beta, axis=1) * F.silu(z), wsum))
 
     res = check_gradients(f, [code, w, b, x, g, beta, z])
     assert res.rel_error < DEFAULT_TOL, res

@@ -65,7 +65,7 @@ def test_traced_forward_covers_the_analytic_macs():
 @pytest.mark.parametrize("grad", [True, False], ids=["train", "eval"])
 def test_traced_forward_fires_every_benchmarked_op(grad):
     # run.py's per-layer report reads a span for each functional.* and ssm.selective_scan
-    # op BENCHMARK.json names, so a fused op that stops calling one of them by name, in
+    # op BENCHMARK.json names, so a composition that stops calling one of them by name, in
     # a training forward or a no_grad one, fails here and not only in a traced benchmark run
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     ops = {".".join(n.split(".")[:2]) for n in names if n.startswith(("functional.", "ssm.selective_scan."))}

@@ -454,10 +454,6 @@ def _gate_composition(x, gamma, beta, z):
     return F.layer_norm(x, gamma, beta, axis=1) * F.silu(z)
 
 
-def _gate_fused(x, gamma, beta, z):
-    return F.gated_layer_norm(x, gamma, beta, z, axis=1)
-
-
 def _fused_operands(rng, dtype, n=2, d=12, r=3, length=40, hw=(5, 8)):
     """Operands of each op: (code, W, b) of a dt projection, (x, gamma, beta, z) of a gated output norm."""
     dt_ops = (rng.normal(size=(n, r, length)), 0.5 * rng.normal(size=(d, r)), rng.normal(size=d))
@@ -467,19 +463,24 @@ def _fused_operands(rng, dtype, n=2, d=12, r=3, length=40, hw=(5, 8)):
 
 
 class TestFusedOps:
-    """``linear_softplus`` and ``gated_layer_norm`` against the compositions they replace:
-    the same arithmetic in the same order, so every result is bitwise the same."""
+    """The two compositions that were hand-fused ops: the scan's dt projection,
+    ``softplus(linear(code))``, and the cross-scan's gated output norm,
+    ``layer_norm(x) * silu(z)``.  Their rebuilds keep the graph as small as the fused
+    ops did, and every result is bitwise that of the same compositions keeping their
+    intermediate outputs."""
 
-    PAIRS = {"dt": (F.linear_softplus, _dt_composition), "gate": (_gate_fused, _gate_composition)}
+    OPS = {"dt": _dt_composition, "gate": _gate_composition}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("op", ["dt", "gate"])
-    def test_bitwise_equal_to_the_composition(self, op, dtype):
-        fused, oracle = self.PAIRS[op]
+    def test_bitwise_equal_to_the_composition(self, op, dtype, monkeypatch):
+        fn = self.OPS[op]
         operands = _fused_operands(np.random.default_rng(41), dtype)[op]
-        w = np.random.default_rng(42).normal(size=oracle(*(Tensor(v) for v in operands)).shape).astype(dtype)
+        w = np.random.default_rng(42).normal(size=fn(*(Tensor(v) for v in operands)).shape).astype(dtype)
         results = []
-        for fn in (fused, oracle):
+        for keep in (False, True):
+            if keep:  # no rebuilds: every intermediate output stays in the graph
+                monkeypatch.setattr(Tensor, "_with_rebuild", lambda self, rebuild: self)
             ts = [Tensor(v.copy(), requires_grad=True) for v in operands]
             y = fn(*ts)
             (y * Tensor(w)).sum().backward()
@@ -492,17 +493,17 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("op", ["dt", "gate"])
     def test_in_sweep_update_equals_update_after_the_sweep(self, op):
-        # AdamW.step(loss) updates each parameter as soon as its grad is final; the fused
-        # backward reads the weight, bias and affine arrays, so they must still be parents
-        # then, or the sweep would update them before the backward reads them
-        fused, _ = self.PAIRS[op]
+        # AdamW.step(loss) updates each parameter as soon as its grad is final; the backwards
+        # and rebuilds read the weight, bias and affine arrays, so they must still be parents
+        # then, or the sweep would update them before they are read
+        fn = self.OPS[op]
         operands = _fused_operands(np.random.default_rng(43), np.float32)[op]
         states = []
         for in_sweep in (True, False):
             params = [Parameter(v.copy()) for v in operands]
             opt = AdamW(params, lr=0.1, weight_decay=0.1)
             for _ in range(3):
-                loss = (fused(*params) ** 2).mean()
+                loss = (fn(*params) ** 2).mean()
                 if in_sweep:
                     opt.step(loss)
                 else:
@@ -516,17 +517,18 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("op", ["dt", "gate"])
     def test_graph_keeps_no_product_operand(self, op):
-        # at scan-sized shapes: the dt projection holds only its output (its
-        # softplus input is rebuilt); the gated norm holds xhat besides its output, where the
-        # composition holds four such maps (xhat, the two product operands, the product)
-        fused, _ = self.PAIRS[op]
+        # at scan-sized shapes: the dt projection holds only its output (the softplus keeps
+        # the GEMM's rebuild); the gated norm holds xhat besides its output (the product keeps
+        # both factors' rebuilds), where keeping them would hold four such maps (xhat, the two
+        # factors, the product)
+        fn = self.OPS[op]
         rng = np.random.default_rng(44)
         operands = _fused_operands(rng, np.float32, n=1, d=64, r=6, length=1024, hw=(32, 32))[op]
         ts = [Tensor(v, requires_grad=True) for v in operands]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            y = fused(*ts)
+            y = fn(*ts)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -534,12 +536,6 @@ class TestFusedOps:
         assert held < arrays * y.data.nbytes + (8 << 10), f"{held} bytes held for a {y.data.nbytes}-byte output"
         y.sum().backward()
         assert all(t.grad is not None and np.all(np.isfinite(t.grad)) for t in ts)
-
-    def test_gate_shape_mismatch_raises(self):
-        x = Tensor(np.zeros((1, 4, 2, 2)))
-        gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
-        with pytest.raises(ValueError, match="gate shape"):
-            F.gated_layer_norm(x, gamma, beta, Tensor(np.zeros((1, 4, 2, 3))), axis=1)
 
 
 def _producer_operands(rng, dtype, n=2, c=12, hw=(5, 8)):
@@ -570,7 +566,9 @@ _INV = np.argsort(_PERM)
 _PRODUCERS = {
     "layer_norm": lambda x, gamma, beta, z: F.layer_norm(x, gamma, beta, axis=1),
     "batch_norm": _train_batch_norm,
-    "gated_layer_norm": lambda x, gamma, beta, z: F.gated_layer_norm(x, gamma, beta, z, axis=1),
+    "__mul__": lambda x, gamma, beta, z: F.layer_norm(x, gamma, beta, axis=1) * F.silu(z),
+    # ops on 0-d arrays return numpy scalars, which the memo must turn into arrays
+    "__mul__-0d": lambda x, gamma, beta, z: F.silu(x[0, 0, 0, :1].reshape(())) * F.gelu(z[0, 0, 0, :1].reshape(())),
     "gelu": lambda x, gamma, beta, z: F.gelu(x),
     # PatchExpand's norm over the last axis, moved back to channels first
     "moveaxis": lambda x, gamma, beta, z: F.layer_norm(x.moveaxis(1, 3), gamma, beta, axis=-1).moveaxis(3, 1),
@@ -580,7 +578,7 @@ _PRODUCERS = {
     "depthwise_conv2d": lambda x, gamma, beta, z: F.depthwise_conv2d(x, _weight(x, 12, 1, 3, 3), beta, padding=1),
     "conv1d": lambda x, gamma, beta, z: F.conv1d(x.reshape(24, 1, 40), _weight(x, 1, 1, 5), gamma[:1]),
     "silu": lambda x, gamma, beta, z: F.silu(x),
-    "linear_softplus": lambda x, gamma, beta, z: F.linear_softplus(x, _weight(x, 7, 12), _weight(x, 7, seed=43)),
+    "softplus": lambda x, gamma, beta, z: F.softplus(F.linear(x, _weight(x, 7, 12), _weight(x, 7, seed=43))),
     "_negative_exp": lambda x, gamma, beta, z: _negative_exp(gamma),
     # pass-throughs of a norm's rebuild: the scan's gathers and slices
     "reshape": lambda x, gamma, beta, z: _norm(x, gamma, beta).reshape(2, 12, 40),
@@ -592,7 +590,7 @@ _PRODUCERS = {
 _CHAINS = {
     "layer_norm-linear": ("layer_norm", (7, 12), F.linear),
     "batch_norm-conv2d": ("batch_norm", (7, 12, 1, 1), F.conv2d),
-    "gated_layer_norm-linear": ("gated_layer_norm", (7, 12), F.linear),
+    "__mul__-linear": ("__mul__", (7, 12), F.linear),
     "gelu-conv2d": ("gelu", (7, 12, 1, 1), F.conv2d),
     "moveaxis-conv2d": ("moveaxis", (7, 12, 1, 1), F.conv2d),
 }
@@ -613,6 +611,15 @@ class TestRebuilds:
         np.testing.assert_array_equal(_bits(rebuilt), _bits(y.data))
         with no_grad():  # no graph node, so nothing to attach a rebuild to
             assert _PRODUCERS[op](*(Tensor(v) for v in operands))._rebuild is None
+
+    def test_product_has_no_rebuild_unless_both_factors_have_one(self):
+        rng = np.random.default_rng(51)
+        x, z = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(2))
+        w = Parameter(rng.normal(size=(2, 3)))
+        rebuilt = F.silu(x)
+        for y in (rebuilt * w, w * rebuilt, rebuilt * 2.0, rebuilt * F.sigmoid(z), x * z):
+            assert y.requires_grad and y._rebuild is None
+        assert (rebuilt * F.silu(z))._rebuild is not None
 
     @pytest.mark.parametrize("chain", sorted(_CHAINS))
     def test_consumer_keeps_the_rebuild_not_the_output(self, chain):
@@ -683,7 +690,9 @@ def _front(x, w1, wd, bd, w2):
 
 def _gate(x, w1, wg, gamma, beta, w2):
     h = [F.linear(x, wg)]  # the norm's input is not kept either way: its backward reads xhat
-    h.append(F.gated_layer_norm(F.linear(x, w1), gamma, beta, h[0], axis=1))
+    h.append(F.silu(h[0]))
+    h.append(F.layer_norm(F.linear(x, w1), gamma, beta, axis=1))
+    h.append(h[-1] * h[1])
     return F.linear(h[-1], w2), h
 
 
@@ -696,7 +705,7 @@ def _ffn(x, w1, b1, wd, w2, b2):
 
 _REBUILT_CHAINS = {
     "linear-depthwise-silu-linear": (_front, [(2, 12, 5, 8), (10, 12), (10, 1, 3, 3), (10,), (7, 10)]),
-    "linear-gated_layer_norm-linear": (_gate, [(2, 12, 5, 8), (10, 12), (10, 12), (10,), (10,), (7, 10)]),
+    "linear-layer_norm-silu-mul-linear": (_gate, [(2, 12, 5, 8), (10, 12), (10, 12), (10,), (10,), (7, 10)]),
     "conv2d-depthwise-gelu-conv2d": (_ffn, [(2, 12, 5, 8), (10, 12, 1, 1), (10,), (10, 1, 3, 3), (7, 10, 1, 1), (7,)]),
 }
 
@@ -736,11 +745,13 @@ class TestRebuildMemo:
         from cvmhunet.blocks import CrossScanModule
         from cvmhunet.network import NetworkConfig
 
-        calls = []
+        calls, norms = [], []
         with_rebuild = Tensor._with_rebuild
 
         def recorded(self, rebuild):
-            if sys._getframe(1).f_code.co_name == "_normalize":
+            # the forward's first norm is the input norm; the output norm comes after the scan
+            if sys._getframe(1).f_code.co_name == "_normalize" and not norms:
+                norms.append(self)
                 def counting():
                     calls.append(1)
                     return rebuild()
@@ -774,6 +785,12 @@ class TestRebuildMemo:
         with pytest.raises(ValueError, match="read-only"):
             rebuilt += 1.0
         np.testing.assert_array_equal(rebuilt, h.data)
+
+    def test_0d_rebuild_is_memoized_as_an_array(self):
+        # an op on 0-d arrays returns a numpy scalar, whose flags cannot be made read-only
+        x = Tensor(np.array(0.3), requires_grad=True)
+        F.silu(F.gelu(x)).backward()
+        assert x.grad is not None and np.isfinite(x.grad)
 
     @pytest.mark.parametrize("chain", sorted(_REBUILT_CHAINS))
     def test_chain_keeps_no_intermediate_and_equals_keeping_them(self, chain, monkeypatch):
@@ -857,7 +874,7 @@ def _batch_cases() -> dict:
         "linear-sequence": ((4, 32, 40), lambda x: F.linear(x, w)),
         "linear-vectors": ((8, 32), lambda x: F.linear(x, w)),  # ChannelAttention's pooled (N, C)
         "linear-frequency-rows": ((4 * 32, 64), lambda x: F.linear(x, rows)),  # compress_frequencies
-        "linear_softplus": ((4, 32, 40), lambda x: F.linear_softplus(x, w, b)),
+        "linear-softplus": ((4, 32, 40), lambda x: F.softplus(F.linear(x, w, b))),
         "conv2d-patch": ((2, 3, 16, 12), lambda x: F.conv2d(x, patch, beta, stride=4)),
         "conv2d-1x1": ((4, 32, 6, 5), lambda x: F.conv2d(x, pw, b)),
         "conv2d-7x7": ((4, 2, 9, 8), lambda x: F.conv2d(x, spatial, padding=3)),
@@ -865,7 +882,7 @@ def _batch_cases() -> dict:
         "conv1d": ((8, 1, 32), lambda x: F.conv1d(x, tap)),
         "layer_norm-channels": ((4, 32, 6, 5), lambda x: F.layer_norm(x, gamma, beta, axis=1)),
         "layer_norm-last": ((4, 6, 5, 32), lambda x: F.layer_norm(x, gamma, beta, axis=-1)),
-        "gated_layer_norm": ((4, 32, 6, 5), lambda x: F.gated_layer_norm(x, gamma, beta, x * 0.5, axis=1)),
+        "layer_norm-silu-gated": ((4, 32, 6, 5), lambda x: F.layer_norm(x, gamma, beta, axis=1) * F.silu(x * 0.5)),
         "batch_norm-eval": ((4, 32, 6, 5), lambda x: F.batch_norm(x, gamma, beta, stats[0], stats[1], training=False)),
         "relu": ((4, 32, 6), F.relu),
         "sigmoid": ((4, 32, 6), F.sigmoid),

@@ -305,18 +305,19 @@ class TestGraphMemory:
     """What one grad-mode forward of the paper-width model leaves in the graph (closure walk)."""
 
     # bytes of the distinct arrays the closures hold at 128x128, batch 1, parameters excluded;
-    # 41,555,716 while the scan kept its gathered projections and A, 68.2 MB while the cross-scan
-    # front, gate and FFN expand were kept too, and 85.3 MB while a linear or 1x1 conv also kept
-    # the norm and GELU outputs it consumes
-    PAPER_128_GRAPH_BYTES = 35_755_780
+    # 35,755,780 while SpatialAttention's product kept local_conv's output, 41,555,716 while the
+    # scan kept its gathered projections and A, 68.2 MB while the cross-scan front, gate and FFN
+    # expand were kept too, and 85.3 MB while a linear or 1x1 conv also kept the norm and GELU
+    # outputs it consumes
+    PAPER_128_GRAPH_BYTES = 33_199_876
     # producers (``graph_walk.Producers`` labels) whose outputs the graph rebuilds: the
     # cross-scan's projections, its depthwise conv and silu, the scan's gathered x_proj output
-    # (whose slices are its B, C and dt code) and A = -exp(A_log), and the FFN's expand and
-    # depthwise conv
+    # (whose slices are its B, C and dt code) and A = -exp(A_log), the FFN's expand and
+    # depthwise conv, and the local branch's depthwise conv, a factor of SpatialAttention's product
     REBUILT = ("CrossScanModule.main_proj: _channel_dense", "CrossScanModule.gate_proj: _channel_dense",
                "CrossScanModule.dwconv: _tap_conv", "CVSSBlock.cross_scan: silu",
                "CrossScanModule.ssm: permute_last", "CrossScanModule.ssm: _negative_exp",
-               "EFFN.pw1: _channel_dense", "EFFN.dw: _tap_conv")
+               "EFFN.pw1: _channel_dense", "EFFN.dw: _tap_conv", "CVSSBlock.local_conv: _tap_conv")
 
     def test_dense_consumers_keep_no_norm_or_gelu_output(self, monkeypatch):
         produced, consumed = [], []
@@ -339,17 +340,24 @@ class TestGraphMemory:
                 consumed.append(x)
             return fn(x, weight, bias)
 
-        for name in ("layer_norm", "gated_layer_norm", "gelu"):
+        def mul(a, b, fn=Tensor.__mul__):  # CrossScanModule gates its output norm
+            out = fn(a, b)
+            if any(a is p for p in produced):
+                produced.append(out)
+            return out
+
+        for name in ("layer_norm", "gelu"):
             monkeypatch.setattr(functional, name, recorded(getattr(functional, name)))
         monkeypatch.setattr(Tensor, "moveaxis", moveaxis)
+        monkeypatch.setattr(Tensor, "__mul__", mul)
         monkeypatch.setattr(functional, "_channel_dense", channel_dense)
         cfg = NetworkConfig(input_size=(128, 128))
         model = CVMHUNet(cfg, seed=0)
         y = model(Tensor(rng(5).random((1, 3, 128, 128)).astype(np.float32)))
         params = [p.data for p in model.parameters()]
         held = [a for a in graph_arrays(y) if not any(np.shares_memory(a, p) for p in params)]
-        # per block the scan's input norm, its gated output norm, the fusion norm, the FFN's norm and
-        # GELU; then the three merges' norms and the two final expands' norms (through moveaxis)
+        # per block the scan's input norm, the product gating its output norm, the fusion norm, the FFN's
+        # norm and GELU; then the three merges' norms and the two final expands' norms (through moveaxis)
         blocks = sum(cfg.enc_depths) + sum(cfg.dec_depths)
         assert len(consumed) == 5 * blocks + 3 + 2
         assert not [a.shape for a in held if any(np.shares_memory(a, t.data) for t in consumed)]

@@ -491,22 +491,17 @@ class TestS6Modules:
         assert (4, 8, 3) not in held and (8, 3) not in held, held
 
     def test_one_dt_gemm_per_direction_per_sweep(self, monkeypatch):
-        # the scan's rebuild of its timesteps and linear_softplus's own backward share one
-        # pre-activation: the dt GEMM (an (8, 1) weight here) runs once per direction
+        # the scan's rebuild of its timesteps and the softplus's own backward read one
+        # memoized GEMM output: the dt GEMM (an (8, 1) weight here) runs once per direction
         calls = []
-        kernel = F._dense_kernel
+        matmul = np.matmul
 
-        def counted(*args):
-            halves = kernel(*args)
-            if args[1].shape != (8, 1):
-                return halves
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == (8, 1):
+                calls.append(1)
+            return matmul(a, *args, **kwargs)
 
-            def count(fn):
-                return lambda *args: (calls.append(1), fn(*args))[1]
-
-            return (count(halves[0]), count(halves[1]), halves[2])
-
-        monkeypatch.setattr(F, "_dense_kernel", counted)
+        monkeypatch.setattr(np, "matmul", counted)
         rng = np.random.default_rng(10)
         m = DirectionalSSM(8, default_dt_rank(8), 4, "cs2d", 64, rng=rng)
         x = Tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32), requires_grad=True)

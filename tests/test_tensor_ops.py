@@ -124,13 +124,22 @@ class TestGradientSemantics:
             y.backward()
         assert x.grad is None
 
-    def test_deep_graph_no_recursion_limit(self):
-        x = t(1.0)
-        y = x
+    DEEP_CHAINS = {
+        "mul": lambda y: y * 1.0001,
+        # each rebuild calls its input's rebuild: the chain is cut every MAX_REBUILD_CHAIN links
+        "silu": F.silu,
+        "linear": lambda y: F.linear(y, Tensor(np.eye(2))),
+        "rebuilt-product": lambda y: y * F.silu(y),
+    }
+
+    @pytest.mark.parametrize("op", sorted(DEEP_CHAINS))
+    def test_deep_graph_no_recursion_limit(self, op):
+        x = t([[0.5, 1.0]])
+        y = F.silu(x)  # a first factor with a rebuild
         for _ in range(5000):
-            y = y * 1.0001
-        y.backward()
-        assert x.grad is not None and np.isfinite(x.grad)
+            y = self.DEEP_CHAINS[op](y)
+        y.sum().backward()
+        assert x.grad is not None and np.all(np.isfinite(x.grad))
 
     def test_extremum_tie_routes_to_first(self):
         x = t([[1.0, 5.0, 5.0, 0.0]])
